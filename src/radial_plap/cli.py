@@ -38,14 +38,6 @@ def thread_cap() -> int:
         return 1
 
 
-def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, float) and math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    raise TypeError(f"not JSON serializable: {x!r}")
-
-
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}

@@ -20,11 +20,15 @@ stops being checkable), and the displayed bound is verified index by index.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 LOG_OVERFLOW = 700.0
+#: the plain track is trusted only on normal floats: the logs of subnormal
+#: values are inexact and would masquerade as bound violations
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -93,15 +97,17 @@ def _step_plain(j, K, eta_n, d1, d2):
 def simulate(params: RecursionParams) -> RecursionTrace:
     """Run the worst-case equality recursion J_{n+1} = K eta^n (J^{1+d1}+J^{1+d2}).
 
-    Plain-float values are kept while representable (the hand-checkable
-    power-of-two traces stay bit-exact); log-space is the master sequence
-    once the plain track under- or overflows.  The run stops early once the
+    Plain-float values are kept while they are normal floats (the
+    hand-checkable power-of-two traces stay bit-exact); log-space is the
+    master sequence once the plain track goes subnormal or overflows.  The run stops early once the
     trace overflows the float range upward, flagging the truncation.
     """
     K, eta, d1, d2 = params.K, params.eta, params.delta1, params.delta2
     logK, logeta = math.log(K), math.log(eta)
     logs = [params.start_log]
     plain = math.exp(logs[0]) if logs[0] < LOG_OVERFLOW else math.inf
+    if plain < _NORMAL_MIN:
+        plain = 0.0
     plains = [plain if 0.0 < plain < math.inf else math.nan]
     overflowed = False
     for n in range(params.n_max):
@@ -115,11 +121,11 @@ def simulate(params: RecursionParams) -> RecursionTrace:
         if 0.0 < plain < math.inf:
             eta_n = eta**n if n * logeta < LOG_OVERFLOW else math.inf
             p_nxt = _step_plain(plain, K, eta_n, d1, d2)
-            if 0.0 < p_nxt < math.inf:
+            if _NORMAL_MIN <= p_nxt < math.inf:
                 plain = p_nxt
                 nxt = math.log(p_nxt)  # keep the exact track authoritative
             else:
-                plain = 0.0 if p_nxt == 0.0 else math.inf
+                plain = 0.0 if p_nxt < _NORMAL_MIN else math.inf
         logs.append(float(nxt))
         plains.append(plain if 0.0 < plain < math.inf else math.nan)
     log_J = np.array(logs)

@@ -14,13 +14,21 @@ Two routes are provided and kept deliberately independent:
 * :func:`integrate_exact_powerlog` takes a piecewise power-log model, decides
   convergence from exponents alone (left endpoint needs power > -1; a tail
   needs power < -1, or == -1 with log power < -1), and evaluates by closed
-  form where the antiderivative is elementary, else by substitution-based
-  Gauss-Legendre panels (``r = R1 + y**m`` kills the left singularity,
-  ``r = e**s`` turns tails into exponentially decaying integrands).
+  form where the antiderivative is elementary, else numerically.  Finite
+  spans go through one panel kernel that works in the offset coordinate
+  ``t = r - R1``, so cells next to R1 keep every digit of their width: each
+  cell is split geometrically until a panel spans a ratio of at most 2 in
+  the distance to its nearest singular factor, and fixed 32-point
+  Gauss-Legendre panels then sit at rounding level.  At the singular origin
+  either ``t = y**m`` makes the integrand smooth or two Taylor terms
+  integrate exactly against ``t**A`` on a tiny first stretch; tails use
+  ``r = e**s``, which turns them into exponentially decaying integrands.
 
 :class:`LeftCumulative` / :class:`RightCumulative` expose the one-sided
 integrals of a model as fast callables; both always integrate *away* from the
-singular endpoint, never by subtracting near-equal totals.
+singular endpoint, never by subtracting near-equal totals.  An array query is
+sorted once: the gaps between consecutive queries are cells of the panel
+kernel, and a running sum turns them into the envelope.
 """
 
 from __future__ import annotations
@@ -239,8 +247,18 @@ def _driver(cf, a, b, tol, cap):
 
 
 # ---------------------------------------------------------------------------
-# power-log piece integrals: closed forms + substitution Gauss-Legendre
+# power-log piece integrals: closed forms, offset-coordinate panels, tails
 # ---------------------------------------------------------------------------
+
+#: nodes of one Gauss-Legendre panel of the offset kernel
+_GL_N = 32
+#: reach of the Taylor start at the singular origin, as a share of the
+#: distance to the nearest singularity of the smooth factor
+_TAYLOR_REACH = 3e-9
+#: panels evaluated together; bounds the kernel's node temporaries
+_BLOCK_PANELS = 256
+#: relative rounding bound reported for fixed-rule panel sums
+_PANEL_RTOL = 1e-14
 
 _GL_CACHE = {}
 
@@ -266,13 +284,14 @@ def _gl_panels(fvec, a, b, segments, n=32, grading=1.0):
 
 
 def _gl_adaptive(fvec, a, b, tol, grading=1.0, max_segments=512):
+    """Double the panels until two sums agree to ``tol`` relative."""
     prev = None
     segments = 1
     nev = 0
     while True:
         val, n = _gl_panels(fvec, a, b, segments, grading=grading)
         nev += n
-        if prev is not None and abs(val - prev) <= tol * (1.0 + abs(val)):
+        if prev is not None and abs(val - prev) <= tol * abs(val):
             return val, abs(val - prev), nev
         if segments >= max_segments:
             return val, abs(val - prev) if prev is not None else abs(val), nev
@@ -287,93 +306,172 @@ def _merged_exponents(piece, r1):
     return piece.c, piece.a, piece.b, piece.l
 
 
+def _power_int(base, gap, e):
+    """∫ s^e ds from ``base`` > 0 (or 0 when e > -1) to ``base + gap``.
+
+    ``gap`` may be inf (needs e < -1).  The difference of powers is formed
+    as base^(e+1) expm1((e+1) log1p(gap/base)), so narrow spans keep their
+    digits.  Returns None where the integral is not finite.
+    """
+    k = e + 1.0
+    if not math.isfinite(gap):
+        return -(base**k) / k if k < 0.0 else None
+    if base == 0.0:
+        return gap**k / k if k > 0.0 else None
+    rel = math.log1p(gap / base)
+    if k == 0.0:
+        return rel
+    if k * rel > 700.0:
+        return ((base + gap) ** k - base**k) / k
+    return base**k * math.expm1(k * rel) / k
+
+
 def _closed_form(c, A, B, L, r1, x0, x1):
     """Elementary antiderivative cases; returns value or None."""
-
-    def power_int(base0, base1, e):
-        # ∫ t^e dt between positive bases; base1 may be inf (needs e < -1)
-        if e == -1.0:
-            if not math.isfinite(base1):
-                return None
-            return math.log(base1) - math.log(base0)
-        hi = 0.0 if not math.isfinite(base1) else base1 ** (e + 1.0)
-        if not math.isfinite(base1) and e >= -1.0:
-            return None
-        return (hi - base0 ** (e + 1.0)) / (e + 1.0)
-
+    gap = x1 - x0
+    val = None
     if A == 0.0 and L == 0.0:
-        val = power_int(x0, x1, B)
-        return None if val is None else c * val
-    if B == 0.0 and L == 0.0:
-        val = power_int(x0 - r1, x1 - r1 if math.isfinite(x1) else INF, A)
-        return None if val is None else c * val
-    if A == 0.0 and B == -1.0:
-        s0, s1 = math.log(x0), (math.log(x1) if math.isfinite(x1) else INF)
-        if L == -1.0:
-            if not math.isfinite(s1):
-                return None
-            return c * (math.log(s1) - math.log(s0))
-        if not math.isfinite(s1):
-            if L >= -1.0:
-                return None
-            return -c * s0 ** (L + 1.0) / (L + 1.0)
-        return c * (s1 ** (L + 1.0) - s0 ** (L + 1.0)) / (L + 1.0)
-    return None
+        val = _power_int(x0, gap, B)
+    elif B == 0.0 and L == 0.0:
+        val = _power_int(x0 - r1, gap, A)
+    elif A == 0.0 and B == -1.0:
+        # s = log r: ∫ s^L ds
+        val = _power_int(math.log1p(x0 - 1.0), math.log1p(gap / x0), L)
+    return None if val is None else c * val
+
+
+def _integrand(c, A, B, L, r1, t):
+    """c t^A (r1+t)^B log(r1+t)^L at offsets ``t = r - r1``."""
+    out = np.full(t.shape, c)
+    if A != 0.0:
+        out = out * np.power(t, A)
+    if B != 0.0:
+        out = out * np.power(r1 + t, B)
+    if L != 0.0:
+        out = out * np.power(np.log1p((r1 - 1.0) + t), L)
+    return out
+
+
+def _offset_cells(c, A, B, L, r1, t0, t1):
+    """∫ c t^A (r1+t)^B log(r1+t)^L dt over each cell [t0[k], t1[k]].
+
+    The cells are given in offset coordinates ``t = r - r1``, so cells next
+    to the origin keep every digit of their width.  Each cell is split
+    geometrically in ``t + shift`` until one panel spans a ratio of at most
+    2; the shift is that of the nearest singular factor (0 for t^A, r1 - 1
+    for the log, r1 for r^B), so every factor is analytic on a Bernstein
+    ellipse of parameter >= 3 + 2*sqrt(2) around each panel and the fixed
+    32-point rule sits at rounding level.  Needs finite t1 >= t0 >= 0, with
+    t0 > 0 where A != 0.  Returns (cell integrals, integrand evaluations).
+    """
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    shifts = [s for s, on in ((0.0, A != 0.0), (r1 - 1.0, L != 0.0), (r1, B != 0.0)) if on]
+    if shifts:
+        shift = min(shifts)
+        ratio = (t1 + shift) / (t0 + shift)
+        m = np.maximum(np.ceil(np.log2(ratio)), 1.0).astype(np.intp)
+    else:
+        m = np.ones(t0.shape, dtype=np.intp)
+    n_pan = int(m.sum())
+    if n_pan == t0.size:
+        lo, hi, start = t0, t1, None
+    else:
+        start = np.cumsum(m) - m
+        cell = np.repeat(np.arange(t0.size), m)
+        frac = (np.arange(n_pan) - start[cell]) / m[cell]
+        lo = (t0 + shift)[cell] * ratio[cell] ** frac - shift
+        lo[start] = t0
+        hi = np.empty(n_pan)
+        hi[:-1] = lo[1:]
+        hi[start + m - 1] = t1
+    x, wt = _gl(_GL_N)
+    vals = np.empty(n_pan)
+    for s in range(0, n_pan, _BLOCK_PANELS):
+        a, b = lo[s:s + _BLOCK_PANELS], hi[s:s + _BLOCK_PANELS]
+        half = 0.5 * (b - a)
+        nodes = (a + half)[:, None] + half[:, None] * x
+        vals[s:s + _BLOCK_PANELS] = _integrand(c, A, B, L, r1, nodes) @ wt * half
+    if start is not None:
+        vals = np.add.reduceat(vals, start)
+    return vals, n_pan * _GL_N
 
 
 def _piece_partial(piece, r1, x0, x1, tol=1e-12):
     """∫_{x0}^{x1} of one power-log piece, assuming convergence.
 
     ``x0`` may sit on the singular origin (x0 == r1) and ``x1`` may be inf;
-    returns (value, err, evaluations).
+    returns (value, err, evaluations).  ``tol`` steers the adaptive routes
+    (tails and the spectral singular start); the rest are fixed rules.
     """
     c, A, B, L = _merged_exponents(piece, r1)
     closed = _closed_form(c, A, B, L, r1, x0, x1)
     if closed is not None:
         return closed, abs(closed) * 1e-15, 0
 
-    if x0 <= r1 and math.isfinite(x1):
-        return _left_singular_gl(c, A, B, L, r1, x1 - r1, tol)
-    if x0 <= r1 and not math.isfinite(x1):
-        mid = r1 + 1.0 if r1 > 0 else 1.0
-        v1, e1, n1 = _left_singular_gl(c, A, B, L, r1, mid - r1, tol)
-        v2, e2, n2 = _tail_gl(c, A, B, L, r1, mid, tol)
-        return v1 + v2, e1 + e2, n1 + n2
     if not math.isfinite(x1):
-        return _tail_gl(c, A, B, L, r1, x0, tol)
+        # the tail in s = log r starts where (1 - r1/r)^A and log(r)^L are
+        # smooth on its panels; the offset panels take what lies before
+        mid = max(x0, 2.0 * r1, math.e if L != 0.0 else 0.0)
+        if x0 <= r1:
+            mid = max(mid, r1 + 1.0)
+        v, e, n = _tail_gl(c, A, B, L, r1, mid, tol)
+        if mid > x0:
+            hv, he, hn = _piece_partial(piece, r1, x0, mid, tol)
+            v, e, n = v + hv, e + he, n + hn
+        return v, e, n
+    if x0 <= r1:
+        return _left_singular(c, A, B, L, r1, x1 - r1, tol)
+    v, n = _offset_cells(c, A, B, L, r1, [x0 - r1], [x1 - r1])
+    return float(v[0]), abs(float(v[0])) * _PANEL_RTOL, n
 
-    # finite, away from the origin; panels graded toward x0 guard steep decay
-    def fvec(r):
-        out = np.full(r.shape, c)
-        if A != 0.0:
-            out = out * np.power(r - r1, A)
-        if B != 0.0:
-            out = out * np.power(r, B)
-        if L != 0.0:
-            out = out * np.power(np.log(r), L)
-        return out
 
-    grading = 2.0 if (A < 0 and x0 - r1 < 0.1 * (x1 - r1)) else 1.0
-    return _gl_adaptive(fvec, x0, x1, tol, grading=grading)
+def _left_singular(c, A, B, L, r1, d, tol):
+    """∫_0^d c t^A (r1+t)^B log(r1+t)^L dt (needs A > -1).
 
-
-def _left_singular_gl(c, A, B, L, r1, d, tol):
-    """∫_0^d c t^A (r1+t)^B log(r1+t)^L dt via t = y**m (needs A > -1)."""
+    With t = y**m, m = ceil(3/(1+A)) for A < 0, the integrand becomes
+    y**(m(1+A)-1) times a smooth factor.  Where that power is a whole
+    number, doubling Gauss-Legendre panels converge spectrally and stop on
+    a relative test.  Elsewhere a fractional power would leave them at
+    algebraic convergence, so the smooth factor g(t) = c (r1+t)^B
+    log(r1+t)^L, analytic for |t| < delta (delta = r1, or r1 - 1 with the
+    log), is instead expanded to two Taylor terms on [0, eps], eps =
+    min(d, _TAYLOR_REACH delta / (1+|B|+|L|)), which integrate exactly
+    against t^A to a relative (eps/delta)**2; the offset panels take
+    [eps, d].  Either way Φ is accurate relative to its value, however
+    small.
+    """
     if A <= -1.0:
         raise ValueError("divergent left endpoint reached the numeric path")
     m = 1.0 if A >= 0.0 else float(math.ceil(3.0 / (1.0 + A)))
+    power = m * (1.0 + A) - 1.0
+    if power.is_integer():
 
-    def fvec(y):
-        t = y**m
-        r = r1 + t
-        out = c * m * np.power(y, m * (1.0 + A) - 1.0)
-        if B != 0.0:
-            out = out * np.power(r, B)
-        if L != 0.0:
-            out = out * np.power(np.log(r), L)
-        return out
+        def fvec(y):
+            r = r1 + y**m
+            out = c * m * np.power(y, power)
+            if B != 0.0:
+                out = out * np.power(r, B)
+            if L != 0.0:
+                out = out * np.power(np.log(r), L)
+            return out
 
-    return _gl_adaptive(fvec, 0.0, d ** (1.0 / m), tol, grading=2.0)
+        return _gl_adaptive(fvec, 0.0, d ** (1.0 / m), tol, grading=2.0)
+
+    delta = r1 if L == 0.0 else r1 - 1.0
+    eps = min(d, _TAYLOR_REACH * delta / (1.0 + abs(B) + abs(L)))
+    g0 = c * r1**B
+    dlog = B / r1  # g'(0) / g(0)
+    if L != 0.0:
+        log_r1 = math.log1p(r1 - 1.0)
+        g0 *= log_r1**L
+        dlog += L / (r1 * log_r1)
+    v = g0 * eps ** (A + 1.0) * (1.0 / (A + 1.0) + dlog * eps / (A + 2.0))
+    n = 0
+    if d > eps:
+        rest, n = _offset_cells(c, A, B, L, r1, [eps], [d])
+        v += float(rest[0])
+    return v, abs(v) * _PANEL_RTOL, n
 
 
 def _tail_gl(c, A, B, L, r1, x0, tol):
@@ -417,7 +515,7 @@ def _tail_gl(c, A, B, L, r1, x0, tol):
     while True:
         val, n = _gl_panels(fvec, s0, s_end, segments)
         nev += n
-        if prev is not None and abs(val - prev) <= tol * (1.0 + abs(val)):
+        if prev is not None and abs(val - prev) <= tol * abs(val):
             return val, abs(val - prev), nev
         if segments > 4096:
             return val, abs(val - prev) if prev is not None else INF, nev
@@ -450,8 +548,9 @@ def integrate_exact_powerlog(model: WeightModel, a=None, b=None, tol=1e-12):
     """Integral of a power-log model with exponent-certified verdicts.
 
     Convergence/divergence at the endpoints is decided analytically; the value
-    comes from closed forms where elementary, else from the substitution
-    panels.  ``a``/``b`` default to the model's full domain.
+    comes from closed forms where elementary, else from the offset-coordinate
+    panels, the singular start and the tail route of :func:`_piece_partial`.
+    ``a``/``b`` default to the model's full domain.
     """
     a = model.lo_domain if a is None else a
     b = model.r2 if b is None else b
@@ -485,8 +584,47 @@ def integrate_exact_powerlog(model: WeightModel, a=None, b=None, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 
+def _piece_cells(piece, r1, a, b, tol):
+    """∫ of one piece over each [a[k], b[k]] (radii), via the offset kernel.
+
+    Cells touching the origin (a <= r1) or reaching infinity are rare and
+    take the scalar :func:`_piece_partial` route.
+    """
+    odd = (a <= r1) | ~np.isfinite(b)
+    cab = _merged_exponents(piece, r1)
+    if not odd.any():
+        return _offset_cells(*cab, r1, a - r1, b - r1)[0]
+    out = np.empty(a.shape)
+    reg = ~odd
+    out[reg] = _offset_cells(*cab, r1, a[reg] - r1, b[reg] - r1)[0]
+    for k in np.flatnonzero(odd):
+        live = b[k] > max(a[k], r1)
+        out[k] = _piece_partial(piece, r1, a[k], b[k], tol)[0] if live else 0.0
+    return out
+
+
+def _by_piece(model, r):
+    """Sort ``r`` once; return the order, the sorted values and the
+    (piece index, slice) runs that split them by piece."""
+    order = np.argsort(r, kind="stable")
+    q = r[order]
+    idx = np.maximum(np.searchsorted(model._los, q, side="right") - 1, 0)
+    cuts = np.concatenate([[0], np.flatnonzero(np.diff(idx)) + 1, [len(q)]])
+    runs = [(int(idx[s]), slice(int(s), int(e)))
+            for s, e in zip(cuts[:-1], cuts[1:]) if e > s]
+    return order, q, runs
+
+
 class LeftCumulative:
-    """Φ(r) = ∫_{R1}^{r} of a power-log model; +inf everywhere if divergent."""
+    """Φ(r) = ∫_{R1}^{r} of a power-log model; +inf everywhere if divergent.
+
+    An array query is sorted once and grouped by piece.  Within a piece the
+    first gap (from R1, or from the piece's left edge) is one
+    :func:`_piece_partial` call and the gaps between consecutive sorted
+    queries are cells of the offset-coordinate panel kernel, in
+    ``t = r - R1``; a running sum turns them into Φ, which is scattered back
+    into the caller's order.  A single query integrates directly.
+    """
 
     def __init__(self, model: WeightModel, tol=1e-12):
         self.model = model
@@ -500,23 +638,41 @@ class LeftCumulative:
                 prefix.append(prefix[-1] + v)
         self._prefix = prefix
 
+    def _start(self, piece):
+        return self.model.r1 if piece.lo <= self.model.r1 else piece.lo
+
     def __call__(self, r):
         scalar = np.isscalar(r)
         rs = np.atleast_1d(np.asarray(r, dtype=float))
         if self.divergent:
             out = np.full(rs.shape, INF)
             return float(out[0]) if scalar else out
-        out = np.empty(rs.shape)
-        for j, rj in enumerate(rs):
+        if rs.size == 1:
+            rj = float(rs.flat[0])
             i = self.model.piece_index(rj)
             piece = self.model.pieces[i]
-            x0 = self.model.r1 if piece.lo <= self.model.r1 else piece.lo
-            if rj <= x0:
-                out[j] = self._prefix[i]
-                continue
-            v, _, _ = _piece_partial(piece, self.model.r1, x0, rj, self.tol)
-            out[j] = self._prefix[i] + v
-        return float(out[0]) if scalar else out
+            x0 = self._start(piece)
+            v = self._prefix[i]
+            if rj > x0:
+                v += _piece_partial(piece, self.model.r1, x0, rj, self.tol)[0]
+            return v if scalar else np.full(rs.shape, v)
+        flat = rs.ravel()
+        order, q, runs = _by_piece(self.model, flat)
+        vals = np.empty(q.shape)
+        for i, sl in runs:
+            piece = self.model.pieces[i]
+            x0 = self._start(piece)
+            qi = q[sl]
+            k = int(np.searchsorted(qi, x0, side="right"))
+            vals[sl][:k] = self._prefix[i]
+            if k < len(qi):
+                live = qi[k:]
+                gaps = _piece_cells(piece, self.model.r1,
+                                    np.concatenate([[x0], live[:-1]]), live, self.tol)
+                vals[sl][k:] = self._prefix[i] + np.cumsum(gaps)
+        out = np.empty(flat.shape)
+        out[order] = vals
+        return out.reshape(rs.shape)
 
 
 class RightCumulative:
@@ -524,6 +680,10 @@ class RightCumulative:
 
     The first piece's total is never formed from its left edge (which may be
     a divergent singularity); queries inside it integrate from r directly.
+    Array queries mirror :class:`LeftCumulative`: within a piece the last
+    gap, to the piece's right edge (to R2 = inf on a tail piece), is
+    computed once, and a reversed running sum over the offset-kernel cells
+    between consecutive sorted queries gives the rest.
     """
 
     def __init__(self, model: WeightModel, tol=1e-12):
@@ -546,54 +706,56 @@ class RightCumulative:
         if self.divergent:
             out = np.full(rs.shape, INF)
             return float(out[0]) if scalar else out
-        out = np.empty(rs.shape)
-        for j, rj in enumerate(rs):
+        if rs.size == 1:
+            rj = float(rs.flat[0])
             i = self.model.piece_index(rj)
             piece = self.model.pieces[i]
-            if rj >= piece.hi:
-                out[j] = self._suffix[i + 1]
-                continue
-            v, _, _ = _piece_partial(piece, self.model.r1, rj, piece.hi, self.tol)
-            out[j] = self._suffix[i + 1] + v
-        return float(out[0]) if scalar else out
+            v = self._suffix[i + 1]
+            if rj < piece.hi:
+                v += _piece_partial(piece, self.model.r1, rj, piece.hi, self.tol)[0]
+            return v if scalar else np.full(rs.shape, v)
+        flat = rs.ravel()
+        order, q, runs = _by_piece(self.model, flat)
+        vals = np.empty(q.shape)
+        for i, sl in runs:
+            piece = self.model.pieces[i]
+            qi = q[sl]
+            k = int(np.searchsorted(qi, piece.hi, side="left"))
+            vals[sl][k:] = self._suffix[i + 1]
+            if k > 0:
+                live = qi[:k]
+                gaps = _piece_cells(piece, self.model.r1, live,
+                                    np.concatenate([live[1:], [piece.hi]]), self.tol)
+                vals[sl][:k] = self._suffix[i + 1] + np.cumsum(gaps[::-1])[::-1]
+        out = np.empty(flat.shape)
+        out[order] = vals
+        return out.reshape(rs.shape)
 
 
 def interval_integrals(model: WeightModel, edges, tol=1e-12):
     """∫ of the model over each [edges[i], edges[i+1]], vectorized.
 
-    Edges should not cross piece junctions except by inclusion; crossing
-    intervals are split and summed.  The first interval may start exactly at
-    R1, where the singular substitution path is used.
+    Cells crossing piece junctions are split there and summed.  Every
+    sub-cell goes through the offset-coordinate panel kernel except one that
+    starts at R1, which takes the singular :func:`_piece_partial` route.
     """
     edges = np.asarray(edges, dtype=float)
-    out = np.zeros(len(edges) - 1)
-    x, wt = _gl(32)
-
-    def panel(piece, s0, s1):
-        mid = 0.5 * (s0 + s1)
-        half = 0.5 * (s1 - s0)
-        nodes = mid + half * x
-        return float(np.dot(piece.value(nodes, model.r1), wt) * half)
-
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        sub = [lo] + [b for b in model.breakpoints() if lo < b < hi] + [hi]
-        acc = 0.0
-        for s0, s1 in zip(sub[:-1], sub[1:]):
-            piece = model.pieces[model.piece_index(s0)]
-            if s0 <= model.r1:
-                v, _, _ = _piece_partial(piece, model.r1, model.r1, s1, tol)
-            elif piece.a != 0.0 and (s1 - model.r1) > 4.0 * (s0 - model.r1):
-                # wide span in boundary distance: one panel cannot resolve
-                # the (r-R1)**a variation; split geometrically in distance
-                m = int(math.ceil(math.log((s1 - model.r1) / (s0 - model.r1))
-                                  / math.log(4.0)))
-                cuts = model.r1 + (s0 - model.r1) * (
-                    (s1 - model.r1) / (s0 - model.r1)
-                ) ** (np.arange(m + 1) / m)
-                v = sum(panel(piece, c0, c1) for c0, c1 in zip(cuts[:-1], cuts[1:]))
-            else:
-                v = panel(piece, s0, s1)
-            acc += v
-        out[i] = acc
-    return out
+    n = len(edges) - 1
+    if n < 1:
+        return np.zeros(0)
+    cuts = np.array([b for b in model.breakpoints() if edges[0] < b < edges[-1]])
+    cuts = cuts[~np.isin(cuts, edges)]
+    lo = np.concatenate([edges[:-1], cuts])
+    cell = np.concatenate([np.arange(n), np.searchsorted(edges, cuts, side="right") - 1])
+    order = np.lexsort((lo, cell))
+    lo, cell = lo[order], cell[order]
+    hi = np.empty(lo.shape)
+    hi[:-1] = lo[1:]
+    last = np.append(cell[1:] != cell[:-1], True)
+    hi[last] = edges[cell[last] + 1]
+    idx = np.maximum(np.searchsorted(model._los, lo, side="right") - 1, 0)
+    vals = np.empty(lo.shape)
+    for i in np.unique(idx):
+        m = idx == i
+        vals[m] = _piece_cells(model.pieces[i], model.r1, lo[m], hi[m], tol)
+    return np.bincount(cell, weights=vals, minlength=n)

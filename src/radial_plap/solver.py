@@ -145,11 +145,6 @@ class Eigenpair:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _piece_params(model, r):
-    p = model.pieces[model.piece_index(r)]
-    return p
-
-
 def _segment_rhs(ps, lam, vp, wp):
     """RHS closure specialized to one smooth segment's weight pieces."""
     r1 = ps.R1
@@ -272,8 +267,8 @@ def shoot(ps: ProblemSpec, lam, r_end=None, mesh: Mesh | None = None,
     tr_r, tr_u, tr_g = [], [], []
     first_zero = None
     for s0, s1 in zip(seg_edges[:-1], seg_edges[1:]):
-        vp = _piece_params(ps.v, s0)
-        wp = _piece_params(ps.w, s0)
+        vp = ps.v.pieces[ps.v.piece_index(s0)]
+        wp = ps.w.pieces[ps.w.piece_index(s0)]
         rhs_r = _segment_rhs(ps, lam, vp, wp)
         sol, fwd, inv = _integrate_segment(
             rhs_r, s0, s1, y, ps.R1, rtol, atol, trace_nodes is not None

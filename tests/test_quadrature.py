@@ -1,8 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial_plap.quadrature import (
     CONVERGED,
@@ -161,3 +164,134 @@ class TestCumulatives:
         parts = interval_integrals(m, edges)
         total = integrate_exact_powerlog(m, a=1.0, b=6.0)
         assert np.sum(parts) == pytest.approx(total.value, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the offset-coordinate panel kernel behind the envelopes
+# ---------------------------------------------------------------------------
+
+
+def _mp_left(c, a, b, r1, t):
+    """∫_0^t c s^a (r1+s)^b ds at 30 digits (hypergeometric closed form)."""
+    with mp.workdps(30):
+        a, b, r1, t = (mp.mpf(x) for x in (a, b, r1, t))
+        return c * r1**b * t ** (a + 1) / (a + 1) * mp.hyp2f1(-b, a + 1, a + 2, -t / r1)
+
+
+def _mp_total(c, a, b, r1):
+    """∫_0^inf c s^a (r1+s)^b ds at 30 digits (needs a > -1, a + b < -1)."""
+    with mp.workdps(30):
+        a, b, r1 = mp.mpf(a), mp.mpf(b), mp.mpf(r1)
+        return c * r1 ** (a + b + 1) * mp.beta(a + 1, -a - b - 1)
+
+
+def _offset(r, r1):
+    with mp.workdps(30):
+        return mp.mpf(r) - mp.mpf(r1)
+
+
+MODELS = {
+    "two pieces": WeightModel(
+        (PowerLogPiece(1.0, 2.0, 1.0, -0.5, -2.0),
+         PowerLogPiece(2.0, 8.0, 0.25, 0.0, -3.0)), 1.0),
+    "log tail": WeightModel(
+        (PowerLogPiece(1.0, 3.0, 2.0, 0.5, -1.0),
+         PowerLogPiece(3.0, INF, 1.5, 0.0, -2.5, 1.5)), 1.0),
+    "origin zero": WeightModel(
+        (PowerLogPiece(0.0, 1.0, 1.0, 0.3, 0.2),
+         PowerLogPiece(1.0, INF, 1.0, 0.0, -2.0)), 0.0),
+    "regular start": WeightModel(
+        (PowerLogPiece(1.5, 2.5, 1.0, -0.7, 1.0),
+         PowerLogPiece(2.5, 4.0, 3.0, 0.0, 0.0, -0.5)), 1.0),
+    "singular log start": WeightModel(
+        (PowerLogPiece(2.0, 5.0, 1.0, -0.6, -1.5, 2.0),
+         PowerLogPiece(5.0, INF, 1.0, 1.0, -4.0, -1.0)), 2.0),
+}
+
+
+def _queries(model):
+    """Unsorted queries with duplicates, junctions and points near R1."""
+    lo = model.lo_domain
+    hi = model.r2 if math.isfinite(model.r2) else 4.0 * model.breakpoints()[-2] + 1.0
+    rng = np.random.default_rng(7)
+    base = lo + (hi - lo) * rng.uniform(0.0, 1.0, 40) ** 3
+    near = lo + np.array([1e-12, 3e-9, 1e-6])
+    junctions = np.array(model.breakpoints()[1:-1])
+    q = np.concatenate([base, near, junctions, junctions, base[:5]])
+    return q[rng.permutation(len(q))]
+
+
+class TestOffsetKernel:
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_left_array_matches_scalar_calls(self, name):
+        model = MODELS[name]
+        phi = LeftCumulative(model)
+        q = _queries(model)
+        arr = phi(q)
+        ref = np.array([phi(float(r)) for r in q])
+        assert arr.shape == q.shape
+        np.testing.assert_allclose(arr, ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_right_array_matches_scalar_calls(self, name):
+        model = MODELS[name]
+        psi = RightCumulative(model)
+        q = _queries(model)
+        arr = psi(q)
+        ref = np.array([psi(float(r)) for r in q])
+        np.testing.assert_allclose(arr, ref, rtol=1e-13, atol=0.0)
+
+    def test_array_keeps_shape_and_order(self):
+        phi = LeftCumulative(MODELS["two pieces"])
+        q = np.array([[3.0, 1.5], [1.5, 1.0 + 1e-9]])
+        out = phi(q)
+        assert out.shape == (2, 2)
+        assert out[0, 1] == out[1, 0]
+        assert out[1, 1] < out[0, 1] < out[0, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(-0.95, 3.0), b=st.floats(-4.0, 3.0), r1=st.floats(0.25, 4.0),
+        logt=st.lists(st.floats(-12.0, 0.7), min_size=1, max_size=6),
+    )
+    def test_left_matches_mpmath(self, a, b, r1, logt):
+        c = 1.7
+        model = WeightModel((PowerLogPiece(r1, r1 * 8.0, c, a, b),), r1)
+        phi = LeftCumulative(model)
+        q = r1 + r1 * 10.0 ** np.array(logt)
+        got = [phi(q), np.array([phi(float(r)) for r in q])]
+        for k, r in enumerate(q):
+            ref = _mp_left(c, a, b, r1, _offset(r, r1))
+            for vals in got:
+                assert abs(vals[k] - ref) <= 1e-12 * ref, (k, float(vals[k]), ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(-0.95, 3.0), gap=st.floats(0.1, 3.0), r1=st.floats(0.25, 4.0),
+        logt=st.lists(st.floats(-12.0, 0.7), min_size=1, max_size=6),
+    )
+    def test_right_tail_matches_mpmath(self, a, gap, r1, logt):
+        c, b = 0.6, -(a + 1.0) - gap
+        model = WeightModel((PowerLogPiece(r1, INF, c, a, b),), r1)
+        psi = RightCumulative(model)
+        q = r1 + r1 * 10.0 ** np.array(logt)
+        got = [psi(q), np.array([psi(float(r)) for r in q])]
+        total = _mp_total(c, a, b, r1)
+        for k, r in enumerate(q):
+            with mp.workdps(30):
+                ref = total - _mp_left(c, a, b, r1, _offset(r, r1))
+            for vals in got:
+                assert abs(vals[k] - ref) <= 1e-12 * ref, (k, float(vals[k]), ref)
+
+    @pytest.mark.parametrize("a,b", [(-0.5, -2.0), (0.5, -1.0), (-0.9, 1.5), (2.0, -4.0)])
+    def test_interval_cells_near_r1_match_mpmath(self, a, b):
+        r1 = 1.0
+        model = WeightModel((PowerLogPiece(1.0, 3.0, 1.0, a, b),), r1)
+        edges = r1 + np.geomspace(1e-12, 1e-10, 9)
+        edges = np.concatenate([[r1], edges, [1.5, 3.0]])
+        parts = interval_integrals(model, edges)
+        for k in range(len(edges) - 1):
+            with mp.workdps(30):
+                ref = (_mp_left(1.0, a, b, r1, _offset(edges[k + 1], r1))
+                       - _mp_left(1.0, a, b, r1, _offset(edges[k], r1)))
+            assert abs(parts[k] - ref) <= 1e-12 * ref, (k, float(parts[k]), ref)
