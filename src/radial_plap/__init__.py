@@ -20,14 +20,10 @@ from .weights import (  # noqa: F401
     ProblemSpec,
     SpecError,
     WeightModel,
-    eval_weight,
     load_problem,
     local_exponents,
     problem_from_dict,
     problem_to_dict,
-    rho,
-    rho_conj_power,
-    sigma,
 )
 from .quadrature import (  # noqa: F401
     IntegralResult,

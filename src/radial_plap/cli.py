@@ -1,11 +1,16 @@
 """Command-line entry point: check-conditions, solve, asymptotics, degiorgi,
 example.
 
+``example``, ``asymptotics`` and ``solve`` share one pipeline: a gate on
+condition (A) of the untruncated problem, one solve, and (not for ``solve``)
+one sandwich check per boundary.
+
 Scalar results and verdicts go to JSON, mesh functions to CSV; result files
 carry no timestamps so reruns with an identical problem and version are
 byte-identical (the run manifest, which lists outputs and records the times,
-is the only stamped file).  Exit codes: 0 pass, 1 verdict-fail, 2 usage or
-malformed-spec error.
+is the only stamped file).  Exit codes: 0 pass, 1 verdict-fail or solver
+failure (a failed condition-(A) gate included), 2 usage or malformed-spec
+error.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ from .weights import ProblemSpec, SpecError, load_problem, problem_to_dict
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
+
+
+class UsageError(Exception):
+    """An option combination the command cannot run (exit code 2)."""
 
 
 def thread_cap() -> int:
@@ -67,20 +76,25 @@ def _write_csv(path: Path, header, columns) -> Path:
     return path
 
 
-def _problem_hash(ps: ProblemSpec) -> str:
-    blob = json.dumps(problem_to_dict(ps), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _write_manifest(out_dir: Path, command, ps, outputs):
-    manifest = {
+def _write_results(args, out: Path, command, ps, name, payload, files) -> bool:
+    """Write the command's JSON result ``name`` and the manifest listing it
+    with ``files``; under --json also print the payload.  Returns whether it
+    was printed."""
+    files = [_write_json(out / name, payload)] + files
+    problem_hash = None
+    if ps is not None:
+        blob = json.dumps(problem_to_dict(ps), sort_keys=True).encode()
+        problem_hash = hashlib.sha256(blob).hexdigest()
+    _write_json(out / "manifest.json", {
         "command": command,
-        "problem_hash": _problem_hash(ps) if ps is not None else None,
+        "problem_hash": problem_hash,
         "tool_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        "outputs": sorted(str(p.name) for p in outputs),
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+        "outputs": sorted(str(p.name) for p in files),
+    })
+    if args.json:
+        print(json.dumps(_sanitize(payload), indent=2, sort_keys=True))
+    return args.json
 
 
 def _load_spec(args) -> ProblemSpec:
@@ -97,68 +111,139 @@ def _out_dir(args) -> Path:
     return d
 
 
+# ---------------------------------------------------------------------------
+# the pipeline: gate -> solve -> verify
+# ---------------------------------------------------------------------------
+
+
+def _gate(reports):
+    """Refuse to solve when condition (A), the existence hypothesis, fails on
+    the untruncated problem (a truncated annulus always satisfies it)."""
+    for r in reports:
+        if r.condition_id == "A" and r.verdict == conditions.FAILS:
+            raise solver.SolverError(f"condition (A) fails ({r.notes})")
+
+
+def _solve(ps, args, ladder=False):
+    """(eigenpair, problem it solves).  Exterior domains are truncated at
+    --rmax (default :func:`_auto_rmax`); with ``ladder`` they go through the
+    solver's truncation ladder instead (--ladder rungs, or rungs up to
+    --rmax), whose eigenvalue is the extrapolated exterior one."""
+    # --tol governs witness integrals; the eigenvalue root keeps the solver
+    # default unless the user asks for something tighter
+    kwargs = dict(tol=min(args.tol, 1e-10), check=False, per_decade=16)
+    if math.isfinite(ps.R2):
+        return solver.find_lambda1(ps, **kwargs), ps
+    if ladder:
+        rungs = (None if args.ladder is None
+                 else [ps.R1 * 2.0**k for k in range(2, args.ladder + 2)])
+        return solver.find_lambda1(ps, r_max=args.rmax, ladder=rungs,
+                                   bc=args.bc, **kwargs), ps
+    ps_solve = ps.truncated(args.rmax or _auto_rmax(ps))
+    return solver.find_lambda1(ps_solve, n_core=3000, **kwargs), ps_solve
+
+
+def _verify(eig, ps, ps_solve, boundaries, csv_dir=None):
+    """One sandwich row per boundary: the verdict, a ``skipped`` row when the
+    window is unattainable at this truncation, or an ``error`` row.  With
+    ``csv_dir``, each verdict's window is written to asymptotics_<b>.csv.
+    Returns the rows and the CSV paths."""
+    rows, files = [], []
+    for b in boundaries:
+        # left windows read the truncated envelope; right-at-infinity windows
+        # must use the exterior envelope
+        ps_env = ps_solve if b == "left" else ps
+        try:
+            v = asymptotics.sandwich_check(eig, ps_env, b)
+        except asymptotics.WindowError as exc:
+            rows.append({"boundary": b, "skipped": str(exc)})
+            continue
+        except ValueError as exc:
+            rows.append({"boundary": b, "error": str(exc)})
+            continue
+        rows.append(v.to_dict())
+        if csv_dir is not None:
+            mask = (eig.mesh.nodes >= v.window[0]) & (eig.mesh.nodes <= v.window[1])
+            rs = eig.mesh.nodes[mask]
+            env = (asymptotics.envelope_left(ps_env, rs) if b == "left"
+                   else asymptotics.envelope_right(ps_env, rs))
+            files.append(_write_csv(csv_dir / f"asymptotics_{b}.csv",
+                                    ["r", "u", "envelope", "ratio"],
+                                    [rs, eig.u[mask], env, eig.u[mask] / env]))
+    return rows, files
+
+
+def _rows_pass(rows) -> bool:
+    """A skipped window is no verdict; an error row fails."""
+    return all("skipped" in row or row.get("pass") for row in rows)
+
+
+def _eigen_csv(out: Path, name, eig) -> Path:
+    return _write_csv(out / name, ["r", "u", "flux"], [eig.mesh.nodes, eig.u, eig.flux])
+
+
+def _auto_rmax(ps):
+    """Truncation radius large enough for the default right window: 6.5x the
+    radius where the right envelope has dropped to 1e-3."""
+    psi = ps.psi_rho_conj
+    lo = hi = max(2.0 * ps.R1, ps.R1 + 1.0)
+    for _ in range(200):
+        if psi(hi) < 1e-3:
+            break
+        lo = hi
+        hi *= 2.0
+    for _ in range(40):
+        mid = math.sqrt(lo * hi)
+        if psi(mid) < 1e-3:
+            hi = mid
+        else:
+            lo = mid
+    # slowly decaying envelopes would demand astronomical radii; beyond
+    # the cap the right window is reported as unattainable instead
+    return min(8.0 * hi, 4096.0 * max(ps.R1, 1.0))
+
+
 def cmd_check_conditions(args) -> int:
     ps = _load_spec(args)
     reports = conditions.check_all(ps, xi=args.xi, eps=args.eps, tol=args.tol)
-    payload = [r.to_dict() for r in reports]
-    out = _out_dir(args)
-    files = [_write_json(out / "conditions.json", payload)]
-    _write_manifest(out, "check-conditions", ps, files)
-    if args.json:
-        print(json.dumps(_sanitize(payload), indent=2, sort_keys=True))
-    else:
+    if not _write_results(args, _out_dir(args), "check-conditions", ps,
+                          "conditions.json", [r.to_dict() for r in reports], []):
         for r in reports:
             print(f"{r.condition_id:8s} {r.verdict:12s} {r.notes}")
     return EXIT_OK
 
 
-def _solve(ps, args):
-    # --tol governs witness integrals; the eigenvalue root keeps the solver
-    # default unless the user asks for something tighter
-    kwargs = dict(tol=min(args.tol, 1e-10), check=not args.no_check)
-    if math.isfinite(ps.R2):
-        return solver.find_lambda1(ps, **kwargs)
-    if args.ladder is not None:
-        ladder = [ps.R1 * 2.0**k for k in range(2, args.ladder + 2)]
-        return solver.find_lambda1(ps, ladder=ladder, bc=args.bc, **kwargs)
-    return solver.find_lambda1(ps, r_max=args.rmax, bc=args.bc, **kwargs)
-
-
 def cmd_solve(args) -> int:
     ps = _load_spec(args)
+    rayleigh = args.method in ("rayleigh", "both")
+    if rayleigh and args.bc == "matched":
+        raise UsageError("--bc matched needs --method shoot: the Rayleigh "
+                         "minimizer solves the Dirichlet problem only")
+    if args.ladder is not None and args.ladder < 1:
+        raise UsageError("--ladder needs at least one rung")
+    if not args.no_check:
+        _gate([conditions.check_A(ps, tol=args.tol)])
     out = _out_dir(args)
-    files = []
-    results = {}
-    try:
-        if args.method in ("shoot", "both"):
-            eig = _solve(ps, args)
-            results["lambda1"] = eig.lam
-            results["zero_count"] = eig.zero_count
-            results["diagnostics"] = eig.diagnostics
-            files.append(
-                _write_csv(out / "eigenfunction.csv", ["r", "u", "flux"],
-                           [eig.mesh.nodes, eig.u, eig.flux])
-            )
-        if args.method in ("rayleigh", "both"):
-            psm = ps if math.isfinite(ps.R2) else ps.truncated(
-                args.rmax if args.rmax else ps.R1 * 2.0**5
-            )
-            mesh = solver.make_mesh(psm, n_core=args.nodes)
-            eigm = solver.rayleigh_minimize(psm, mesh)
-            results["lambda1_rayleigh"] = eigm.lam
-            results["rayleigh_diagnostics"] = eigm.diagnostics
-            files.append(
-                _write_csv(out / "eigenfunction_rayleigh.csv", ["r", "u", "flux"],
-                           [eigm.mesh.nodes, eigm.u, eigm.flux])
-            )
-    except solver.SolverError as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    files.insert(0, _write_json(out / "solve.json", results))
-    _write_manifest(out, "solve", ps, files)
-    if args.json:
-        print(json.dumps(_sanitize(results), indent=2, sort_keys=True))
-    else:
+    files, results = [], {}
+    # Rayleigh alone runs on the top rung that --ladder or --rmax asks for
+    r_end = args.rmax or ps.R1 * 2.0**7
+    if args.ladder is not None:
+        r_end = ps.R1 * 2.0 ** (args.ladder + 1)
+    if args.method in ("shoot", "both"):
+        eig, _ = _solve(ps, args, ladder=True)
+        results["lambda1"] = eig.lam
+        results["zero_count"] = eig.zero_count
+        results["diagnostics"] = eig.diagnostics
+        files.append(_eigen_csv(out, "eigenfunction.csv", eig))
+        r_end = eig.diagnostics["truncation_radius"]
+    if rayleigh:
+        psm = ps if math.isfinite(ps.R2) else ps.truncated(r_end)
+        eigm = solver.rayleigh_minimize(psm, solver.make_mesh(psm, n_core=args.nodes))
+        eigm.diagnostics["truncation_radius"] = psm.R2
+        results["lambda1_rayleigh"] = eigm.lam
+        results["rayleigh_diagnostics"] = eigm.diagnostics
+        files.append(_eigen_csv(out, "eigenfunction_rayleigh.csv", eigm))
+    if not _write_results(args, out, "solve", ps, "solve.json", results, files):
         for key in ("lambda1", "lambda1_rayleigh"):
             if key in results:
                 print(f"{key} = {results[key]:.12g}")
@@ -169,119 +254,50 @@ def _read_eigen_csv(path, ps, r_end):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     mesh = solver.Mesh(rows[:, 0], ps.R1, r_end,
                        rows[0, 0] - ps.R1, max(r_end - rows[-1, 0], 0.0))
-    lam = float("nan")
-    return solver.Eigenpair(lam, mesh, rows[:, 1], rows[:, 2], 0, {})
+    return solver.Eigenpair(math.nan, mesh, rows[:, 1], rows[:, 2], 0, {})
 
 
 def cmd_asymptotics(args) -> int:
     ps = _load_spec(args)
+    r_end = ps.R2 if math.isfinite(ps.R2) else args.rmax
+    if args.eig and r_end is None:
+        raise UsageError("--rmax required with --eig on exterior domains")
+    if not args.no_check:
+        _gate([conditions.check_A(ps, tol=args.tol)])
     out = _out_dir(args)
     if args.eig:
-        if math.isfinite(ps.R2):
-            r_end = ps.R2
-        elif args.rmax:
-            r_end = args.rmax
-        else:
-            print("--rmax required with --eig on exterior domains", file=sys.stderr)
-            return EXIT_USAGE
         eig = _read_eigen_csv(args.eig, ps, r_end)
         ps_solve = ps if math.isfinite(ps.R2) else ps.truncated(r_end)
     else:
-        if math.isfinite(ps.R2):
-            ps_solve = ps
-            eig = solver.find_lambda1(ps, tol=args.tol, check=not args.no_check,
-                                      per_decade=16)
-        else:
-            r_end = args.rmax if args.rmax else _auto_rmax(ps)
-            ps_solve = ps.truncated(r_end)
-            eig = solver.find_lambda1(ps_solve, tol=args.tol,
-                                      check=not args.no_check, per_decade=16,
-                                      n_core=3000)
+        eig, ps_solve = _solve(ps, args)
     boundaries = ["left", "right"] if args.boundary == "both" else [args.boundary]
-    verdicts = []
-    skipped = []
-    files = []
-    all_pass = True
-    for b in boundaries:
-        # left windows read the truncated envelope; right-at-infinity windows
-        # must use the exterior envelope
-        ps_env = ps_solve if (b == "left" or math.isfinite(ps.R2)) else ps
-        try:
-            v = asymptotics.sandwich_check(eig, ps_env, b)
-        except asymptotics.WindowError as exc:
-            # the window is unattainable at this truncation, not a verdict
-            print(f"{b}: skipped ({exc})", file=sys.stderr)
-            skipped.append({"boundary": b, "skipped": str(exc)})
-            continue
-        except ValueError as exc:
-            print(f"{b}: {exc}", file=sys.stderr)
-            all_pass = False
-            continue
-        verdicts.append(v)
-        all_pass &= v.passed
-        mask = (eig.mesh.nodes >= v.window[0]) & (eig.mesh.nodes <= v.window[1])
-        rs = eig.mesh.nodes[mask]
-        env = (asymptotics.envelope_left(ps_env, rs) if b == "left"
-               else asymptotics.envelope_right(ps_env, rs))
-        files.append(
-            _write_csv(out / f"asymptotics_{b}.csv",
-                       ["r", "u", "envelope", "ratio"],
-                       [rs, eig.u[mask], env, eig.u[mask] / env])
-        )
-    payload = [v.to_dict() for v in verdicts] + skipped
-    files.insert(0, _write_json(out / "asymptotics.json", payload))
-    _write_manifest(out, "asymptotics", ps, files)
-    if args.json:
-        print(json.dumps(_sanitize(payload), indent=2, sort_keys=True))
-    else:
-        for v in verdicts:
-            print(f"{v.boundary:5s} fitted={v.fitted_exponent:+.4f} "
-                  f"theory={v.theoretical_exponent} "
-                  f"ratio_spread={v.ratio_max / v.ratio_min:.3f} "
-                  f"pass={v.passed}")
-    return EXIT_OK if all_pass else EXIT_VERDICT
-
-
-def _auto_rmax(ps):
-    """Truncation radius large enough for the default right window: 6.5x the
-    radius where the right envelope has dropped to 1e-3."""
-    try:
-        psi = ps.psi_rho_conj
-        lo = hi = max(2.0 * ps.R1, ps.R1 + 1.0)
-        for _ in range(200):
-            if psi(hi) < 1e-3:
-                break
-            lo = hi
-            hi *= 2.0
-        for _ in range(40):
-            mid = math.sqrt(lo * hi)
-            if psi(mid) < 1e-3:
-                hi = mid
-            else:
-                lo = mid
-        # slowly decaying envelopes would demand astronomical radii; beyond
-        # the cap the right window is reported as unattainable instead
-        return min(8.0 * hi, 4096.0 * max(ps.R1, 1.0))
-    except Exception:
-        return ps.R1 * 2.0**7
+    rows, files = _verify(eig, ps, ps_solve, boundaries, csv_dir=out)
+    printed = _write_results(args, out, "asymptotics", ps, "asymptotics.json",
+                             rows, files)
+    for row in rows:
+        b = row["boundary"]
+        if "skipped" in row:
+            print(f"{b}: skipped ({row['skipped']})", file=sys.stderr)
+        elif "error" in row:
+            print(f"{b}: {row['error']}", file=sys.stderr)
+        elif not printed:
+            print(f"{b:5s} fitted={row['fitted_exponent']:+.4f} "
+                  f"theory={row['theoretical_exponent']} "
+                  f"ratio_spread={row['ratio_max'] / row['ratio_min']:.3f} "
+                  f"pass={row['pass']}")
+    return EXIT_OK if _rows_pass(rows) else EXIT_VERDICT
 
 
 def cmd_degiorgi(args) -> int:
-    out = _out_dir(args)
-    files = []
     if args.sweep:
-        results = {}
-        for alt in ("a", "b"):
-            results[alt] = degiorgi.sweep(args.sweep, seed=args.seed,
-                                          alternative=alt,
-                                          workers=thread_cap())
-        payload = results
-        bad = sum(r["counterexamples"] for r in results.values())
+        payload = {alt: degiorgi.sweep(args.sweep, seed=args.seed, alternative=alt,
+                                       workers=thread_cap())
+                   for alt in ("a", "b")}
+        bad = sum(r["counterexamples"] for r in payload.values())
     else:
         for name in ("K", "eta", "d1", "d2", "J0"):
             if getattr(args, name) is None:
-                print(f"--{name} required without --sweep", file=sys.stderr)
-                return EXIT_USAGE
+                raise UsageError(f"--{name} required without --sweep")
         params = degiorgi.RecursionParams(
             K=args.K, eta=args.eta, delta1=args.d1, delta2=args.d2, J0=args.J0
         )
@@ -303,81 +319,43 @@ def cmd_degiorgi(args) -> int:
         except ValueError as exc:
             payload["bound_verified"] = None
             payload["note"] = str(exc)
-    files.append(_write_json(out / "degiorgi.json", payload))
-    _write_manifest(out, "degiorgi", None, files)
-    if args.json:
-        print(json.dumps(_sanitize(payload), indent=2, sort_keys=True))
-    else:
+    if not _write_results(args, _out_dir(args), "degiorgi", None, "degiorgi.json",
+                          payload, []):
         print(json.dumps(_sanitize(payload), sort_keys=True))
     return EXIT_OK if bad == 0 else EXIT_VERDICT
 
 
 def cmd_example(args) -> int:
-    try:
-        preset = presets.get_preset(args.name)
-    except KeyError:
-        print(f"unknown preset {args.name!r}; choose from "
-              f"{', '.join(presets.PRESET_NAMES)}", file=sys.stderr)
-        return EXIT_USAGE
+    preset = presets.get_preset(args.name)
     ps = preset.problem
     out = _out_dir(args)
-    files = [Path(out / "problem.json")]
-    from .weights import dump_problem
-
-    dump_problem(ps, files[0])
     reports = conditions.check_all(ps, tol=args.tol)
-    files.append(_write_json(out / "conditions.json",
-                             [r.to_dict() for r in reports]))
+    files = [_write_json(out / "problem.json", problem_to_dict(ps)),
+             _write_json(out / "conditions.json", [r.to_dict() for r in reports])]
+    _gate(reports)
+    eig, ps_solve = _solve(ps, args)
+    files.append(_eigen_csv(out, "eigenfunction.csv", eig))
+    rows, _ = _verify(eig, ps, ps_solve, ("left", "right"))
     summary = {
         "preset": preset.name,
         "description": preset.description,
         "expected": preset.expected,
         "conditions": {r.condition_id: r.verdict for r in reports},
+        "lambda1": eig.lam,
+        "solver_diagnostics": eig.diagnostics,
+        "asymptotics": rows,
     }
-    failed = False
-    solvable = all(
-        r.verdict != conditions.FAILS for r in reports if r.condition_id == "A"
-    )
-    if solvable:
-        if math.isfinite(ps.R2):
-            eig = solver.find_lambda1(ps, check=False, per_decade=16)
-        else:
-            r_end = _auto_rmax(ps)
-            eig = solver.find_lambda1(ps.truncated(r_end), check=False,
-                                      per_decade=16, n_core=3000)
-        summary["lambda1"] = eig.lam
-        summary["solver_diagnostics"] = eig.diagnostics
-        files.append(_write_csv(out / "eigenfunction.csv", ["r", "u", "flux"],
-                                [eig.mesh.nodes, eig.u, eig.flux]))
-        rows = []
-        ps_solve = ps if math.isfinite(ps.R2) else ps.truncated(eig.mesh.r_end)
-        for b in ("left", "right"):
-            ps_env = ps_solve if (b == "left" or math.isfinite(ps.R2)) else ps
-            try:
-                v = asymptotics.sandwich_check(eig, ps_env, b)
-            except asymptotics.WindowError as exc:
-                rows.append({"boundary": b, "skipped": str(exc)})
-                continue
-            except ValueError as exc:
-                rows.append({"boundary": b, "error": str(exc)})
-                failed = True
-                continue
-            rows.append(v.to_dict())
-            failed |= not v.passed
-        summary["asymptotics"] = rows
-    files.insert(0, _write_json(out / "summary.json", summary))
-    _write_manifest(out, "example", ps, files)
-    print(f"preset {preset.name}: {preset.description}")
-    for r in reports:
-        print(f"  {r.condition_id:8s} {r.verdict}")
-    if "lambda1" in summary:
-        print(f"  lambda1 = {summary['lambda1']:.8g}")
-        for row in summary.get("asymptotics", []):
+    if not _write_results(args, out, "example", ps, "summary.json", summary, files):
+        print(f"preset {preset.name}: {preset.description}")
+        for r in reports:
+            print(f"  {r.condition_id:8s} {r.verdict}")
+        print(f"  lambda1 = {eig.lam:.8g}")
+        for row in rows:
             if "fitted_exponent" in row:
                 print(f"  {row['boundary']:5s} exponent fitted "
                       f"{row['fitted_exponent']:+.4f} vs theory "
                       f"{row['theoretical_exponent']} pass={row['pass']}")
-    return EXIT_VERDICT if failed else EXIT_OK
+    return EXIT_OK if _rows_pass(rows) else EXIT_VERDICT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="full pipeline on a named preset")
     common(p, with_problem=False)
     p.add_argument("name", choices=presets.PRESET_NAMES)
-    p.set_defaults(func=cmd_example)
+    # example always truncates exterior presets at _auto_rmax
+    p.set_defaults(func=cmd_example, rmax=None)
     return ap
 
 
@@ -464,6 +443,12 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    except solver.SolverError as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
+        return EXIT_VERDICT
 
 
 if __name__ == "__main__":

@@ -57,18 +57,9 @@ class ConditionReport:
         return {
             "condition": self.condition_id,
             "verdict": self.verdict,
-            "witnesses": {k: _jsonable(v) for k, v in sorted(self.witnesses.items())},
+            "witnesses": dict(sorted(self.witnesses.items())),
             "notes": self.notes,
         }
-
-
-def _jsonable(x):
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-    return x
 
 
 def _left_exps(model):

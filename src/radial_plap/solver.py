@@ -178,6 +178,7 @@ def _segment_rhs(ps, lam, vp, wp):
     return rhs
 
 
+@np.errstate(over="raise", invalid="raise")
 def _integrate_segment(rhs_r, s0, s1, y, r1, rtol, atol, want_dense):
     """Integrate one smooth segment, choosing the integration variable.
 
@@ -185,7 +186,8 @@ def _integrate_segment(rhs_r, s0, s1, y, r1, rtol, atol, want_dense):
     powers of r - R1), which starves a high-order RK; in x = log(r - R1) it
     is exponential-smooth.  Long multiplicative spans similarly integrate in
     log r.  Returns (solution, transform, inverse) where transform maps r to
-    the integration variable.
+    the integration variable.  A state that overflows raises
+    FloatingPointError (or OverflowError) instead of turning to NaN.
     """
     d0, d1 = s0 - r1, s1 - r1
     if d0 < 0.05 * d1:
@@ -270,9 +272,13 @@ def shoot(ps: ProblemSpec, lam, r_end=None, mesh: Mesh | None = None,
         vp = ps.v.pieces[ps.v.piece_index(s0)]
         wp = ps.w.pieces[ps.w.piece_index(s0)]
         rhs_r = _segment_rhs(ps, lam, vp, wp)
-        sol, fwd, inv = _integrate_segment(
-            rhs_r, s0, s1, y, ps.R1, rtol, atol, trace_nodes is not None
-        )
+        try:
+            sol, fwd, inv = _integrate_segment(
+                rhs_r, s0, s1, y, ps.R1, rtol, atol, trace_nodes is not None
+            )
+        except (FloatingPointError, OverflowError) as exc:
+            # lam far above the spectrum: a failed shot, not a NaN margin
+            raise SolverError(f"shooting overflowed past r={s0} at lam={lam}") from exc
         if not sol.success:
             raise SolverError(
                 f"integrator failed near r={float(inv(sol.t[-1]))}: {sol.message}"

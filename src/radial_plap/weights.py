@@ -275,11 +275,6 @@ def local_exponents(wm: WeightModel, endpoint: str):
     raise ValueError(f"unknown endpoint {endpoint!r}")
 
 
-def eval_weight(wm: WeightModel, r):
-    """Piecewise value of the weight at r in (R1, R2); exact for the family."""
-    return wm(r)
-
-
 # -- the radial problem -------------------------------------------------------
 
 
@@ -374,21 +369,6 @@ class ProblemSpec:
             w=self.w.restricted(self.R1, r_max),
             lam=self.lam,
         )
-
-
-def rho(ps: ProblemSpec, r):
-    """rho(r) = r**(N-1) * v(r)."""
-    return ps.rho_model(r)
-
-
-def sigma(ps: ProblemSpec, r):
-    """sigma(r) = r**(N-1) * w(r)."""
-    return ps.sigma_model(r)
-
-
-def rho_conj_power(ps: ProblemSpec, r):
-    """rho(r)**(1-p'), again a power-log value (exponents scaled by -1/(p-1))."""
-    return ps.rho_conj_model(r)
 
 
 # -- JSON interface -----------------------------------------------------------

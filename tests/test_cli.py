@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from radial_plap.cli import main
+from radial_plap.presets import PRESET_NAMES
 
 
 def run(*argv):
@@ -14,6 +15,24 @@ def run(*argv):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def result_bytes(out_dir):
+    """Every result file's bytes; the stamped manifest is left out."""
+    return {f.name: f.read_bytes() for f in sorted(Path(out_dir).iterdir())
+            if f.name != "manifest.json"}
+
+
+@pytest.fixture
+def condition_A_fails(tmp_path):
+    """Exterior pair whose critical sigma tail w = r^-2 violates (A)."""
+    spec = tmp_path / "critical.json"
+    spec.write_text(json.dumps({
+        "N": 3, "p": 2.0, "R1": 1.0, "R2": "inf",
+        "v": [{"lo": 1.0, "hi": "inf"}],
+        "w": [{"lo": 1.0, "hi": "inf", "b": -2.0}],
+    }))
+    return spec
 
 
 class TestCheckConditions:
@@ -69,6 +88,50 @@ class TestSolve:
     def test_usage_error_without_problem(self, tmp_path):
         assert run("solve", "--out-dir", str(tmp_path)) == 2
 
+    def test_condition_A_gate_exits_1(self, tmp_path, condition_A_fails):
+        assert run("solve", "--problem", str(condition_A_fails),
+                   "--out-dir", str(tmp_path)) == 1
+        assert not (tmp_path / "solve.json").exists()
+
+
+class TestSolveRayleighExterior:
+    """Rayleigh runs on the truncation the shooting solve used or asked for."""
+
+    def test_both_shares_the_shooting_truncation(self, tmp_path):
+        code = run("solve", "--preset", "rmk22", "--no-check", "--ladder", "2",
+                   "--method", "both", "--nodes", "600", "--out-dir", str(tmp_path))
+        assert code == 0
+        out = read_json(tmp_path / "solve.json")
+        r_shoot = out["diagnostics"]["truncation_radius"]
+        assert r_shoot == 8.0
+        assert out["rayleigh_diagnostics"]["truncation_radius"] == r_shoot
+        # Dirichlet on the same annulus: the two lambdas agree closely
+        lam_top = out["diagnostics"]["lambda_dirichlet_last"]
+        assert out["lambda1_rayleigh"] == pytest.approx(lam_top, rel=1e-2)
+
+    @pytest.mark.parametrize("flags, radius", [
+        ((), 128.0),
+        (("--ladder", "3"), 16.0),
+        (("--rmax", "24"), 24.0),
+    ])
+    def test_rayleigh_alone_takes_the_top_rung(self, tmp_path, flags, radius):
+        code = run("solve", "--preset", "rmk22", "--no-check", "--method",
+                   "rayleigh", "--nodes", "600", *flags, "--out-dir", str(tmp_path))
+        assert code == 0
+        out = read_json(tmp_path / "solve.json")
+        assert out["rayleigh_diagnostics"]["truncation_radius"] == radius
+        assert "lambda1" not in out
+
+    @pytest.mark.parametrize("method", ["rayleigh", "both"])
+    def test_matched_bc_is_a_usage_error(self, tmp_path, method):
+        assert run("solve", "--preset", "rmk22", "--no-check", "--method", method,
+                   "--bc", "matched", "--out-dir", str(tmp_path)) == 2
+        assert not (tmp_path / "solve.json").exists()
+
+    def test_empty_ladder_is_a_usage_error(self, tmp_path):
+        assert run("solve", "--preset", "rmk22", "--no-check", "--ladder", "0",
+                   "--out-dir", str(tmp_path)) == 2
+
 
 class TestAsymptoticsCommand:
     def test_annulus_both_boundaries(self, tmp_path):
@@ -81,6 +144,24 @@ class TestAsymptoticsCommand:
         csv_left = np.loadtxt(tmp_path / "asymptotics_left.csv", delimiter=",",
                               skiprows=1)
         assert csv_left.shape[1] == 4  # r, u, envelope, ratio
+
+    def test_condition_A_gate_on_the_exterior_problem(self, tmp_path,
+                                                      condition_A_fails):
+        # (A) holds on every truncated annulus, so the gate must see the
+        # untruncated problem
+        assert run("asymptotics", "--problem", str(condition_A_fails),
+                   "--out-dir", str(tmp_path)) == 1
+        assert not (tmp_path / "asymptotics.json").exists()
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_asymptotics_rows_match_example(tmp_path, preset):
+    """Both commands run the same solve and the same sandwich loop."""
+    assert run("example", preset, "--out-dir", str(tmp_path / "ex")) == 0
+    code = run("asymptotics", "--preset", preset, "--out-dir", str(tmp_path / "as"))
+    assert code == 0
+    summary = read_json(tmp_path / "ex" / "summary.json")
+    assert read_json(tmp_path / "as" / "asymptotics.json") == summary["asymptotics"]
 
 
 class TestDegiorgiCommand:
@@ -107,6 +188,12 @@ class TestDegiorgiCommand:
 class TestExample:
     def test_unknown_preset_exits_2(self, tmp_path):
         assert run("example", "nope", "--out-dir", str(tmp_path)) == 2
+
+    def test_json_prints_the_summary(self, tmp_path, capsys):
+        assert run("example", "annulus-trivial", "--json",
+                   "--out-dir", str(tmp_path)) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == read_json(tmp_path / "summary.json")
 
     def test_trivial_pipeline(self, tmp_path):
         code = run("example", "annulus-trivial", "--out-dir", str(tmp_path))
@@ -139,3 +226,14 @@ class TestDeterminism:
         assert (d1 / "solve.json").read_bytes() == (d2 / "solve.json").read_bytes()
         assert (d1 / "eigenfunction.csv").read_bytes() == \
             (d2 / "eigenfunction.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ("example", "rmk22"),
+        ("asymptotics", "--preset", "rmk22"),
+    ], ids=["example", "asymptotics"])
+    def test_pipeline_rerun_identical(self, tmp_path, argv):
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        for d in (d1, d2):
+            assert run(*argv, "--out-dir", str(d)) == 0
+        assert result_bytes(d1) == result_bytes(d2)
+        assert len(result_bytes(d1)) >= 2

@@ -60,6 +60,7 @@ class TestFindLambda1:
         res = S.shoot(trivial_annulus, 4.0 * trivial_eigenpair.lam, r_end=2.0)
         assert res.first_zero is not None and res.first_zero < 2.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_insane_bracket_raises(self, trivial_annulus):
         with pytest.raises(S.SolverError):
             S.find_lambda1(trivial_annulus, check=False, bracket=(1e290, 2e290))

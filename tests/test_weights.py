@@ -10,13 +10,9 @@ from radial_plap.weights import (
     ProblemSpec,
     SpecError,
     WeightModel,
-    eval_weight,
     local_exponents,
     problem_from_dict,
     problem_to_dict,
-    rho,
-    rho_conj_power,
-    sigma,
 )
 
 
@@ -27,48 +23,48 @@ def model(*pieces, r1=1.0):
 class TestEvalWeight:
     def test_unit_base(self):
         wm = model(PowerLogPiece(1.0, INF, 1.0, 0.5))
-        assert eval_weight(wm, 2.0) == 1.0
+        assert wm(2.0) == 1.0
 
     def test_reciprocal_distance(self):
         # w = (r-1)^{-1}: value 2 at r = 1.5
         wm = model(PowerLogPiece(1.0, INF, 1.0, -1.0))
-        assert eval_weight(wm, 1.5) == pytest.approx(2.0, rel=1e-15)
+        assert wm(1.5) == pytest.approx(2.0, rel=1e-15)
 
     def test_constant(self):
         wm = model(PowerLogPiece(1.0, 5.0, 3.0))
         for r in (1.1, 2.0, 4.9):
-            assert eval_weight(wm, r) == 3.0
+            assert wm(r) == 3.0
 
     def test_junction_takes_right_piece(self):
         wm = model(PowerLogPiece(1.0, 2.0, 1.0), PowerLogPiece(2.0, 3.0, 7.0))
-        assert eval_weight(wm, 2.0) == 7.0
+        assert wm(2.0) == 7.0
 
     def test_domain_error(self):
         wm = model(PowerLogPiece(1.0, 2.0, 1.0))
         with pytest.raises(DomainError):
-            eval_weight(wm, 1.0)
+            wm(1.0)
         with pytest.raises(DomainError):
-            eval_weight(wm, 2.5)
+            wm(2.5)
 
 
 class TestRhoSigma:
     def test_dimension_factor(self):
         one = WeightModel.constant(1.0, 1.0, 3.0)
         ps = ProblemSpec(N=3, p=2.0, R1=1.0, R2=3.0, v=one, w=one)
-        assert rho(ps, 2.0) == pytest.approx(4.0)
-        assert sigma(ps, 2.0) == pytest.approx(4.0)
+        assert ps.rho_model(2.0) == pytest.approx(4.0)
+        assert ps.sigma_model(2.0) == pytest.approx(4.0)
 
     def test_dimension_one_reduction(self):
         vm = model(PowerLogPiece(1.0, 3.0, 2.5, 0.7))
         ps = ProblemSpec(N=1, p=2.0, R1=1.0, R2=3.0, v=vm, w=vm)
         for r in (1.3, 2.2):
-            assert rho(ps, r) == pytest.approx(eval_weight(vm, r))
+            assert ps.rho_model(r) == pytest.approx(vm(r))
 
     def test_product_evaluation(self):
         vm = model(PowerLogPiece(1.0, 3.0, 1.0, 1.0))
         ps = ProblemSpec(N=3, p=2.0, R1=1.0, R2=3.0, v=vm, w=vm)
         # r^2 (r-1) at r = 2
-        assert rho(ps, 2.0) == pytest.approx(4.0)
+        assert ps.rho_model(2.0) == pytest.approx(4.0)
 
 
 class TestRhoConjPower:
@@ -76,20 +72,20 @@ class TestRhoConjPower:
         vm = model(PowerLogPiece(1.0, 3.0, 2.0, 0.5))
         ps = ProblemSpec(N=2, p=2.0, R1=1.0, R2=3.0, v=vm, w=vm)
         r = 1.7
-        assert rho_conj_power(ps, r) == pytest.approx(1.0 / rho(ps, r), rel=1e-14)
+        assert ps.rho_conj_model(r) == pytest.approx(1.0 / ps.rho_model(r), rel=1e-14)
 
     def test_p3_half_power(self):
         # rho = 8 => rho^{1-p'} = 8^{-1/2}
         vm = model(PowerLogPiece(1.0, 3.0, 8.0))
         ps = ProblemSpec(N=1, p=3.0, R1=1.0, R2=3.0, v=vm, w=vm)
-        assert rho_conj_power(ps, 2.0) == pytest.approx(8.0**-0.5, rel=1e-14)
-        assert rho_conj_power(ps, 2.0) == pytest.approx(0.35355339059327373)
+        assert ps.rho_conj_model(2.0) == pytest.approx(8.0**-0.5, rel=1e-14)
+        assert ps.rho_conj_model(2.0) == pytest.approx(0.35355339059327373)
 
     def test_unit_rho_fixed(self):
         one = WeightModel.constant(1.0, 1.0, 2.0)
         for p in (1.5, 2.0, 3.0, 7.5):
             ps = ProblemSpec(N=1, p=p, R1=1.0, R2=2.0, v=one, w=one)
-            assert rho_conj_power(ps, 1.5) == 1.0
+            assert ps.rho_conj_model(1.5) == 1.0
 
 
 class TestLocalExponents:
@@ -201,9 +197,9 @@ class TestScaling:
         one = WeightModel.constant(1.0, 1.0, 2.0)
         ps = ProblemSpec(N=1, p=2.0, R1=1.0, R2=2.0, v=one, w=one)
         ps10 = ps.with_scaled_w(10.0)
-        assert sigma(ps10, 1.5) == pytest.approx(10.0 * sigma(ps, 1.5))
+        assert ps10.sigma_model(1.5) == pytest.approx(10.0 * ps.sigma_model(1.5))
 
     def test_truncation(self, ex61):
         ps_t = ex61.truncated(8.0)
         assert ps_t.R2 == 8.0
-        assert rho(ps_t, 4.0) == pytest.approx(rho(ex61, 4.0))
+        assert ps_t.rho_model(4.0) == pytest.approx(ex61.rho_model(4.0))
