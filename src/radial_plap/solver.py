@@ -12,6 +12,10 @@ boundary asymptote: at r0 = R1 + delta_left the exact solution satisfies
 u ~ g^{1/(p-1)} * ∫_{R1}^{r0} rho^{1-p'}, so the initial data u(r0) =
 ∫_{R1}^{r0} rho^{1-p'}, g(r0) = 1 removes the singular-endpoint error.
 
+Each smooth segment is integrated by the package's own DOP853 driver
+(:func:`radial_plap.dop853.solve_ivp`), bit-identical to scipy's
+``solve_ivp(method="DOP853")`` without scipy's per-stage wrapping.
+
 lam_1 is located by root-finding on a continuous shooting margin (terminal
 value of u while no interior zero exists, minus the distance of the first
 zero from the right endpoint once one appears); Sturm ordering makes the
@@ -30,10 +34,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import quadrature as quad
+from .dop853 import solve_ivp
 from .weights import ProblemSpec
 
 INF = math.inf
@@ -223,10 +227,8 @@ def _integrate_segment(rhs_r, s0, s1, y, r1, rtol, atol, want_dense):
     def hit_zero(x, yy):
         return yy[0]
 
-    hit_zero.terminal = True
-    hit_zero.direction = -1
-    sol = solve_ivp(rhs, (fwd(s0), fwd(s1)), y, method="DOP853", rtol=rtol,
-                    atol=atol, dense_output=want_dense, events=hit_zero)
+    sol = solve_ivp(rhs, (fwd(s0), fwd(s1)), y, rtol=rtol, atol=atol,
+                    dense_output=want_dense, events=hit_zero)
     return sol, fwd, inv
 
 
@@ -339,7 +341,14 @@ def _lambda1_truncated(ps, r_end, tol, rtol, bracket=None, delta_left=None,
                        matcher=None):
     if delta_left is None:
         delta_left = _default_delta_left(ps, r_end)
-    f = lambda lam: _margin(ps, lam, r_end, delta_left, rtol, matcher=matcher)
+    margins = {}
+
+    def f(lam):
+        # brentq starts from both bracket ends, which the search just shot
+        if lam not in margins:
+            margins[lam] = _margin(ps, lam, r_end, delta_left, rtol, matcher=matcher)
+        return margins[lam]
+
     if bracket is None:
         lam0 = _coarse_lambda_estimate(ps, r_end)
         lo = hi = lam0
@@ -368,13 +377,18 @@ def _lambda1_truncated(ps, r_end, tol, rtol, bracket=None, delta_left=None,
 
 
 def _eigenpair_from_shoot(ps, lam, mesh, rtol, diagnostics):
+    """Eigenfunction shot at ``lam``, stepped down by 8 * tol (at most eight
+    times) while the trace is not positive; ``diagnostics`` records the root
+    as ``lambda_root`` and the steps taken as ``lambda_nudges``."""
     lam_side = lam
+    nudges = 0
     res = None
     for _ in range(8):
         res = shoot(ps, lam_side, mesh=mesh, rtol=rtol, want_trace=True)
         if res.first_zero is None and res.terminal_u >= 0.0:
             break
         lam_side *= 1.0 - 8.0 * max(diagnostics.get("lambda_rtol", 1e-10), 1e-12)
+        nudges += 1
     if res is None or res.trace is None:
         raise SolverError("no trace produced")
     r, u, g = res.trace
@@ -387,6 +401,8 @@ def _eigenpair_from_shoot(ps, lam, mesh, rtol, diagnostics):
     g_n = g / scale ** (ps.p - 1.0)
     zero_count = int(np.sum(np.diff(np.sign(u_n[np.abs(u_n) > 0])) != 0))
     diagnostics = dict(diagnostics)
+    diagnostics["lambda_root"] = lam
+    diagnostics["lambda_nudges"] = nudges
     diagnostics["terminal_u_over_max"] = res.terminal_u / scale
     diagnostics["residual_norm"] = _discrete_residual(ps, mesh, u_n, g_n, lam_side)
     return Eigenpair(lam_side, mesh, u_n, g_n, zero_count, diagnostics)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radial_plap import presets, solver
+from radial_plap.weights import PowerLogPiece, ProblemSpec, WeightModel
 
 INF = math.inf
 
@@ -26,6 +27,22 @@ def ex61():
 @pytest.fixture(scope="session")
 def ex62():
     return presets.get_preset("ex62").problem
+
+
+@pytest.fixture(scope="session")
+def dual_instance():
+    """Builder of the finite-annulus instances of acceptance criterion 3."""
+
+    def build(p, N, alpha, delta, tail, r2=8.0):
+        v = WeightModel((PowerLogPiece(1.0, r2, 1.0, alpha),), 1.0)
+        w = WeightModel(
+            (PowerLogPiece(1.0, 2.0, 1.0, delta),
+             PowerLogPiece(2.0, r2, 2.0**-tail, 0.0, tail)),
+            1.0,
+        )
+        return ProblemSpec(N=N, p=p, R1=1.0, R2=r2, v=v, w=w)
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from radial_plap import solver as S
 from radial_plap.presets import make_annulus, make_ex61
 from radial_plap.weights import INF, PowerLogPiece, ProblemSpec, WeightModel
 
 PI2 = math.pi**2
+
+# acceptance criterion 3's finite-annulus weights, by p
+CRITERION3 = {
+    1.5: (1.5, 3, 0.25, -0.2, -4.0),
+    2.0: (2.0, 3, 0.5, -0.25, -4.0),
+    3.0: (3.0, 3, 1.0, -0.5, -5.0),
+}
 
 
 class TestShoot:
@@ -61,9 +69,24 @@ class TestFindLambda1:
         assert res.first_zero is not None and res.first_zero < 2.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_insane_bracket_raises(self, trivial_annulus):
-        with pytest.raises(S.SolverError):
-            S.find_lambda1(trivial_annulus, check=False, bracket=(1e290, 2e290))
+    def test_insane_bracket_raises(self, trivial_annulus, dual_instance):
+        # a lam far above the spectrum overflows the state: a typed error,
+        # never a NaN margin or a RuntimeWarning
+        for ps in [trivial_annulus, dual_instance(*CRITERION3[1.5]),
+                   dual_instance(*CRITERION3[3.0])]:
+            with pytest.raises(S.SolverError):
+                S.find_lambda1(ps, check=False, bracket=(1e290, 2e290))
+
+    @pytest.mark.parametrize("name,p,nudges", [("p=2 degenerate", 2.0, 0),
+                                               ("p=3 degenerate", 3.0, 1)])
+    def test_lambda_nudges_are_reported(self, name, p, nudges, dual_instance):
+        eig = S.find_lambda1(dual_instance(*CRITERION3[p]), check=False)
+        d = eig.diagnostics
+        assert d["lambda_nudges"] == nudges, name
+        lam = d["lambda_root"]
+        for _ in range(d["lambda_nudges"]):
+            lam *= 1.0 - 8.0 * max(d["lambda_rtol"], 1e-12)
+        assert lam == eig.lam
 
     def test_condition_gate(self):
         # exterior pair with a critical sigma tail violates condition (A)
@@ -90,6 +113,107 @@ class TestFindLambda1:
         eig_r = S.rayleigh_minimize(psm, mesh)
         lam_d = eig.diagnostics["lambda_dirichlet_last"]
         assert abs(lam_d - eig_r.lam) / lam_d < 1e-3
+
+
+class _ScipyOracle:
+    """Runs scipy's ``solve_ivp`` beside the package's DOP853 driver on every
+    segment a shoot integrates, and requires bit-identical results."""
+
+    def __init__(self, monkeypatch):
+        self.kinds, self.statuses, self.dense_points = set(), set(), 0
+        driver, integrate = S.solve_ivp, S._integrate_segment
+
+        def both(fun, t_span, y0, **kw):
+            ours = driver(fun, t_span, y0, **kw)
+            event = kw["events"]
+
+            def scipy_event(t, y):
+                return event(t, y)
+
+            scipy_event.terminal = True
+            scipy_event.direction = -1
+            ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853",
+                                            **{**kw, "events": scipy_event})
+            assert np.array_equal(ours.t, ref.t)
+            assert np.array_equal(ours.y, ref.y)
+            assert ours.nfev == ref.nfev
+            assert (ours.status, ours.success) == (ref.status, ref.success)
+            for mine, theirs in [(ours.t_events, ref.t_events), (ours.y_events, ref.y_events)]:
+                assert len(mine) == len(theirs) == 1
+                assert np.array_equal(mine[0], theirs[0])
+            assert (ours.sol is None) == (ref.sol is None)
+            if ours.sol is not None:
+                ours.sol = self._compared(ours.sol, ref.sol)
+            self.statuses.add(ours.status)
+            return ours
+
+        def integrate_segment(rhs_r, s0, s1, *args):
+            sol, fwd, inv = integrate(rhs_r, s0, s1, *args)
+            self.kinds.add("r" if fwd(s0) == s0 else "log r" if fwd is math.log
+                           else "log(r - R1)")
+            return sol, fwd, inv
+
+        monkeypatch.setattr(S, "solve_ivp", both)
+        monkeypatch.setattr(S, "_integrate_segment", integrate_segment)
+
+    def _compared(self, mine, theirs):
+        def sol(xs):
+            out = mine(xs)
+            assert np.array_equal(out, theirs(xs))
+            self.dense_points += len(xs)
+            return out
+
+        return sol
+
+
+class TestDop853Driver:
+    """The driver must reproduce scipy's DOP853 bit for bit: ``==``, never a
+    tolerance, so a scipy upgrade that changes its arithmetic shows here."""
+
+    @pytest.mark.parametrize("p", sorted(CRITERION3))
+    def test_shoots_bit_identical_to_scipy(self, p, dual_instance, monkeypatch):
+        oracle = _ScipyOracle(monkeypatch)
+        zeros = []
+        # r2 = 8 integrates [2, 8] in r, r2 = 20 integrates [2, 20] in log r;
+        # lam = 0.2 has no zero, 2 a zero past r = 2, 30 a zero before it
+        for r2, lam, dense in [(8.0, 0.2, False), (8.0, 2.0, True), (20.0, 0.2, True),
+                               (20.0, 2.0, False), (20.0, 30.0, True)]:
+            ps = dual_instance(*CRITERION3[p], r2=r2)
+            mesh = S.make_mesh(ps, n_core=100, per_decade=4)
+            res = S.shoot(ps, lam, mesh=mesh, want_trace=dense)
+            zeros.append(res.first_zero)
+            assert (res.trace is not None) == dense
+        assert oracle.kinds == {"log(r - R1)", "r", "log r"}
+        assert oracle.statuses == {0, 1}
+        assert oracle.dense_points > 0
+        assert zeros[0] is None and zeros[1] > 2.0 and zeros[4] < 2.0
+
+    def test_oscillator_against_scipy(self):
+        def rhs(t, y):
+            return (y[1], -y[0])
+
+        def event(t, y):
+            return y[0]
+
+        for dense in (False, True):
+            ours = S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), rtol=1e-9, atol=(1e-12, 1e-12),
+                               dense_output=dense, events=event)
+            event.terminal, event.direction = True, -1
+            ref = scipy.integrate.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), method="DOP853",
+                                            rtol=1e-9, atol=1e-12, dense_output=dense,
+                                            events=event)
+            assert ours.t_events[0][0] == ref.t_events[0][0]
+            assert ours.t_events[0][0] == pytest.approx(math.pi / 2, rel=1e-9)
+            assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+            assert ours.nfev == ref.nfev
+            if dense:
+                xs = np.linspace(0.0, ours.t[-1], 50)
+                assert np.array_equal(ours.sol(xs), ref.sol(xs))
+
+    def test_non_finite_derivative_raises(self):
+        with pytest.raises(FloatingPointError):
+            S.solve_ivp(lambda t, y: (y[0] * 1e300, 0.0), (0.0, 1.0), (1e10, 0.0), rtol=1e-6,
+                        atol=(1e-9, 1e-9), dense_output=False, events=lambda t, y: y[0])
 
 
 class TestHomogeneity:
