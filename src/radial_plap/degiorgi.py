@@ -162,13 +162,29 @@ def verify_bound(params: RecursionParams, slack=1e-9):
     return True, None, trace
 
 
-def _sweep_chunk(size, rng_key, alternative, n_max, margin, slack):
-    """One vectorized chunk of the verification sweep."""
+#: log-space floor of the sweep; a draw that reaches it has decayed for good
+_LOG_CLAMP = -1e290
+
+
+def _draws(size, rng_key):
+    """One chunk's samples (K, eta, d1, d2), seeded by ``rng_key``."""
     rng = np.random.default_rng(rng_key)
     K = 10.0 ** rng.uniform(-2.0, 3.0, size=size)
     eta = rng.uniform(1.0 + 1e-9, 10.0, size=size)
     d = np.sort(rng.uniform(1e-6, 3.0, size=(size, 2)), axis=1)
-    d1, d2 = d[:, 0], d[:, 1]
+    return K, eta, d[:, 0], d[:, 1]
+
+
+def _advance(K, eta, d1, d2, alternative, n_max, margin, slack):
+    """Run the equality recursion for every draw at once; returns (n0, first_bad).
+
+    Draws are retired as soon as their answer is final (see :func:`sweep`),
+    so late steps only advance the slowly decaying ones.  A retired draw
+    waits at the clamp, a fixpoint, until a quarter of the arrays has
+    retired and they are compacted: few distinct array sizes keep numpy's
+    per-size cache of small buffers, and so peak memory, as in a loop over
+    fixed chunks.
+    """
     logK, logeta = np.log(K), np.log(eta)
     log_b1 = -np.log(2.0 * K) / d1 - logeta / d1**2
     if alternative == "a":
@@ -179,18 +195,32 @@ def _sweep_chunk(size, rng_key, alternative, n_max, margin, slack):
         target = np.minimum(log_b1, log_b2)
     L = math.log(margin) + target
     n0 = np.where(L <= 0.0, 0, -1)
-    first_bad = np.full(size, -1)
+    first_bad = np.full(K.size, -1)
+    live = np.arange(K.size)  # draw indices still advancing
+    m0 = n0.copy()  # n0 of the live draws
+    e1, e2 = 1.0 + d1, 1.0 + d2
     with np.errstate(over="ignore"):
         for n in range(1, n_max + 1):
-            L = logK + (n - 1) * logeta + np.logaddexp((1.0 + d1) * L,
-                                                       (1.0 + d2) * L)
-            L = np.maximum(L, -1e290)  # deep-decay clamp; bounds sit far above
-            fresh = (n0 < 0) & (L <= 0.0)
-            n0 = np.where(fresh, n, n0)
-            bound = np.minimum(0.0, log_b1 - n * logeta / d1)
-            viol = (n0 >= 0) & (n0 <= n) & (L > bound + slack) & (first_bad < 0)
-            first_bad = np.where(viol, n, first_bad)
-    return K, eta, d1, d2, n0, first_bad
+            if live.size == 0:
+                break
+            L = logK + (n - 1) * logeta + np.logaddexp(e1 * L, e2 * L)
+            L = np.maximum(L, _LOG_CLAMP)
+            viol = L > np.minimum(0.0, log_b1 - n * logeta / d1) + slack
+            if m0.min() < 0:
+                m0 = np.where((m0 < 0) & (L <= 0.0), n, m0)
+                viol &= m0 >= 0
+            if viol.any():
+                first_bad[live[viol]] = n
+                L[viol] = _LOG_CLAMP  # its answer is final: park it at the clamp
+            stay = L > _LOG_CLAMP
+            if 4 * (live.size - np.count_nonzero(stay)) < live.size:
+                continue
+            n0[live[~stay]] = m0[~stay]
+            live, L, m0 = live[stay], L[stay], m0[stay]
+            logK, logeta, d1 = logK[stay], logeta[stay], d1[stay]
+            log_b1, e1, e2 = log_b1[stay], e1[stay], e2[stay]
+    n0[live] = m0
+    return n0, first_bad
 
 
 def sweep(n_draws=1000, seed=0, alternative="a", n_max=10_000, margin=0.99,
@@ -198,49 +228,46 @@ def sweep(n_draws=1000, seed=0, alternative="a", n_max=10_000, margin=0.99,
     """Randomized verification sweep at J0 = margin * threshold.
 
     K log-uniform in [1e-2, 1e3], eta uniform in (1, 10], 0 < d1 <= d2 <= 3.
-    Draws advance together in vectorized log-space chunks (the thresholds
-    underflow any float for small d1, and 10^7 scalar Python steps would
-    dominate the runtime otherwise).  Chunks are seeded by (seed, index), so
-    the result is identical for any ``workers`` count; the caller caps
-    ``workers`` via RADIAL_PLAP_THREADS.  Returns the counterexample count
-    (expected 0) plus the largest n0 seen.
+    The samples are drawn in chunks of ``chunk`` seeded by (seed, index),
+    then all draws advance together in log space (the thresholds underflow
+    any float for small d1).  A draw is retired once its answer is final:
+    once its log J sits at the -1e290 deep-decay clamp (<= 0, so its n0 is
+    found), or at its first violation (its n0 is found by then; it is
+    parked at the clamp).  The clamp is a fixpoint: the next step gives
+    -(1+d1) 1e290 plus at most logK + n log(eta), far below it, and since
+    every bound is >= -3e12 a draw there can violate nothing later.
+    ``workers`` splits the merged draws into that many slices run on
+    threads; each draw's arithmetic is its own, so the result does not
+    depend on it (the CLI caps it with RADIAL_PLAP_THREADS).  Returns the
+    counterexample count (expected 0) plus the largest n0 seen.
     """
-    sizes = []
-    left = n_draws
-    while left > 0:
-        sizes.append(min(chunk, left))
-        left -= sizes[-1]
-    jobs = [(sz, [seed, idx], alternative, n_max, margin, slack)
-            for idx, sz in enumerate(sizes)]
-    if workers > 1 and len(jobs) > 1:
+    sizes = [min(chunk, n_draws - s) for s in range(0, n_draws, chunk)]
+    chunks = [_draws(sz, [seed, idx]) for idx, sz in enumerate(sizes)]
+    draws = [np.concatenate(cols) for cols in zip(*chunks or [_draws(0, seed)])]
+    args = (alternative, n_max, margin, slack)
+    if workers > 1 and n_draws > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        cuts = np.array_split(np.arange(n_draws), workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda a: _sweep_chunk(*a), jobs))
+            parts = list(pool.map(lambda ix: _advance(*(c[ix] for c in draws), *args),
+                                  cuts))
+        n0, first_bad = (np.concatenate(cols) for cols in zip(*parts))
     else:
-        results = [_sweep_chunk(*job) for job in jobs]
-    details = []
-    counterexamples = 0
-    max_n0 = 0
-    all_found = True
-    offset = 0
-    for (K, eta, d1, d2, n0, first_bad), sz in zip(results, sizes):
-        bad_idx = np.nonzero(first_bad >= 0)[0]
-        counterexamples += int(len(bad_idx))
-        for i in bad_idx[:10]:
-            details.append(
-                {"draw": int(i) + offset, "K": float(K[i]), "eta": float(eta[i]),
-                 "d1": float(d1[i]), "d2": float(d2[i]),
-                 "first_violation": int(first_bad[i])}
-            )
-        max_n0 = max(max_n0, int(np.max(n0)))
-        all_found &= bool(np.all(n0 >= 0))
-        offset += sz
+        n0, first_bad = _advance(*draws, *args)
+    K, eta, d1, d2 = draws
+    bad = np.flatnonzero(first_bad >= 0)
+    details = [
+        {"draw": int(i), "K": float(K[i]), "eta": float(eta[i]),
+         "d1": float(d1[i]), "d2": float(d2[i]),
+         "first_violation": int(first_bad[i])}
+        for i in bad[:10]
+    ]
     return {
         "draws": n_draws,
         "alternative": alternative,
-        "counterexamples": counterexamples,
-        "details": details[:10],
-        "max_n0": max_n0,
-        "all_n0_found": all_found,
+        "counterexamples": int(bad.size),
+        "details": details,
+        "max_n0": int(n0.max(initial=0)),
+        "all_n0_found": bool(np.all(n0 >= 0)),
     }

@@ -149,17 +149,30 @@ class Eigenpair:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _segment_rhs(ps, lam, vp, wp):
-    """RHS closure specialized to one smooth segment's weight pieces."""
+def _segment_rhs(ps, lam, s0, shift):
+    """RHS closure specialized to the weight pieces of the segment from s0.
+
+    The closure takes the integration variable x: r itself when ``shift``
+    is None, else x = log(r - shift), whose chain-rule factor dr/dx = e^x
+    it applies.
+    """
     r1 = ps.R1
     nm1 = float(ps.N - 1)
     expo = 1.0 / (ps.p - 1.0)
     pm1 = ps.p - 1.0
+    vp = ps.v.pieces[ps.v.piece_index(s0)]
+    wp = ps.w.pieces[ps.w.piece_index(s0)]
     cv, av, bv, lv = vp.c, vp.a, vp.b + nm1, vp.l
     cw, aw, bw, lw = wp.c, wp.a, wp.b + nm1, wp.l
+    log_var = shift is not None
 
-    def rhs(r, y):
+    def rhs(x, y):
         u, g = y
+        if log_var:
+            ex = math.exp(x)
+            r = shift + ex
+        else:
+            r = x
         t = r - r1
         rho = cv
         if av != 0.0:
@@ -177,13 +190,15 @@ def _segment_rhs(ps, lam, vp, wp):
             sig *= math.log(r) ** lw
         du = math.copysign(abs(g / rho) ** expo, g) if g != 0.0 else 0.0
         dg = -lam * sig * (math.copysign(abs(u) ** pm1, u) if u != 0.0 else 0.0)
+        if log_var:
+            return (du * ex, dg * ex)
         return (du, dg)
 
     return rhs
 
 
 @np.errstate(over="raise", invalid="raise")
-def _integrate_segment(rhs_r, s0, s1, y, r1, rtol, atol, want_dense):
+def _integrate_segment(ps, lam, s0, s1, y, rtol, atol, want_dense):
     """Integrate one smooth segment, choosing the integration variable.
 
     Near the inner boundary the solution is only Holder-smooth in r (pure
@@ -193,36 +208,31 @@ def _integrate_segment(rhs_r, s0, s1, y, r1, rtol, atol, want_dense):
     the integration variable.  A state that overflows raises
     FloatingPointError (or OverflowError) instead of turning to NaN.
     """
+    r1 = ps.R1
     d0, d1 = s0 - r1, s1 - r1
     if d0 < 0.05 * d1:
+        shift = r1
+
         def fwd(r):
             return math.log(r - r1)
 
         def inv(x):
             return r1 + np.exp(x)
 
-        def rhs(x, yy):
-            ex = math.exp(x)
-            du, dg = rhs_r(r1 + ex, yy)
-            return (du * ex, dg * ex)
-
     elif s0 > 0 and s1 / s0 > 8.0:
+        shift = 0.0
         fwd = math.log
         inv = np.exp
-
-        def rhs(x, yy):
-            ex = math.exp(x)
-            du, dg = rhs_r(ex, yy)
-            return (du * ex, dg * ex)
-
     else:
+        shift = None
+
         def fwd(r):
             return r
 
         def inv(x):
             return x
 
-        rhs = rhs_r
+    rhs = _segment_rhs(ps, lam, s0, shift)
 
     def hit_zero(x, yy):
         return yy[0]
@@ -264,19 +274,17 @@ def shoot(ps: ProblemSpec, lam, r_end=None, mesh: Mesh | None = None,
     # absolute tolerances tied to the natural scales (u ~ envelope, g ~ 1);
     # a tiny atol on u would stall the stepper at the u = 0 crossing, where
     # |u|^{p-2}u has a root-type kink for p < 2
-    u_ref = float(ps.phi_rho_conj(r_end)) if math.isfinite(ps.phi_rho_conj(r_end)) \
-        else float(u0) * 1e6
+    u_ref = float(ps.phi_rho_conj(r_end))
+    if not math.isfinite(u_ref):
+        u_ref = float(u0) * 1e6
     atol = [1e-13 * max(u_ref, u0), 1e-12 * (1.0 + lam)]
     trace_nodes = mesh.nodes if (want_trace and mesh is not None) else None
     tr_r, tr_u, tr_g = [], [], []
     first_zero = None
     for s0, s1 in zip(seg_edges[:-1], seg_edges[1:]):
-        vp = ps.v.pieces[ps.v.piece_index(s0)]
-        wp = ps.w.pieces[ps.w.piece_index(s0)]
-        rhs_r = _segment_rhs(ps, lam, vp, wp)
         try:
             sol, fwd, inv = _integrate_segment(
-                rhs_r, s0, s1, y, ps.R1, rtol, atol, trace_nodes is not None
+                ps, lam, s0, s1, y, rtol, atol, trace_nodes is not None
             )
         except (FloatingPointError, OverflowError) as exc:
             # lam far above the spectrum: a failed shot, not a NaN margin

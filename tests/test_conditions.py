@@ -1,11 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from radial_plap import conditions as C
 from radial_plap import quadrature as quad
-from radial_plap.presets import make_ex61, make_rmk22, make_rmk23
+from radial_plap.presets import get_preset, make_ex61, make_rmk22, make_rmk23
 from radial_plap.weights import INF, PowerLogPiece, ProblemSpec, WeightModel
 
 
@@ -67,6 +68,41 @@ class TestCheckA:
         rep = C.check_A(ps)
         assert rep.verdict == C.FAILS
         assert rep.witnesses["integral_P_sigma"] == INF
+
+
+def _mp_integral_P_sigma(rho_conj, sigma, r1, r2, breaks=()):
+    """∫ min(Φ, Ψ) σ dr for p = 2 at 30 digits, with Φ = ∫_{R1}^r ρ', Ψ = ∫_r^{R2} ρ'.
+
+    Independent of the package: every integral is an mpmath quadrature of
+    the weights as written here, split at ``breaks`` and at the crossing.
+    """
+    with mp.workdps(30):
+        total = mp.quad(rho_conj, [r1, r2])
+        phi = lambda r: mp.quad(rho_conj, [r1, r])
+        r_star = mp.findroot(lambda r: 2 * phi(r) - total,
+                             r1 + 1 if r2 == mp.inf else (r1 + r2) / 2)
+        left = [r1] + [b for b in breaks if b < r_star] + [r_star]
+        right = [r_star] + [b for b in breaks if b > r_star] + [r2]
+        v = mp.quad(lambda r: phi(r) * sigma(r), left) \
+            + mp.quad(lambda r: (total - phi(r)) * sigma(r), right)
+        return float(v)
+
+
+class TestIntegralPSigmaOracle:
+    """The QUADPACK-panel witness of (A) against mpmath (p = 2, N = 3, so
+    ρ' = ρ^(1-p') = 1/(r^2 v) and σ = r^2 w)."""
+
+    @pytest.mark.parametrize("name, r2, w, breaks", [
+        ("annulus-n3", 2.0, lambda r: 1, ()),
+        ("rmk22", mp.inf, lambda r: (r - 1) ** mp.mpf(-1.5) if r <= 2 else 16 / r**4, (2,)),
+    ])
+    def test_matches_mpmath(self, name, r2, w, breaks):
+        ps = get_preset(name).problem
+        res = C.integral_P_sigma(ps)
+        ref = _mp_integral_P_sigma(lambda r: 1 / r**2, lambda r: r**2 * w(r),
+                                   mp.mpf(1), r2, breaks)
+        assert res.verdict == quad.CONVERGED
+        assert abs(res.value - ref) <= 1e-8 * (1.0 + abs(ref))
 
 
 class TestAEpsLeft:

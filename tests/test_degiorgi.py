@@ -112,7 +112,61 @@ class TestVerifyBound:
         assert ok, (logK, eta, d1, d2, bad)
 
 
+def _reference_sweep(n_draws, seed, alternative, n_max, margin, slack=1e-9, chunk=250):
+    """The sweep as a plain loop: every chunk of draws steps all n_max times,
+    with no draw retired early."""
+    details, counterexamples, max_n0, all_found = [], 0, 0, True
+    for idx, start in enumerate(range(0, n_draws, chunk)):
+        size = min(chunk, n_draws - start)
+        rng = np.random.default_rng([seed, idx])
+        K = 10.0 ** rng.uniform(-2.0, 3.0, size=size)
+        eta = rng.uniform(1.0 + 1e-9, 10.0, size=size)
+        d = np.sort(rng.uniform(1e-6, 3.0, size=(size, 2)), axis=1)
+        d1, d2 = d[:, 0], d[:, 1]
+        logK, logeta = np.log(K), np.log(eta)
+        log_b1 = -np.log(2.0 * K) / d1 - logeta / d1**2
+        if alternative == "a":
+            target = np.minimum(0.0, log_b1)
+        else:
+            log_b2 = -np.log(2.0 * K) / d2 - logeta * (1.0 / (d1 * d2)
+                                                       + (d2 - d1) / d2**2)
+            target = np.minimum(log_b1, log_b2)
+        L = math.log(margin) + target
+        n0 = np.where(L <= 0.0, 0, -1)
+        first_bad = np.full(size, -1)
+        with np.errstate(over="ignore"):
+            for n in range(1, n_max + 1):
+                L = logK + (n - 1) * logeta + np.logaddexp((1.0 + d1) * L,
+                                                           (1.0 + d2) * L)
+                L = np.maximum(L, -1e290)
+                n0 = np.where((n0 < 0) & (L <= 0.0), n, n0)
+                bound = np.minimum(0.0, log_b1 - n * logeta / d1)
+                viol = (n0 >= 0) & (L > bound + slack) & (first_bad < 0)
+                first_bad = np.where(viol, n, first_bad)
+        bad = np.nonzero(first_bad >= 0)[0]
+        counterexamples += len(bad)
+        details += [{"draw": int(i) + start, "K": float(K[i]), "eta": float(eta[i]),
+                     "d1": float(d1[i]), "d2": float(d2[i]),
+                     "first_violation": int(first_bad[i])} for i in bad]
+        max_n0 = max(max_n0, int(np.max(n0)))
+        all_found &= bool(np.all(n0 >= 0))
+    return {"draws": n_draws, "alternative": alternative,
+            "counterexamples": counterexamples, "details": details[:10],
+            "max_n0": max_n0, "all_n0_found": all_found}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("alternative", ["a", "b"])
+    @pytest.mark.parametrize("margin, count", [(0.99, 0), (2.0, 176)])
+    def test_matches_reference_loop(self, alternative, margin, count):
+        kw = dict(n_draws=200, seed=3, alternative=alternative, n_max=2000, margin=margin)
+        ref = _reference_sweep(**kw)
+        assert ref["counterexamples"] == count
+        assert D.sweep(**kw) == ref
+        assert D.sweep(**kw, workers=3) == ref
+        # chunks of 64 draw other samples and leave a short last chunk
+        assert D.sweep(**kw, chunk=64) == _reference_sweep(**kw, chunk=64)
+
     def test_both_alternatives_clean(self):
         for alt in ("a", "b"):
             out = D.sweep(300, seed=1, alternative=alt)

@@ -44,6 +44,31 @@ class TestIntegrate:
         assert 0 < res.evaluations < 10_000
         assert res.value == pytest.approx(math.sin(1.0), abs=1e-10)
 
+    @pytest.mark.parametrize("b", [2.0, INF])
+    def test_integrand_receives_arrays(self, b):
+        sizes = []
+
+        def f(r):
+            assert isinstance(r, np.ndarray) and r.ndim == 1
+            sizes.append(r.size)
+            return (r - 1.0) ** -0.5 * r**-2
+
+        res = integrate(f, 1.0, b)
+        assert res.verdict == CONVERGED
+        assert res.evaluations == sum(sizes)
+        assert len(sizes) * 10 < res.evaluations  # whole GK21 panels per call
+
+    def test_budget_counts_points_before_evaluating(self):
+        seen = []
+
+        def f(r):
+            seen.append(r.size)
+            return np.cos(r)
+
+        res = integrate(f, 0.0, 1.0, budget=50)
+        assert res.verdict == "inconclusive"
+        assert sum(seen) <= 50 < res.evaluations
+
 
 GAMMA_SWEEP = [-2.0, -1.5, -1.0, -0.999, -0.5, 0.0]
 
@@ -111,7 +136,7 @@ class TestAgreement:
             exact = integrate_exact_powerlog(m)
             assert exact.verdict == CONVERGED
             scale = abs(exact.value)
-            generic = integrate(lambda r: float(m(r)) / scale, m.lo_domain,
+            generic = integrate(lambda r: m(r) / scale, m.lo_domain,
                                 m.r2, tol=4e-9)
             assert generic.verdict == CONVERGED, (m.pieces, generic)
             assert generic.value * scale == pytest.approx(exact.value, rel=1e-8)

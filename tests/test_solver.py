@@ -147,8 +147,8 @@ class _ScipyOracle:
             self.statuses.add(ours.status)
             return ours
 
-        def integrate_segment(rhs_r, s0, s1, *args):
-            sol, fwd, inv = integrate(rhs_r, s0, s1, *args)
+        def integrate_segment(ps, lam, s0, s1, *args):
+            sol, fwd, inv = integrate(ps, lam, s0, s1, *args)
             self.kinds.add("r" if fwd(s0) == s0 else "log r" if fwd is math.log
                            else "log(r - R1)")
             return sol, fwd, inv
