@@ -23,15 +23,16 @@ margin monotone, so the root is the principal eigenvalue.  Exterior domains
 (R2 = inf) are handled by a Dirichlet truncation ladder R_max = R1 * 2^k,
 whose values decrease monotonically to lam_1 by domain inclusion.
 
-Independent cross-checks: a discrete Rayleigh-quotient minimizer
-(:func:`rayleigh_minimize`) and the left-boundary fixed-point integral map
-(:func:`fixed_point_left`).
+Independent cross-checks: the left-boundary fixed-point integral map
+(:func:`fixed_point_left`) and the discrete Rayleigh quotient's principal
+eigenpair (:func:`rayleigh_minimize`), found by inverse power iteration,
+whose load-to-response ratios enclose the discrete eigenvalue from both sides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -39,8 +40,6 @@ from scipy.optimize import brentq
 from . import quadrature as quad
 from .dop853 import solve_ivp
 from .weights import ProblemSpec
-
-INF = math.inf
 
 
 class SolverError(RuntimeError):
@@ -438,7 +437,9 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
     ``ladder`` (default R1 * 2^k, k = 2..7, stopping once successive values
     agree to ``ladder_rtol``); ``lam`` is the Richardson-extrapolated limit,
     the eigenfunction belongs to the largest rung, and the monotone ladder is
-    reported in ``diagnostics['ladder']``.
+    reported in ``diagnostics['ladder']``.  With fewer than three rungs, or
+    last differences that do not shrink geometrically, ``lam`` is the last
+    rung's value and ``diagnostics['richardson_applied']`` is False.
 
     ``bc`` selects the truncation condition: plain ``'dirichlet'`` (default;
     certified one-sided monotone convergence, but only at the slow rate the
@@ -505,11 +506,13 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
         lam_prev = lam_k
     lams = [l for _, l in rungs]
     lam_ext = lams[-1]
+    richardson = False
     if len(lams) >= 3:
         d1, d2 = lams[-2] - lams[-1], lams[-3] - lams[-2]
         if d2 > 0 and 0 < d1 < d2:
             q = d1 / d2
             lam_ext = lams[-1] - d1 * q / (1.0 - q)
+            richardson = True
     r_last = rungs[-1][0]
     ps_last = ps.truncated(r_last)
     if mesh is None:
@@ -521,6 +524,7 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
     eig = _eigenpair_from_shoot(ps_last, rungs[-1][1], mesh, rtol, diagnostics)
     eig.lam = lam_ext
     eig.diagnostics["lambda_extrapolated"] = lam_ext
+    eig.diagnostics["richardson_applied"] = richardson
     return eig
 
 
@@ -553,12 +557,10 @@ def _assemble(ps, mesh):
     if quad.left_integrable(ps.sigma_model):
         dmass = quad.interval_integrals(ps.sigma_model, dual)
     else:
-        from dataclasses import replace as _replace
-
         n0 = mesh.nodes[0]
         h0 = n0 - mesh.r1
         p0 = ps.sigma_model.pieces[0]
-        ramp = _replace(p0, a=p0.a + ps.p)
+        ramp = replace(p0, a=p0.a + ps.p)
         v_ramp, _, _ = quad._piece_partial(ramp, ps.R1, ps.R1, n0)
         first = v_ramp / h0**ps.p + quad.interval_integrals(
             ps.sigma_model, np.array([n0, dual[1]])
@@ -586,17 +588,6 @@ def _quotient(p, kappa, dmass, u):
     return num / den
 
 
-def _quotient_grad(p, kappa, dmass, u):
-    du = np.diff(u, prepend=0.0, append=0.0)
-    flux = np.abs(du) ** (p - 1.0) * np.sign(du) * kappa
-    num = float(np.sum(np.abs(du) ** p * kappa))
-    den = float(np.sum(dmass * np.abs(u) ** p))
-    q = num / den
-    gnum = p * (flux[:-1] - flux[1:])
-    gden = p * dmass * np.abs(u) ** (p - 1.0) * np.sign(u)
-    return q, (gnum - q * gden) / den
-
-
 def envelope_hat(ps: ProblemSpec, mesh: Mesh):
     """Positive initial guess shaped like min(left, right) envelope."""
     phi = ps.phi_rho_conj(mesh.nodes)
@@ -605,71 +596,70 @@ def envelope_hat(ps: ProblemSpec, mesh: Mesh):
     return np.maximum(hat, 1e-10 * np.max(hat))
 
 
-def rayleigh_minimize(ps: ProblemSpec, mesh: Mesh, u0=None, maxiter=200,
-                      qtol=1e-13, check=False) -> Eigenpair:
-    """Minimize the discrete quotient over nonnegative mesh functions.
+def _inverse_step(p, kappa, dmass, u):
+    """v with -Δ(kappa φ_p(Δv)) = dmass φ_p(u) and zero boundary ghosts.
 
-    Monotone descent: the gradient is preconditioned by the tridiagonal
-    linearization of the discrete p-Laplacian at the current iterate (an O(n)
-    banded solve), the step comes from an exact scalar line search, and each
-    trial is clamped at 0 and renormalized in the sigma-weighted p-norm.
-    Without the preconditioner the graded mesh's capacity spread (many orders
-    of magnitude between boundary and core cells) stalls plain gradient
-    steps entirely.  Stagnation above tolerance is flagged in diagnostics,
-    not raised.
+    The cell flux kappa φ_p(Δv) equals c - s with s = [0, cumsum(dmass
+    u^{p-1})]; the constant c, fixed by ΣΔv = 0, is bisected down to
+    adjacent floats.  Δv is positive before the cell where c - s changes
+    sign and negative after it, so each node sums Δv from its nearer side,
+    a sum of terms of one sign.
     """
-    from scipy.linalg import solve_banded
-    from scipy.optimize import minimize_scalar
+    s = np.concatenate([[0.0], np.cumsum(dmass * u ** (p - 1.0))])
+    expo = 1.0 / (p - 1.0)
 
+    def dv(c):
+        f = (c - s) / kappa
+        return np.sign(f) * np.abs(f) ** expo
+
+    lo, hi = 0.0, float(s[-1])
+    while True:
+        c = 0.5 * (lo + hi)
+        if c in (lo, hi):
+            break
+        if np.sum(dv(c)) < 0.0:
+            lo = c
+        else:
+            hi = c
+    d = dv(c)
+    k = int(np.searchsorted(s, c))
+    return np.concatenate([np.cumsum(d[:k]), -np.cumsum(d[:k:-1])[::-1]])
+
+
+def rayleigh_minimize(ps: ProblemSpec, mesh: Mesh) -> Eigenpair:
+    """First eigenpair of the discrete quotient by inverse iteration.
+
+    Each step solves the discrete problem -Δ(kappa φ_p(Δv)) = dmass φ_p(u)
+    for v from the current iterate u (:func:`_inverse_step`), the inverse
+    power iteration of Biezuner, Ercole and Martins (J. Funct. Anal. 257,
+    2009), started from :func:`envelope_hat`.  By the discrete Picone and
+    Barta inequalities (Allegretto and Huang, Nonlinear Anal. 32, 1998) the
+    discrete eigenvalue lambda_h lies between min and max of (u/v)^{p-1};
+    iteration stops once that enclosure is 1e-12 wide relative to its lower
+    end.  ``lam`` is the quotient of the last v, a weighted mean of (u/v)^{p-1}
+    and so inside the enclosure, which ``diagnostics['lambda_h_bounds']``
+    reports.  Reaching 200 steps first sets ``diagnostics['stagnated']``
+    instead of raising.
+    """
     kappa, dmass = _assemble(ps, mesh)
     p = ps.p
-    u = envelope_hat(ps, mesh) if u0 is None else np.asarray(u0, dtype=float)
-    u = np.maximum(u, 0.0)
-    u = u / np.sum(dmass * u**p) ** (1.0 / p)
-    q, g = _quotient_grad(p, kappa, dmass, u)
-    history = [q]
-    stagnated = False
-    it = 0
-    for it in range(1, maxiter + 1):
-        du = np.abs(np.diff(u, prepend=0.0, append=0.0))
-        floor = 1e-8 * max(float(np.max(du)), 1e-300)
-        m = np.maximum(du, floor) ** (p - 2.0) * kappa
-        ab = np.zeros((3, mesh.n))
-        ab[0, 1:] = -m[1:-1]
-        ab[1, :] = m[:-1] + m[1:]
-        ab[2, :-1] = -m[1:-1]
-        d = solve_banded((1, 1), ab, g)
-
-        def phi(t):
-            trial = np.maximum(u - t * d, 0.0)
-            nrm = np.sum(dmass * trial**p)
-            if nrm <= 0.0:
-                return INF
-            return _quotient(p, kappa, dmass, trial / nrm ** (1.0 / p))
-
-        t_hi = 4.0
-        res = minimize_scalar(phi, bounds=(0.0, t_hi), method="bounded",
-                              options={"xatol": 1e-12})
-        if not (res.fun < q * (1.0 - 1e-15)):
+    u = envelope_hat(ps, mesh)
+    for it in range(1, 201):
+        v = _inverse_step(p, kappa, dmass, u)
+        ratio = (u / v) ** (p - 1.0)
+        lo, hi = float(np.min(ratio)), float(np.max(ratio))
+        u = v / np.max(v)
+        if hi - lo <= 1e-12 * lo:
             break
-        u = np.maximum(u - res.x * d, 0.0)
-        u = u / np.sum(dmass * u**p) ** (1.0 / p)
-        q, g = _quotient_grad(p, kappa, dmass, u)
-        history.append(q)
-        if len(history) > 4 and abs(history[-4] - q) <= qtol * q:
-            break
-    else:
-        stagnated = True
-    scale = float(np.max(u))
-    u_n = u / scale
-    nz = u_n[np.abs(u_n) > 0]
+    nz = u[np.abs(u) > 0]
     zero_count = int(np.sum(np.diff(np.sign(nz)) != 0))
     diagnostics = {
         "iterations": it,
-        "stagnated": stagnated,
-        "quotient_history_last": history[-1],
+        "stagnated": hi - lo > 1e-12 * lo,
+        "lambda_h_bounds": [lo, hi],
     }
-    return Eigenpair(q, mesh, u_n, flux(ps, mesh, u_n), zero_count, diagnostics)
+    lam = _quotient(p, kappa, dmass, u)
+    return Eigenpair(lam, mesh, u, flux(ps, mesh, u), zero_count, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -727,10 +717,8 @@ def fixed_point_left(ps: ProblemSpec, lam, a_tilde, u_seed=None, iters=30,
     s_sig = quad.interval_integrals(ps.sigma_model, edges[1:])
     # first-cell sigma mass against the linear ramp ((r-R1)/h)^{p-1}: exact in
     # the model algebra (handles sigma blowing up at R1 like (r-R1)^{-1})
-    from dataclasses import replace as _replace
-
     p0 = ps.sigma_model.pieces[0]
-    prod0 = _replace(p0, a=p0.a + ps.p - 1.0)
+    prod0 = replace(p0, a=p0.a + ps.p - 1.0)
     v0, _, _ = quad._piece_partial(prod0, ps.R1, ps.R1, nodes[0])
     s0_ramp = v0 / (nodes[0] - ps.R1) ** (ps.p - 1.0)
     pm1 = ps.p - 1.0

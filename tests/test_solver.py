@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -266,12 +267,16 @@ class TestRayleighMinimize:
         assert eig.lam == pytest.approx(PI2, rel=1e-3)
         assert eig.zero_count == 0
 
-    def test_p3_agreement(self):
-        ps = make_annulus(N=1, p=3.0)
+    @pytest.mark.parametrize("p", [1.2, 3.0])
+    def test_p3_agreement(self, p):
+        ps = make_annulus(N=1, p=p)
         eig_s = S.find_lambda1(ps, check=False)
         mesh = S.make_mesh(ps, n_core=2000, delta_left=1e-6, delta_right=1e-6)
         eig_r = S.rayleigh_minimize(ps, mesh)
         assert abs(eig_s.lam - eig_r.lam) / eig_s.lam < 1e-3
+        assert not eig_r.diagnostics["stagnated"]
+        lo, hi = eig_r.diagnostics["lambda_h_bounds"]
+        assert hi - lo <= 1e-12 * lo
 
     def test_degenerate_weight_agreement(self):
         ps = make_ex61(alpha=0.5).truncated(8.0)
@@ -287,6 +292,87 @@ class TestRayleighMinimize:
         lam = trivial_eigenpair.lam
         assert q - lam > -1e-5 * lam  # the discrete form may dip slightly below
         assert q - lam < 1e-3 * lam
+
+
+def _uniform_mesh(ps, n):
+    """n equally spaced nodes on (R1, R2), plus the weight junctions."""
+    h = (ps.R2 - ps.R1) / (n + 1)
+    cuts = [t for t in set(ps.v.breakpoints()) | set(ps.w.breakpoints())
+            if ps.R1 < t < ps.R2]
+    nodes = np.unique(np.concatenate([ps.R1 + h * np.arange(1, n + 1), cuts]))
+    return S.Mesh(nodes, ps.R1, ps.R2, h, h)
+
+
+def _p2_matrix(kappa, dmass):
+    """D^{-1/2} K D^{-1/2} of the p = 2 discrete quotient (dense)."""
+    k = (np.diag(kappa[:-1] + kappa[1:])
+         - np.diag(kappa[1:-1], 1) - np.diag(kappa[1:-1], -1))
+    d = 1.0 / np.sqrt(dmass)
+    return d[:, None] * k * d[None, :]
+
+
+def _p2_count_below(kappa, dmass, x):
+    """Eigenvalues of the p = 2 pencil (K, D) below x: the negative pivots of
+    the LDL^T factorization of K - x D (Sylvester's inertia), in 50 digits."""
+    mpf = mpmath.mpf
+    with mpmath.workdps(50):
+        x = mpf(x)
+        piv, neg = None, 0
+        for j in range(len(dmass)):
+            a = mpf(kappa[j]) + mpf(kappa[j + 1]) - x * mpf(dmass[j])
+            if piv is not None:
+                a -= mpf(kappa[j]) ** 2 / piv
+            neg += a < 0
+            piv = a
+        return neg
+
+
+class TestRayleighEnclosure:
+    """The inverse iteration's two-sided bounds against independent oracles."""
+
+    @pytest.fixture(params=["annulus-trivial", "p=2 singular"])
+    def p2_problem(self, request, trivial_annulus, dual_instance):
+        if request.param == "annulus-trivial":
+            return trivial_annulus
+        return dual_instance(2.0, 3, -0.5, -0.25, -4.0)
+
+    def test_p2_matches_eigvalsh(self, p2_problem):
+        # a uniform mesh keeps eps * ||A||, eigvalsh's own error, near 1e-12
+        ps = p2_problem
+        mesh = _uniform_mesh(ps, 100)
+        kappa, dmass = S._assemble(ps, mesh)
+        a = _p2_matrix(kappa, dmass)
+        ev = float(np.linalg.eigvalsh(a)[0])
+        eig = S.rayleigh_minimize(ps, mesh)
+        lo, hi = eig.diagnostics["lambda_h_bounds"]
+        slack = np.finfo(float).eps * float(np.max(np.sum(np.abs(a), axis=1)))
+        assert lo - slack <= ev <= hi + slack
+        assert abs(ev - eig.lam) <= 1e-12 * eig.lam
+        assert lo <= eig.lam <= hi
+        assert hi - lo <= 1e-12 * lo
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_p2_bounds_enclose_the_pencil_eigenvalue(self, p2_problem, graded):
+        # exact inertia counts, also on the graded mesh where eigvalsh's
+        # error (eps times entries up to 1e19) exceeds 1e-9
+        ps = p2_problem
+        mesh = S.make_mesh(ps, n_core=600) if graded else _uniform_mesh(ps, 100)
+        kappa, dmass = S._assemble(ps, mesh)
+        lo, hi = S.rayleigh_minimize(ps, mesh).diagnostics["lambda_h_bounds"]
+        assert _p2_count_below(kappa, dmass, lo) == 0
+        assert _p2_count_below(kappa, dmass, hi) == 1
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_lower_bound_below_quotients(self, p, dual_instance):
+        ps = dual_instance(*CRITERION3[p])
+        mesh = S.make_mesh(ps, n_core=1200)
+        eig = S.rayleigh_minimize(ps, mesh)
+        lo, hi = eig.diagnostics["lambda_h_bounds"]
+        assert lo <= eig.lam <= hi
+        assert lo <= S.rayleigh_quotient(ps, mesh, S.envelope_hat(ps, mesh))
+        eig_s = S.find_lambda1(ps, check=False)
+        u_s = np.interp(mesh.nodes, eig_s.mesh.nodes, eig_s.u)
+        assert lo <= S.rayleigh_quotient(ps, mesh, u_s)
 
 
 class TestFlux:
@@ -322,6 +408,19 @@ class TestTruncationLadder:
         vals = [l for _, l in eig.diagnostics["ladder"]]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         assert eig.diagnostics["lambda_extrapolated"] <= vals[-1]
+
+    @pytest.mark.parametrize("ladder, applied", [([4.0, 8.0], False),
+                                                 ([4.0, 8.0, 16.0], True)],
+                             ids=["two rungs", "three rungs"])
+    def test_richardson_is_reported(self, ex62, ladder, applied):
+        eig = S.find_lambda1(ex62, ladder=ladder, check=False)
+        d = eig.diagnostics
+        assert d["richardson_applied"] is applied
+        last = d["ladder"][-1][1]
+        if applied:
+            assert d["lambda_extrapolated"] < last
+        else:
+            assert d["lambda_extrapolated"] == last
 
 
 class TestFixedPointLeft:
