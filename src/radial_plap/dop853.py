@@ -7,16 +7,22 @@ Sec. II.5 and II.6).  :func:`solve_ivp` evaluates scipy's
 tableau, so its steps, states, RHS count, event root and dense output are
 bit-identical to scipy's; what it leaves out is scipy's per-stage wrapping
 (array conversion, function wrappers, the generic event scan).
+
+Nothing here imports scipy.  The tableau is vendored from scipy, under its
+BSD-3 license, in :mod:`radial_plap._dop853_tableau`, and :func:`brentq`,
+which finds the event root here and lam_1 in :mod:`radial_plap.solver`, is a
+port of scipy's ``brentq.c``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
+
+from . import _dop853_tableau as _dop
 
 _NS = _dop.N_STAGES
 _A = _dop.A[:_NS, :_NS]
@@ -24,9 +30,80 @@ _A_ROWS = [_A[s, :s] for s in range(_NS)]
 _C = _dop.C[:_NS].tolist()
 _A_EXTRA = [(s, _dop.A[s, :s], float(_dop.C[s]))
             for s in range(_NS + 1, _dop.N_STAGES_EXTENDED)]
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERR_EXP = -1 / 8  # -1 / (error estimator order + 1)
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, *Algorithms for
+    Minimization Without Derivatives*, ch. 4).
+
+    A port of scipy's ``brentq.c``, operation for operation on Python floats,
+    so its iterates and root are bit-identical to ``scipy.optimize.brentq``'s,
+    with scipy's defaults.  As scipy, it raises ValueError for ``f(a)`` and
+    ``f(b)`` of one sign, ``xtol <= 0``, ``rtol < 4 eps`` or a NaN value of
+    ``f``, and RuntimeError after ``maxiter`` iterations.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4 * _EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4 * _EPS:g})")
+
+    def fx(x):
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # C compares signbits; f is neither 0 nor nan here, so < 0 is the same
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C gets inf or nan here, which fails the test below
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
 
 
 @dataclass

@@ -14,7 +14,10 @@ u ~ g^{1/(p-1)} * ∫_{R1}^{r0} rho^{1-p'}, so the initial data u(r0) =
 
 Each smooth segment is integrated by the package's own DOP853 driver
 (:func:`radial_plap.dop853.solve_ivp`), bit-identical to scipy's
-``solve_ivp(method="DOP853")`` without scipy's per-stage wrapping.
+``solve_ivp(method="DOP853")`` without scipy's per-stage wrapping; its
+tableau is vendored from scipy (BSD-3).  The root in lam is found by
+:func:`radial_plap.dop853.brentq`, a port of scipy's ``brentq.c`` with
+bit-identical iterates, so no scipy module is imported at run time.
 
 lam_1 is located by root-finding on a continuous shooting margin (terminal
 value of u while no interior zero exists, minus the distance of the first
@@ -35,10 +38,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import quadrature as quad
-from .dop853 import solve_ivp
+from .dop853 import brentq, solve_ivp
 from .weights import ProblemSpec
 
 

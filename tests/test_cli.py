@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radial_plap
 from radial_plap.cli import main
 from radial_plap.presets import PRESET_NAMES
 
@@ -237,3 +241,43 @@ class TestDeterminism:
             assert run(*argv, "--out-dir", str(d)) == 0
         assert result_bytes(d1) == result_bytes(d2)
         assert len(result_bytes(d1)) >= 2
+
+
+# The test process imports scipy for its oracles, so the import checks run in
+# a child interpreter that imports this radial_plap.
+_SRC = str(Path(radial_plap.__file__).resolve().parents[1])
+_NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def _python(code, *args):
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestRuntimeImports:
+    def test_cli_import_leaves_scipy_out(self):
+        proc = _python("import sys, radial_plap.cli\n"
+                       "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_example_runs_without_scipy(self, tmp_path):
+        blocked, ordinary = tmp_path / "blocked", tmp_path / "ordinary"
+        proc = _python(_NO_SCIPY + "from radial_plap.cli import main\n"
+                       "sys.exit(main(['example', 'annulus-trivial', '--out-dir', sys.argv[1]]))",
+                       str(blocked))
+        assert proc.returncode == 0, proc.stderr
+        assert run("example", "annulus-trivial", "--out-dir", str(ordinary)) == 0
+        assert result_bytes(blocked) == result_bytes(ordinary)
+        assert len(result_bytes(blocked)) >= 4

@@ -1,11 +1,17 @@
 import math
+import random
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
+from scipy.integrate._ivp import dop853_coefficients
 
+from radial_plap import _dop853_tableau
 from radial_plap import solver as S
+from radial_plap.dop853 import brentq
 from radial_plap.presets import make_annulus, make_ex61
 from radial_plap.weights import INF, PowerLogPiece, ProblemSpec, WeightModel
 
@@ -215,6 +221,101 @@ class TestDop853Driver:
         with pytest.raises(FloatingPointError):
             S.solve_ivp(lambda t, y: (y[0] * 1e300, 0.0), (0.0, 1.0), (1e10, 0.0), rtol=1e-6,
                         atol=(1e-9, 1e-9), dense_output=False, events=lambda t, y: y[0])
+
+    def test_tableau_equals_scipy(self):
+        """The vendored tableau is scipy's, name for name and bit for bit."""
+        names = {n for n in vars(dop853_coefficients) if n.isupper()}
+        assert names == {n for n in vars(_dop853_tableau) if n.isupper()}
+        assert names >= {"N_STAGES", "A", "B", "C", "D", "E3", "E5"}
+        for name in names:
+            ours, theirs = getattr(_dop853_tableau, name), getattr(dop853_coefficients, name)
+            assert type(ours) is type(theirs)
+            assert np.shape(ours) == np.shape(theirs)
+            assert np.asarray(ours).dtype == np.asarray(theirs).dtype
+            assert np.array_equal(ours, theirs)
+
+
+EPS = sys.float_info.epsilon
+
+
+def _calls(root_finder, f, a, b, **kw):
+    """The root as ``float.hex`` and every point ``f`` was called at, or the
+    type of the exception raised."""
+    xs = []
+
+    def logged(x):
+        xs.append(float.hex(float(x)))
+        return f(x)
+
+    try:
+        return float.hex(root_finder(logged, a, b, **kw)), xs
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), xs
+
+
+class TestBrentqPort:
+    """The port must take scipy's iterates: its root and every point it
+    evaluates are compared by ``float.hex`` with ``scipy.optimize.brentq``."""
+
+    # the lam root's (xtol, rtol), scipy's defaults, and a coarse lam tolerance
+    TOLS = [(1e-300, 1e-14), (2e-12, 4 * EPS), (1e-300, 1e-10)]
+
+    def _assert_same(self, f, a, b, **kw):
+        ours = _calls(brentq, f, a, b, **kw)
+        assert ours == _calls(scipy.optimize.brentq, f, a, b, **kw)
+        return ours
+
+    @pytest.mark.parametrize("xtol,rtol", TOLS)
+    def test_random_functions(self, xtol, rtol):
+        rng = random.Random(8)
+        for _ in range(150):
+            c, s = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0)
+            a, b = c - rng.uniform(0.01, 5.0), c + rng.uniform(0.01, 5.0)
+            if rng.random() < 0.5:
+                a, b = b, a
+            for f in (lambda x: s * (x - c) ** 3 + (x - c),
+                      lambda x: math.tanh(s * (x - c)),
+                      lambda x: math.exp(s * (x - c)) - 1.0,
+                      lambda x: math.atan(x - c) * (x - c) ** 2 + 1e-9 * (x - c)):
+                root, _ = self._assert_same(f, a, b, xtol=xtol, rtol=rtol)
+                assert isinstance(root, str)
+
+    @pytest.mark.parametrize("xtol,rtol", TOLS)
+    def test_underflowing_differences(self, xtol, rtol):
+        """Differences of values near 1e-300 underflow to 0, where C divides
+        to inf or nan and bisects."""
+        rng = random.Random(9)
+        for _ in range(200):
+            c = rng.uniform(-3.0, 3.0)
+            a, b = c - rng.uniform(0.01, 5.0), c + rng.uniform(0.01, 5.0)
+            self._assert_same(lambda x: 1e-300 * (x - c), a, b, xtol=xtol, rtol=rtol)
+            self._assert_same(lambda x: 1e-300 * (x - c) ** 3, a, b, xtol=xtol, rtol=rtol)
+
+    @pytest.mark.parametrize("xtol,rtol", TOLS)
+    def test_step_function(self, xtol, rtol):
+        for c in (0.1, 1 / 3, 0.7):
+            root, _ = self._assert_same(lambda x: 1.0 if x > c else -1.0, 0.0, 1.0,
+                                        xtol=xtol, rtol=rtol)
+            assert float.fromhex(root) == pytest.approx(c, abs=xtol + rtol * c)
+
+    def test_errors(self):
+        same_sign = self._assert_same(lambda x: x * x + 1.0, -1.0, 2.0)
+        assert same_sign[0] is ValueError
+        # 1e-200 * 1e-200 underflows: the sign test must not multiply
+        tiny = self._assert_same(lambda x: 1e-200, 0.0, 1.0)
+        assert tiny[0] is ValueError
+        nan = self._assert_same(lambda x: math.nan if 0.6 < x < 0.8 else x - 0.7, 0.0, 1.0)
+        assert nan[0] is ValueError and len(nan[1]) > 2
+        stuck = self._assert_same(lambda x: math.tanh(x - 0.3), -5.0, 5.0,
+                                  xtol=1e-300, rtol=4 * EPS, maxiter=3)
+        assert stuck[0] is RuntimeError and len(stuck[1]) == 5
+        for kw in ({"xtol": 0.0}, {"rtol": EPS}):
+            with pytest.raises(ValueError):
+                brentq(lambda x: x, -1.0, 1.0, **kw)
+
+    def test_exact_zero_at_an_end(self):
+        assert self._assert_same(lambda x: x - 1.0, 1.0, 3.0)[0] == float.hex(1.0)
+        assert self._assert_same(lambda x: x - 3.0, 1.0, 3.0)[0] == float.hex(3.0)
 
 
 class TestHomogeneity:
