@@ -35,7 +35,7 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERR_EXP = -1 / 8  # -1 / (error estimator order + 1)
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS):
     """Root of ``f`` in [a, b] by Brent's method (Brent 1973, *Algorithms for
     Minimization Without Derivatives*, ch. 4).
 
@@ -43,7 +43,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
     so its iterates and root are bit-identical to ``scipy.optimize.brentq``'s,
     with scipy's defaults.  As scipy, it raises ValueError for ``f(a)`` and
     ``f(b)`` of one sign, ``xtol <= 0``, ``rtol < 4 eps`` or a NaN value of
-    ``f``, and RuntimeError after ``maxiter`` iterations.
+    ``f``, and RuntimeError after scipy's default of 100 iterations.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -67,7 +67,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -102,7 +102,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = fx(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, "
+    raise RuntimeError("Failed to converge after 100 iterations, "
                        f"value is {xcur}")
 
 

@@ -306,9 +306,11 @@ class TestBrentqPort:
         assert tiny[0] is ValueError
         nan = self._assert_same(lambda x: math.nan if 0.6 < x < 0.8 else x - 0.7, 0.0, 1.0)
         assert nan[0] is ValueError and len(nan[1]) > 2
-        stuck = self._assert_same(lambda x: math.tanh(x - 0.3), -5.0, 5.0,
-                                  xtol=1e-300, rtol=4 * EPS, maxiter=3)
-        assert stuck[0] is RuntimeError and len(stuck[1]) == 5
+        # a step at 0 with xtol=1e-300 bisects for about 1000 steps, so both
+        # stop after the two ends and 100 iterations
+        stuck = self._assert_same(lambda x: 1.0 if x > 0 else -1.0, -1.0, 2.0,
+                                  xtol=1e-300, rtol=4 * EPS)
+        assert stuck[0] is RuntimeError and len(stuck[1]) == 102
         for kw in ({"xtol": 0.0}, {"rtol": EPS}):
             with pytest.raises(ValueError):
                 brentq(lambda x: x, -1.0, 1.0, **kw)
