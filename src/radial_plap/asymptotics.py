@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import INFINITY, LEFT_R1, ProblemSpec, local_exponents
+from .weights import INFINITY, LEFT_R1, ProblemSpec, magnitude, near_integral, right_end
 from .solver import Eigenpair
 
 INF = math.inf
@@ -70,16 +70,11 @@ def envelope_right(ps: ProblemSpec, r):
 def theoretical_exponent(ps: ProblemSpec, boundary):
     """Envelope's own decay power: (r-R1)-power a+1 on the left, r-power e+1
     at infinity, 1 at a finite right end; None at log-critical exponents."""
-    rhoc = ps.rho_conj_model
-    if boundary == LEFT:
-        a, _ = local_exponents(rhoc, LEFT_R1)
-        return a + 1.0 if a > -1.0 else None
-    if math.isfinite(ps.R2):
-        return 1.0
-    e, l = local_exponents(rhoc, INFINITY)
-    if e < -1.0:
-        return e + 1.0
-    return None
+    end = LEFT_R1 if boundary == LEFT else right_end(ps.R2)
+    m = near_integral(magnitude(ps.rho_conj_model, end), end)
+    if m is None or m[0] == 0.0:
+        return None
+    return -m[0] if end == INFINITY else m[0]
 
 
 def fit_exponent(r, u, boundary=LEFT, anchor=None):

@@ -367,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_problem=True):
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="tolerance for condition integrals / lambda")
+    def common(p, with_problem=True, with_tol=True):
+        if with_tol:
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="tolerance for condition integrals / lambda")
         p.add_argument("--out-dir", default="runs", help="output directory")
         p.add_argument("--json", action="store_true",
                        help="print the JSON payload to stdout")
-        p.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
         if with_problem:
             p.add_argument("--problem", help="problem spec JSON path")
             p.add_argument("--preset", choices=presets.PRESET_NAMES,
@@ -411,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("degiorgi", help="recursion decay lemma")
-    common(p, with_problem=False)
+    common(p, with_problem=False, with_tol=False)
+    p.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
     p.add_argument("--K", type=float, default=None)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--d1", type=float, default=None)

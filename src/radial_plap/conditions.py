@@ -12,10 +12,11 @@ as a predicate over :class:`~radial_plap.weights.ProblemSpec` returning a
 * ``W1``/``W2`` -- the exterior-domain integrability pairs.
 
 Within the power-log family all endpoint behavior is a power (times a log
-power at infinity), so verdicts are decided by exponent arithmetic and the
-numerics only supply witness values.  ``inconclusive`` remains a first-class
-verdict for the composite integrals whose convergence the generic quadrature
-cannot certify.
+power at infinity), so verdicts are decided in the endpoint-magnitude algebra
+of :mod:`radial_plap.weights` -- one-sided integrals, products, limits and ε
+infima of ``(power, log, loglog)`` triples -- and the numerics only supply
+witness values.  ``inconclusive`` remains a first-class verdict for the
+composite integrals whose convergence the generic quadrature cannot certify.
 """
 
 from __future__ import annotations
@@ -29,10 +30,17 @@ from . import quadrature as quad
 from .weights import (
     INFINITY,
     LEFT_R1,
+    ZERO,
     ProblemSpec,
     PowerLogPiece,
     WeightModel,
-    local_exponents,
+    eps_infimum,
+    far_integral,
+    limit,
+    magnitude,
+    mul,
+    near_integral,
+    right_end,
 )
 
 INF = math.inf
@@ -60,14 +68,6 @@ class ConditionReport:
             "witnesses": dict(sorted(self.witnesses.items())),
             "notes": self.notes,
         }
-
-
-def _left_exps(model):
-    return local_exponents(model, LEFT_R1)
-
-
-def _tail_exps(model):
-    return local_exponents(model, INFINITY)
 
 
 def probe_grid(span, depth=60, ratio=0.5, anchor=1.0):
@@ -98,50 +98,13 @@ def capacity_P(ps: ProblemSpec, r):
     return float(out) if np.isscalar(r) else out
 
 
-def _p_branch_left(ps):
-    """Local power of min(I_L, I_R) in (r - R1) as r -> R1+.
-
-    Whether I_L -> 0 (integrable side) or I_R inherits the divergent part,
-    the (r-R1)-power is (A+1) for rho-conj exponent A != -1; A == -1 gives a
-    log factor, reported as power 0 with a log flag.
-    """
-    a, _ = _left_exps(ps.rho_conj_model)
-    if a == -1.0:
-        return 0.0, True
-    return a + 1.0, False
-
-
-def _psig_left_converges(ps):
-    asig, _ = _left_exps(ps.sigma_model)
-    power, logflag = _p_branch_left(ps)
-    if logflag:
-        # |log|^{p-1} times sigma: the log is subdominant to any power gap
-        return asig > -1.0
-    e = (ps.p - 1.0) * power + asig
-    return e > -1.0
-
-
-def _p_branch_tail(ps):
-    """Tail behavior (power, logpower) of min(I_L, I_R)^(p-1)/(p-1)-root, i.e.
-    of the governing one-sided integral of rho-conj at infinity."""
-    E, Lam = _tail_exps(ps.rho_conj_model)
-    if E != -1.0:
-        return E + 1.0, Lam
-    if Lam != -1.0:
-        return 0.0, Lam + 1.0
-    return 0.0, 0.0  # log log growth; subdominant to every log power
-
-
-def _psig_tail_converges(ps):
-    Es, Ls = _tail_exps(ps.sigma_model)
-    pe, pl = _p_branch_tail(ps)
-    te = (ps.p - 1.0) * pe + Es
-    tl = (ps.p - 1.0) * pl + Ls
-    if te < -1.0:
-        return True
-    if te > -1.0:
-        return False
-    return tl < -1.0
+def _p_sigma_converges(ps, end):
+    """Whether ∫ P σ converges at ``end``: P^(1/(p-1)) is the near-end
+    integral of ρ^{1-p'} where that converges, else its far-side one."""
+    rhoc = magnitude(ps.rho_conj_model, end)
+    env = near_integral(rhoc, end) or far_integral(rhoc, end)
+    psig = mul(magnitude(ps.sigma_model, end), env, ps.p - 1.0)
+    return near_integral(psig, end) is not None
 
 
 def integral_P_sigma(ps: ProblemSpec, tol=1e-8):
@@ -178,8 +141,8 @@ def check_A(ps: ProblemSpec, tol=1e-8) -> ConditionReport:
             "A", FAILS, witnesses,
             "(i) fails: both one-sided integrals of rho^(1-p') diverge, so P = inf",
         )
-    left_ok = _psig_left_converges(ps)
-    tail_ok = True if math.isfinite(ps.R2) else _psig_tail_converges(ps)
+    left_ok = _p_sigma_converges(ps, LEFT_R1)
+    tail_ok = _p_sigma_converges(ps, right_end(ps.R2))
     witnesses["P_sigma_left_convergent"] = float(left_ok)
     witnesses["P_sigma_right_convergent"] = float(tail_ok)
     if not (left_ok and tail_ok):
@@ -226,19 +189,20 @@ def _default_xi_right(ps):
     return max(lo_last + 1.0, 2.0 * max(ps.R1, 1.0))
 
 
-def search_eps_L(ps: ProblemSpec):
-    """Infimum ε in [0, p-1) making (A_eps_L) hold, from exponents; None if none.
+def _search_eps(ps, end):
+    """Infimum ε in [0, p-1) keeping (∫ σ away from ``end``) times
+    (∫ ρ^{1-p'} up to ``end``)^ε bounded there; None if none exists.
 
     0.0 means every ε in (0, p-1) works (the infimum itself need not).
     """
-    A, _ = _left_exps(ps.rho_conj_model)
-    if A <= -1.0:
-        return None
-    asig, _ = _left_exps(ps.sigma_model)
-    if asig >= -1.0:
-        return 0.0
-    crit = (-asig - 1.0) / (A + 1.0)
-    return crit if crit < ps.p - 1.0 else None
+    grow = far_integral(magnitude(ps.sigma_model, end), end)
+    decay = near_integral(magnitude(ps.rho_conj_model, end), end)
+    return eps_infimum(grow, decay, ps.p - 1.0)
+
+
+def search_eps_L(ps: ProblemSpec):
+    """Infimum ε making (A_eps_L) hold, from exponents; None if none."""
+    return _search_eps(ps, LEFT_R1)
 
 
 def check_A_eps_L(ps: ProblemSpec, xi=None, eps=None) -> ConditionReport:
@@ -284,27 +248,8 @@ def check_A_eps_L(ps: ProblemSpec, xi=None, eps=None) -> ConditionReport:
 
 
 def search_eps_R(ps: ProblemSpec):
-    """Infimum ε in [0, p-1) making (A_eps_R) hold; None if none exists."""
-    rhoc = ps.rho_conj_model
-    if math.isfinite(ps.R2):
-        return 0.0  # both factors bounded on (ξ, R2) for this family
-    if not quad.tail_integrable(rhoc):
-        return None
-    if quad.tail_integrable(ps.sigma_model):
-        return 0.0
-    E, Lam = _tail_exps(rhoc)
-    Es, Ls = _tail_exps(ps.sigma_model)
-    if E < -1.0:
-        crit = (Es + 1.0) / (-(E + 1.0))
-        if Es == -1.0:
-            # σ integral grows like a log power; any positive power beats it
-            return 0.0
-    else:
-        # E == -1, Lam < -1: the ρ' integral decays only logarithmically
-        if Es + 1.0 > 0.0:
-            return None
-        crit = (Ls + 1.0) / (-(Lam + 1.0))
-    return crit if crit < ps.p - 1.0 else None
+    """Infimum ε making (A_eps_R) hold, from exponents; None if none."""
+    return _search_eps(ps, right_end(ps.R2))
 
 
 def check_A_eps_R(ps: ProblemSpec, xi=None, eps=None) -> ConditionReport:
@@ -312,10 +257,7 @@ def check_A_eps_R(ps: ProblemSpec, xi=None, eps=None) -> ConditionReport:
     xi = _default_xi_right(ps) if xi is None else xi
     witnesses = {"xi": xi}
     rhoc = ps.rho_conj_model
-    integrable = (
-        True if math.isfinite(ps.R2) else quad.tail_integrable(rhoc)
-    )
-    if not integrable:
+    if not quad.tail_integrable(rhoc):
         return ConditionReport(
             "A_eps_R", FAILS, witnesses,
             "precondition fails: rho^(1-p') not integrable near R2",
@@ -360,89 +302,13 @@ def check_A_eps_R(ps: ProblemSpec, xi=None, eps=None) -> ConditionReport:
 # (OK)
 # ---------------------------------------------------------------------------
 
-_ZERO, _FINITE, _INFINITE = "zero", "finite", "infinite"
-
-#: sentinel magnitude for an integral that is infinite at every r
-_IDENT_INF = None
-
-
-def _classify_at_finite(mag):
-    """Limit of d**power * |log d|**logpower as the distance d -> 0."""
-    if mag is _IDENT_INF:
-        return _INFINITE
-    power, logpower = mag
-    if power > 0.0 or (power == 0.0 and logpower < 0.0):
-        return _ZERO
-    if power < 0.0 or (power == 0.0 and logpower > 0.0):
-        return _INFINITE
-    return _FINITE
-
-
-def _classify_at_infinity(mag):
-    """Limit of r**power * (log r)**logpower as r -> inf."""
-    if mag is _IDENT_INF:
-        return _INFINITE
-    power, logpower = mag
-    if power < 0.0 or (power == 0.0 and logpower < 0.0):
-        return _ZERO
-    if power > 0.0 or (power == 0.0 and logpower > 0.0):
-        return _INFINITE
-    return _FINITE
-
-
-def _mul_mag(m1, m2, scale2=1.0):
-    if m1 is _IDENT_INF or m2 is _IDENT_INF:
-        return _IDENT_INF
-    return (m1[0] + scale2 * m2[0], m1[1] + scale2 * m2[1])
-
-
-def _from_left_at_R1(model):
-    """∫_{R1}^r near R1 in powers of d = r - R1 (ident-inf if divergent there)."""
-    if not quad.left_integrable(model):
-        return _IDENT_INF
-    a, _ = _left_exps(model)
-    return (a + 1.0, 0.0)
-
-
-def _to_right_at_R1(model, right_integrable):
-    """∫_r^{R2} near R1: finite total, or the left singularity's blow-up."""
-    if not right_integrable:
-        return _IDENT_INF
-    if quad.left_integrable(model):
-        return (0.0, 0.0)
-    a, _ = _left_exps(model)
-    if a == -1.0:
-        return (0.0, 1.0)
-    return (a + 1.0, 0.0)
-
-
-def _from_left_at_R2fin(model):
-    """∫_{R1}^r near a finite R2: tends to the total (or is identically inf)."""
-    return (0.0, 0.0) if quad.left_integrable(model) else _IDENT_INF
-
-
-def _from_left_at_inf(model):
-    """∫_{R1}^r as r -> inf, in powers of r."""
-    if not quad.left_integrable(model):
-        return _IDENT_INF
-    if quad.tail_integrable(model):
-        return (0.0, 0.0)
-    e, l = _tail_exps(model)
-    if e == -1.0:
-        if l == -1.0:
-            return (0.0, 0.25)  # log log growth: unbounded, below any log power
-        return (0.0, l + 1.0)
-    return (e + 1.0, l)
-
-
-def _to_right_tail(model):
-    """∫_r^inf as r -> inf, in powers of r (ident-inf if the tail diverges)."""
-    if not quad.tail_integrable(model):
-        return _IDENT_INF
-    e, l = _tail_exps(model)
-    if e == -1.0:
-        return (0.0, l + 1.0)
-    return (e + 1.0, l)
+def _one_sided(model, start, end):
+    """Magnitude at ``end`` of the integral of ``model`` from ``start`` to r."""
+    if start == end:
+        return near_integral(magnitude(model, end), end)
+    if near_integral(magnitude(model, start), start) is None:
+        return None
+    return far_integral(magnitude(model, end), end)
 
 
 def _ok_product_limits(ps, sigma_first):
@@ -451,37 +317,13 @@ def _ok_product_limits(ps, sigma_first):
     ``sigma_first=True``: (∫_{R1}^r σ)(∫_r^{R2} ρ')^{p-1}; the mirrored
     alternative otherwise.  Returns ('zero'|'finite'|'infinite') at R1, R2.
     """
-    pm1 = ps.p - 1.0
-    sig, rhoc = ps.sigma_model, ps.rho_conj_model
-    finite2 = math.isfinite(ps.R2)
-    rc_right_ok = True if finite2 else quad.tail_integrable(rhoc)
-    sig_right_ok = True if finite2 else quad.tail_integrable(sig)
-
-    if sigma_first:
-        at_R1 = _classify_at_finite(
-            _mul_mag(_from_left_at_R1(sig), _to_right_at_R1(rhoc, rc_right_ok), pm1)
-        )
-        if finite2:
-            # σ total finite needed; then (∫_r^{R2} ρ')^{p-1} ~ d^{p-1} -> 0
-            mag = _mul_mag(_from_left_at_R2fin(sig), (1.0, 0.0), pm1)
-            at_R2 = _classify_at_finite(mag)
-        else:
-            at_R2 = _classify_at_infinity(
-                _mul_mag(_from_left_at_inf(sig), _to_right_tail(rhoc), pm1)
-            )
-        return at_R1, at_R2
-
-    at_R1 = _classify_at_finite(
-        _mul_mag(_to_right_at_R1(sig, sig_right_ok), _from_left_at_R1(rhoc), pm1)
+    right = right_end(ps.R2)
+    s_from, r_from = (LEFT_R1, right) if sigma_first else (right, LEFT_R1)
+    return tuple(
+        limit(mul(_one_sided(ps.sigma_model, s_from, end),
+                  _one_sided(ps.rho_conj_model, r_from, end), ps.p - 1.0))
+        for end in (LEFT_R1, right)
     )
-    if finite2:
-        mag = _mul_mag((1.0, 0.0), _from_left_at_R2fin(rhoc), pm1)
-        at_R2 = _classify_at_finite(mag)
-    else:
-        at_R2 = _classify_at_infinity(
-            _mul_mag(_to_right_tail(sig), _from_left_at_inf(rhoc), pm1)
-        )
-    return at_R1, at_R2
 
 
 def _ok_probe_values(ps):
@@ -515,8 +357,8 @@ def check_OK(ps: ProblemSpec) -> ConditionReport:
         "alt2_limit_R2": alt2[1],
     }
     witnesses.update(_ok_probe_values(ps))
-    ok1 = alt1 == (_ZERO, _ZERO)
-    ok2 = alt2 == (_ZERO, _ZERO)
+    ok1 = alt1 == (ZERO, ZERO)
+    ok2 = alt2 == (ZERO, ZERO)
     if ok1 or ok2:
         which = "first" if ok1 else "second"
         return ConditionReport("OK", HOLDS, witnesses, f"{which} alternative passes")
@@ -535,11 +377,6 @@ def _require_exterior(ps):
         raise ValueError("W1/W2 are exterior-domain conditions (R2 must be inf)")
 
 
-def _essinf_tail_positive(v):
-    e, l = _tail_exps(v)
-    return e > 0.0 or (e == 0.0 and l >= 0.0)
-
-
 def check_W1(ps: ProblemSpec) -> ConditionReport:
     """(W1): essinf v > 0 beyond some ξ, v^{-1/(p-1)} ∈ L¹(R, ξ), and the
     weighted integrability pair (p != N vs p == N) of w."""
@@ -549,12 +386,12 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
     lo_last = v.pieces[-1].lo
     xi = max(lo_last + 1.0, R + 1.0, 1.25)
     witnesses = {"xi": xi}
-    if not _essinf_tail_positive(v):
+    if limit(magnitude(v, INFINITY)) == ZERO:
         return ConditionReport(
             "W1", FAILS, witnesses, "essinf of v near infinity is 0"
         )
     vinv = v ** (-1.0 / (p - 1.0))
-    a_v, _ = _left_exps(v)
+    a_v = magnitude(v, LEFT_R1)[0]
     if not a_v < p - 1.0:
         return ConditionReport(
             "W1", FAILS, witnesses,
@@ -562,9 +399,10 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
         )
     phi_vinv = quad.LeftCumulative(vinv.restricted(R, xi))
     witnesses["int_vinv_R_xi"] = phi_vinv(xi * (1.0 - 1e-12))
-    a_w, _ = _left_exps(w)
-    inner_ok = (p - 1.0 - a_v) + a_w > -1.0
-    if not inner_ok:
+    # (∫_R^r v^(-1/(p-1)))^(p-1) ~ (r-R)^(p-1-a_v), formed without rounding
+    # -1/(p-1) into the exponent
+    inner = mul(magnitude(w, LEFT_R1), (p - 1.0 - a_v, 0.0, 0.0))
+    if near_integral(inner, LEFT_R1) is None:
         witnesses["I1"] = INF
         return ConditionReport(
             "W1", FAILS, witnesses,
@@ -588,7 +426,8 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
     if res2.diverges:
         return ConditionReport("W1", FAILS, witnesses, f"{label} diverges")
     notes = ""
-    if all(pc.a == 0 and pc.b == 0 and pc.l == 0 for pc in v.pieces) and a_w <= -1.0:
+    if all(pc.a == 0 and pc.b == 0 and pc.l == 0 for pc in v.pieces) and \
+            not quad.left_integrable(w):
         notes = (
             "constant v with heavy w near R: the global r^(p-1)-weighted "
             "integrability of the ADS-type special case fails, while (W1) holds"
@@ -609,10 +448,10 @@ def check_W2(ps: ProblemSpec) -> ConditionReport:
     hi0 = v.pieces[0].hi
     xi = 0.5 * (R + (hi0 if math.isfinite(hi0) else R + 2.0))
     witnesses = {"xi": xi}
-    a_v, _ = _left_exps(v)
-    if a_v > 0.0:
+    v_at_R = magnitude(v, LEFT_R1)
+    if limit(v_at_R) == ZERO:
         return ConditionReport(
-            "W2", FAILS, witnesses, f"v vanishes at R (exponent {a_v} > 0)"
+            "W2", FAILS, witnesses, f"v vanishes at R (exponent {v_at_R[0]} > 0)"
         )
     rhoc = ps.rho_conj_model
     if not quad.tail_integrable(rhoc):
@@ -628,7 +467,7 @@ def check_W2(ps: ProblemSpec) -> ConditionReport:
         return ConditionReport(
             "W2", FAILS, witnesses, "∫_R^ξ (r-R)^(p-1) w dr diverges"
         )
-    if not _psig_tail_converges(ps):
+    if not _p_sigma_converges(ps, INFINITY):
         witnesses["I2"] = INF
         return ConditionReport(
             "W2", FAILS, witnesses,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import WeightModel, local_exponents, LEFT_R1, INFINITY
+from .weights import LEFT_R1, WeightModel, magnitude, near_integral, right_end
 
 INF = math.inf
 
@@ -380,18 +380,18 @@ def _gl_panels(fvec, a, b, segments, n=32, grading=1.0):
     return float(np.sum(vals @ wt * half)), nodes.size
 
 
-def _gl_adaptive(fvec, a, b, tol, grading=1.0, max_segments=512):
-    """Double the panels until two sums agree to ``tol`` relative."""
+def _gl_adaptive(fvec, a, b, tol, grading=1.0, segments=1, cap=256):
+    """Double the panels from ``segments`` until two sums agree to ``tol``
+    relative, or stop once ``segments > cap`` (error INF without a second sum)."""
     prev = None
-    segments = 1
     nev = 0
     while True:
         val, n = _gl_panels(fvec, a, b, segments, grading=grading)
         nev += n
         if prev is not None and abs(val - prev) <= tol * abs(val):
             return val, abs(val - prev), nev
-        if segments >= max_segments:
-            return val, abs(val - prev) if prev is not None else abs(val), nev
+        if segments > cap:
+            return val, abs(val - prev) if prev is not None else INF, nev
         prev = val
         segments *= 2
 
@@ -607,17 +607,7 @@ def _tail_gl(c, A, B, L, r1, x0, tol):
         return out
 
     segments = max(8, int(2 * (s_end - s0)))
-    prev = None
-    nev = 0
-    while True:
-        val, n = _gl_panels(fvec, s0, s_end, segments)
-        nev += n
-        if prev is not None and abs(val - prev) <= tol * abs(val):
-            return val, abs(val - prev), nev
-        if segments > 4096:
-            return val, abs(val - prev) if prev is not None else INF, nev
-        prev = val
-        segments *= 2
+    return _gl_adaptive(fvec, s0, s_end, tol, segments=segments, cap=4096)
 
 
 # ---------------------------------------------------------------------------
@@ -627,18 +617,14 @@ def _tail_gl(c, A, B, L, r1, x0, tol):
 
 def left_integrable(model: WeightModel):
     """Convergence of ∫ near the domain's left end, from the adjacent exponent."""
-    if not model.left_singular:
-        return True
-    e, _ = local_exponents(model, LEFT_R1)
-    return e > -1.0
+    return near_integral(magnitude(model, LEFT_R1), LEFT_R1) is not None
 
 
 def tail_integrable(model: WeightModel):
-    """Convergence of ∫ near infinity: power < -1, or == -1 with log < -1."""
-    if math.isfinite(model.r2):
-        return True
-    e, l = local_exponents(model, INFINITY)
-    return e < -1.0 or (e == -1.0 and l < -1.0)
+    """Convergence of ∫ near the right end: power < -1, or == -1 with log < -1
+    at infinity; always at a finite R2."""
+    end = right_end(model.r2)
+    return near_integral(magnitude(model, end), end) is not None
 
 
 def integrate_exact_powerlog(model: WeightModel, a=None, b=None, tol=1e-12):

@@ -11,6 +11,18 @@ infinity.
 The derived 1-d coefficients are ``rho = r**(N-1) * v`` and
 ``sigma = r**(N-1) * w``; the conjugate power ``rho**(1-p')`` with
 ``p' = p/(p-1)`` stays in the family (exponents scale by ``-1/(p-1)``).
+
+Endpoint behavior is decided in one magnitude algebra.  A magnitude is a
+triple ``(power, log, loglog)`` standing for ``d**power * |log d|**log *
+(log|log d|)**loglog`` as the distance ``d`` to an endpoint tends to 0:
+``d = r - R1`` at ``LEFT_R1``, ``R2 - r`` at a finite ``RIGHT_R2`` and ``1/r``
+at ``INFINITY``; ``None`` stands for +inf at every r.  :func:`magnitude`
+reads a model's value there from :func:`local_exponents`; the operations are
+the near-end integral over (0, d), the far-side integral over (d, c),
+product and power (:func:`mul`), the limit, and the ε infimum.  An integral
+shifts the power by +1 at a finite end and by -1 at infinity (``dr =
+-dd/d**2``); either shift is exact next to the critical power 0, so no
+exponent is rounded onto a critical value.
 """
 
 from __future__ import annotations
@@ -19,7 +31,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -235,15 +246,11 @@ class WeightModel:
     def constant(value, r1, r2):
         return WeightModel((PowerLogPiece(lo=r1, hi=r2, c=value),), r1)
 
-    @staticmethod
-    def from_pieces(pieces: Iterable[PowerLogPiece], r1):
-        return WeightModel(tuple(pieces), r1)
-
 
 # -- local exponents ---------------------------------------------------------
 
 LEFT_R1 = "left_R1"
-RIGHT_R2_FINITE = "right_R2_finite"
+RIGHT_R2 = "right_R2"
 INFINITY = "infinity"
 
 
@@ -252,9 +259,8 @@ def local_exponents(wm: WeightModel, endpoint: str):
 
     Left endpoint: behavior in (r - R1); with R1 == 0 the r**b factor merges
     into the same power, and a domain starting right of the origin is regular
-    there, reported as (0, 0).  Finite right endpoints are always regular in
-    this family (no (R2-r) factors), so they report (0, 0).  At infinity the
-    (r-R1)**a factor behaves like r**a, so the governing power is a + b.
+    there, reported as (0, 0).  At infinity the (r-R1)**a factor behaves like
+    r**a, so the governing power is a + b.
     """
     if endpoint == LEFT_R1:
         if not wm.left_singular:
@@ -263,16 +269,88 @@ def local_exponents(wm: WeightModel, endpoint: str):
         if wm.r1 == 0.0:
             return (p.a + p.b, p.l)
         return (p.a, 0.0)
-    if endpoint == RIGHT_R2_FINITE:
-        if not math.isfinite(wm.r2):
-            raise ValueError("model extends to infinity; no finite right endpoint")
-        return (0.0, 0.0)
     if endpoint == INFINITY:
         if math.isfinite(wm.r2):
             raise ValueError("model ends at a finite radius")
         p = wm.pieces[-1]
         return (p.a + p.b, p.l)
     raise ValueError(f"unknown endpoint {endpoint!r}")
+
+
+# -- endpoint magnitudes -----------------------------------------------------
+
+ZERO, FINITE, INFINITE = "zero", "finite", "infinite"
+
+
+def right_end(r2):
+    """The endpoint tag of a domain ending at ``r2``."""
+    return RIGHT_R2 if math.isfinite(r2) else INFINITY
+
+
+def magnitude(wm: WeightModel, end):
+    """Magnitude of the model's value at ``end`` (regular at a finite R2)."""
+    if end == RIGHT_R2:
+        return (0.0, 0.0, 0.0)
+    power, log = local_exponents(wm, end)
+    return (-power, log, 0.0) if end == INFINITY else (power, log, 0.0)
+
+
+def near_integral(m, end):
+    """Magnitude of ∫ of ``m`` over the distances (0, d): None if divergent."""
+    k, log, loglog = m[0] + (-1.0 if end == INFINITY else 1.0), m[1], m[2]
+    if k > 0.0:
+        return (k, log, loglog)
+    if k < 0.0 or log > -1.0 or (log == -1.0 and loglog >= -1.0):
+        return None
+    return (0.0, log + 1.0, loglog) if log < -1.0 else (0.0, 0.0, loglog + 1.0)
+
+
+def far_integral(m, end):
+    """Magnitude of ∫ of ``m`` over the distances (d, c) for a fixed c."""
+    k, log, loglog = m[0] + (-1.0 if end == INFINITY else 1.0), m[1], m[2]
+    if k < 0.0:
+        return (k, log, loglog)
+    if k > 0.0 or log < -1.0 or (log == -1.0 and loglog < -1.0):
+        return (0.0, 0.0, 0.0)
+    if log > -1.0:
+        return (0.0, log + 1.0, loglog)
+    if loglog == -1.0:
+        raise ValueError("log-log-log growth is outside the magnitude algebra")
+    return (0.0, 0.0, loglog + 1.0)
+
+
+def mul(m1, m2, q=1.0):
+    """Magnitude of m1 * m2**q."""
+    if m1 is None or m2 is None:
+        return None
+    return tuple(x + q * y for x, y in zip(m1, m2))
+
+
+def limit(m):
+    """ZERO, FINITE or INFINITE: the limit of ``m`` as d -> 0."""
+    if m is None:
+        return INFINITE
+    power, log, loglog = m
+    lead = power if power != 0.0 else -log if log != 0.0 else -loglog
+    return ZERO if lead > 0.0 else INFINITE if lead < 0.0 else FINITE
+
+
+def eps_infimum(grow, decay, cap):
+    """Infimum of the ε >= 0 that keep ``grow * decay**ε`` bounded.
+
+    None when ``decay`` does not tend to 0 or the infimum is not below
+    ``cap``; 0.0 when every ε > 0 works.
+    """
+    if limit(decay) != ZERO:
+        return None
+    if limit(grow) != INFINITE:
+        return 0.0
+    j = next(i for i, x in enumerate(decay) if x != 0.0)
+    i = next(i for i, x in enumerate(grow) if x != 0.0)
+    if i != j:
+        return 0.0 if i > j else None
+    crit = -grow[j] / decay[j]
+    return crit if crit < cap else None
 
 
 # -- the radial problem -------------------------------------------------------

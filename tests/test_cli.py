@@ -189,6 +189,19 @@ class TestDegiorgiCommand:
         assert run("degiorgi", "--K", "1", "--out-dir", str(tmp_path)) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-conditions", "--preset", "ex61", "--seed", "7"),
+    ("solve", "--preset", "annulus-n3", "--seed", "7"),
+    ("asymptotics", "--preset", "annulus-n3", "--seed", "7"),
+    ("example", "annulus-trivial", "--seed", "7"),
+    ("degiorgi", "--K", "1", "--eta", "2", "--d1", "1", "--d2", "1",
+     "--J0", "0.25", "--tol", "1e-6"),
+])
+def test_flags_exist_only_where_read(tmp_path, argv):
+    """--seed only drives degiorgi's sweep, and degiorgi reads no --tol."""
+    assert run(*argv, "--out-dir", str(tmp_path)) == 2
+
+
 class TestExample:
     def test_unknown_preset_exits_2(self, tmp_path):
         assert run("example", "nope", "--out-dir", str(tmp_path)) == 2
@@ -218,7 +231,7 @@ class TestDeterminism:
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
             assert run("check-conditions", "--preset", "ex61",
-                       "--out-dir", str(d), "--seed", "7") == 0
+                       "--out-dir", str(d)) == 0
         assert (d1 / "conditions.json").read_bytes() == \
             (d2 / "conditions.json").read_bytes()
 

@@ -7,7 +7,7 @@ import pytest
 from radial_plap import conditions as C
 from radial_plap import quadrature as quad
 from radial_plap.presets import get_preset, make_ex61, make_rmk22, make_rmk23
-from radial_plap.weights import INF, PowerLogPiece, ProblemSpec, WeightModel
+from radial_plap.weights import INF, LEFT_R1, PowerLogPiece, ProblemSpec, WeightModel
 
 
 def exterior(v_pieces, w_pieces, N=3, p=2.0, R1=1.0):
@@ -269,6 +269,94 @@ class TestCheckOK:
         assert rep.witnesses["alt1_limit_R2"] == "zero"
 
 
+def _logcritical_tails(v_tail, w_tail, N=3, p=2.0):
+    """v = w = 1 on (1, 2) and the given (b, l) tails r^b (log r)^l beyond."""
+    return exterior(
+        [PowerLogPiece(1.0, 2.0, 1.0), PowerLogPiece(2.0, INF, 1.0, 0.0, *v_tail)],
+        [PowerLogPiece(1.0, 2.0, 1.0), PowerLogPiece(2.0, INF, 1.0, 0.0, *w_tail)],
+        N=N, p=p,
+    )
+
+
+class TestOKLogLogTails:
+    """An integral of r^-1 (log r)^-1 grows like log log r: unbounded, but
+    beaten by any negative power of log r."""
+
+    @pytest.mark.parametrize("v_tail, w_tail, alt", [
+        # σ = r^-1 (log r)^-1, ∫_r^∞ ρ' ~ (log r)^-0.1: alternative 1
+        ((-1.0, 1.1), (-3.0, -1.0), "alt1"),
+        # ∫_1^r ρ' ~ log log r, ∫_r^∞ σ ~ (log r)^-0.1: alternative 2
+        ((-1.0, 1.0), (-3.0, -1.1), "alt2"),
+    ])
+    def test_loglog_growth_is_beaten_by_a_log_power(self, v_tail, w_tail, alt):
+        rep = C.check_OK(_logcritical_tails(v_tail, w_tail))
+        assert rep.holds
+        assert rep.witnesses[f"{alt}_limit_R1"] == "zero"
+        assert rep.witnesses[f"{alt}_limit_R2"] == "zero"
+
+
+#: single-piece tails r^E (log r)^L of ρ' and σ; E = -1 carries the log
+TAIL_LATTICE = [(-2.0, 0.0), (-2.0, 1.0), (-1.0, -1.1), (-1.0, -1.0),
+                (-1.0, -0.9), (0.0, 0.0), (-0.5, 1.0)]
+
+
+def _mp_tail_logs(E, L, head, t):
+    """log ∫_1^r and log ∫_r^∞ (None if divergent) at log log r = t for
+    head + r^E (log r)^L on (2, ∞), from closed-form antiderivatives in
+    s = log r: ∫ e^{(E+1)s} s^L ds."""
+    k, s, s2 = mp.mpf(E) + 1, mp.exp(t), mp.log(2)
+    if k == 0:
+        G = (lambda u: mp.log(u)) if L == -1 else (lambda u: u ** (L + 1) / (L + 1))
+        tail = None if L >= -1 else -G(s)
+    else:
+        G = (lambda u: mp.exp(k * u) * (u / k - 1 / k**2)) if L == 1 \
+            else (lambda u: mp.exp(k * u) / k)
+        tail = -G(s) if k < 0 else None
+    return mp.log(head + G(s) - G(s2)), (None if tail is None else mp.log(tail))
+
+
+def _mp_ok_limit_at_infinity(rhoc_tail, sig_tail, sigma_first):
+    """(OK) limit at infinity from the log of the product at log log r =
+    10, 20, 40, 80: its last step decides (a log-log factor moves it by
+    log 2, a power of log r by at least 4, a converging product by < 0.05)."""
+    with mp.workdps(40):
+        logs = []
+        for t in (10, 20, 40, 80):
+            s_left, s_right = _mp_tail_logs(*sig_tail, mp.mpf(7) / 3, t)
+            r_left, r_right = _mp_tail_logs(*rhoc_tail, mp.mpf(1) / 2, t)
+            a, b = (s_left, r_right) if sigma_first else (s_right, r_left)
+            if a is None or b is None:
+                return "infinite"
+            logs.append(a + b)
+        step = logs[-1] - logs[-2]
+    return "zero" if step < -0.3 else "infinite" if step > 0.3 else "finite"
+
+
+#: (ρ' tail, σ tail, sigma_first) whose factors (log r)^0.1 and
+#: (log r)^-0.1 come from L = -0.9 and -1.1: in binary their powers miss
+#: cancelling by 1.1e-16, which decides the exponent verdict (zero) but moves
+#: the log of the product by 1e-14 between log log r = 40 and 80
+NEAR_CANCELLING = {((-1.0, -1.1), (-1.0, -0.9), True),
+                   ((-1.0, -0.9), (-1.0, -1.1), False)}
+
+
+class TestOKTailOracle:
+    """check_OK's limits at infinity against closed-form antiderivatives on a
+    lattice of single-piece tails; N = 3, p = 2, so ρ' = r^-2 / v and
+    σ = r^2 w."""
+
+    @pytest.mark.parametrize("rhoc_tail", TAIL_LATTICE)
+    @pytest.mark.parametrize("sig_tail", TAIL_LATTICE)
+    def test_limits_at_infinity(self, rhoc_tail, sig_tail):
+        (E, L), (Es, Ls) = rhoc_tail, sig_tail
+        rep = C.check_OK(_logcritical_tails((-2.0 - E, -L), (Es - 2.0, Ls)))
+        for alt, sigma_first in (("alt1", True), ("alt2", False)):
+            if (rhoc_tail, sig_tail, sigma_first) in NEAR_CANCELLING:
+                continue
+            expect = _mp_ok_limit_at_infinity(rhoc_tail, sig_tail, sigma_first)
+            assert rep.witnesses[f"{alt}_limit_R2"] == expect, alt
+
+
 class TestW1W2:
     def test_heavy_inner_weight_passes_W1(self):
         rep = C.check_W1(make_rmk22(beta=-1.5))
@@ -347,7 +435,7 @@ class TestInvariants:
                 continue
             rep = C.check_A_eps_L(ps)
             if rep.holds:
-                assert C._psig_left_converges(ps), (p, alpha, delta, N)
+                assert C._p_sigma_converges(ps, LEFT_R1), (p, alpha, delta, N)
                 checked += 1
         assert checked >= 10
 

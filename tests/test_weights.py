@@ -4,13 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radial_plap.weights import (
+    FINITE,
     INF,
+    INFINITE,
+    INFINITY,
+    LEFT_R1,
+    RIGHT_R2,
+    ZERO,
     DomainError,
     PowerLogPiece,
     ProblemSpec,
     SpecError,
     WeightModel,
+    eps_infimum,
+    far_integral,
+    limit,
     local_exponents,
+    magnitude,
+    mul,
+    near_integral,
     problem_from_dict,
     problem_to_dict,
 )
@@ -102,13 +114,65 @@ class TestLocalExponents:
         wm = model(PowerLogPiece(3.0, INF, 1.0, 0.0, 2.0, 2.0), r1=1.0)
         assert local_exponents(wm, "infinity") == (2.0, 2.0)
 
-    def test_finite_right_regular(self):
-        wm = model(PowerLogPiece(1.0, 2.0, 1.0, -0.5))
-        assert local_exponents(wm, "right_R2_finite") == (0.0, 0.0)
-
     def test_ball_origin_merges_powers(self):
         wm = model(PowerLogPiece(0.0, 1.0, 1.0, 0.5, 1.5), r1=0.0)
         assert local_exponents(wm, "left_R1") == (2.0, 0.0)
+
+
+class TestMagnitudes:
+    def test_finite_right_regular(self):
+        wm = model(PowerLogPiece(1.0, 2.0, 1.0, -0.5))
+        m = magnitude(wm, RIGHT_R2)
+        assert m == (0.0, 0.0, 0.0)
+        assert near_integral(m, RIGHT_R2) == (1.0, 0.0, 0.0)
+        assert far_integral(m, RIGHT_R2) == (0.0, 0.0, 0.0)
+
+    def test_tail_reads_in_the_reciprocal_distance(self):
+        # r^-3 (log r)^2 = d^3 |log d|^2 with d = 1/r; ∫_r^inf ~ d^2 |log d|^2
+        wm = model(PowerLogPiece(2.0, INF, 1.0, 0.0, -3.0, 2.0), r1=1.0)
+        m = magnitude(wm, INFINITY)
+        assert m == (3.0, 2.0, 0.0)
+        assert near_integral(m, INFINITY) == (2.0, 2.0, 0.0)
+        assert far_integral(m, INFINITY) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("log, near, far", [
+        (-1.1, (0.0, -0.10000000000000009, 0.0), (0.0, 0.0, 0.0)),
+        (-1.0, None, (0.0, 0.0, 1.0)),
+        (-0.9, None, (0.0, 0.09999999999999998, 0.0)),
+    ])
+    def test_critical_power_goes_to_the_logs(self, log, near, far):
+        m = (1.0, log, 0.0)  # r^-1 (log r)^log at infinity
+        assert near_integral(m, INFINITY) == near
+        assert far_integral(m, INFINITY) == far
+
+    def test_one_ulp_off_critical_is_not_critical(self):
+        # -E - 2 would round E one ulp above -1 onto -1; the algebra never
+        # forms it, so the log factor cannot rescue a divergent tail
+        above, below = np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0)
+        for E, log, ok in ((above, -5.0, False), (below, 5.0, True), (-1.0, -1.5, True)):
+            wm = model(PowerLogPiece(2.0, INF, 1.0, 0.0, E, log))
+            assert (near_integral(magnitude(wm, INFINITY), INFINITY) is not None) is ok
+        for a, ok in ((above, True), (-1.0, False), (below, False)):
+            m = magnitude(model(PowerLogPiece(1.0, 2.0, 1.0, a)), LEFT_R1)
+            assert (near_integral(m, LEFT_R1) is not None) is ok
+
+    def test_limit_and_product(self):
+        loglog = far_integral((1.0, -1.0, 0.0), INFINITY)
+        assert limit(loglog) == INFINITE
+        assert limit(mul(loglog, (0.0, -0.1, 0.0))) == ZERO
+        assert limit(mul(loglog, (0.0, 0.0, -0.5), 2.0)) == FINITE
+        assert limit(mul((0.5, 3.0, 0.0), None)) == INFINITE
+        assert limit((0.0, 0.0, 0.0)) == FINITE
+
+    def test_eps_infimum(self):
+        # d^-0.6 against d^1: ε >= 0.6; a log against d^1: every ε > 0
+        assert eps_infimum((-0.6, 0.0, 0.0), (1.0, 0.0, 0.0), 1.0) == 0.6
+        assert eps_infimum((0.0, 2.0, 0.0), (1.0, 0.0, 0.0), 1.0) == 0.0
+        assert eps_infimum((-0.6, 0.0, 0.0), (1.0, 0.0, 0.0), 0.5) is None
+        # a power against a log decay: no ε; logs against logs: the ratio
+        assert eps_infimum((-0.1, 0.0, 0.0), (0.0, -1.0, 0.0), 9.0) is None
+        assert eps_infimum((0.0, 0.5, 0.0), (0.0, -2.0, 0.0), 9.0) == 0.25
+        assert eps_infimum((0.0, 0.0, 0.0), None, 9.0) is None
 
 
 class TestInvariants:
