@@ -8,6 +8,12 @@ tableau, so its steps, states, RHS count, event root and dense output are
 bit-identical to scipy's; what it leaves out is scipy's per-stage wrapping
 (array conversion, function wrappers, the generic event scan).
 
+Every stage sum stays a numpy ``dot``, as in scipy, because no Python-float
+expression reproduces it: BLAS fuses the multiply-adds, so the dot of a
+2-term sum equals ``fma(k1, a1, k0 * a0)`` in 3,000 of 3,000 random cases,
+while ``k0 * a0 + k1 * a1`` differs in about a third of them.  What the step
+loop trims is the numpy work around those calls.
+
 Nothing here imports scipy.  The tableau is vendored from scipy, under its
 BSD-3 license, in :mod:`radial_plap._dop853_tableau`, and :func:`brentq`,
 which finds the event root here and lam_1 in :mod:`radial_plap.solver`, is a
@@ -185,15 +191,14 @@ def _dense_piece(fun, K, t_old, h, y_old, y, f):
     """The DOP853 interpolant of the step just taken (three more stages)."""
     yu, yg = y_old
     for s, a, c in _A_EXTRA:
-        du, dg = (np.dot(K[:s].T, a) * h).tolist()
-        K[s] = _finite(fun(t_old + c * h, (yu + du, yg + dg)))
-    y_old, y, f = np.array(y_old), np.array(y), np.array(f)
+        du, dg = K[:s].T.dot(a).tolist()
+        K[s] = _finite(fun(t_old + c * h, (yu + du * h, yg + dg * h)))
+    (fu_old, fg_old), (fu, fg) = K[0].tolist(), f
+    du, dg = y[0] - yu, y[1] - yg
     F = np.empty((_dop.INTERPOLATOR_POWER, 2))
-    f_old = K[0]
-    delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
+    F[0] = du, dg
+    F[1] = h * fu_old - du, h * fg_old - dg
+    F[2] = 2 * du - h * (fu + fu_old), 2 * dg - h * (fg + fg_old)
     F[3:] = h * np.dot(_dop.D, K)
     return (t_old, h, y_old, F)
 
@@ -211,6 +216,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output, events) -> IvpResult:
     event is one sign test per step, and the interpolant is built only on
     the event step unless ``dense_output`` asks for it on every step.
     ``atol`` is a pair.  A non-finite derivative raises FloatingPointError.
+
+    Each stage takes its sum from BLAS (see the module notes) and does the
+    rest on Python floats: ``dot(row).tolist()`` times ``h`` is the IEEE
+    product numpy's ``* h`` forms, and the stages' bound ``dot``, rows and
+    nodes, like the error-norm ``scale`` buffer, are built once per call.
     """
     t, t_end = map(float, t_span)
     if not t_end > t:
@@ -219,14 +229,19 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output, events) -> IvpResult:
         raise ValueError(f"rtol must be at least {100 * _EPS}")
     isfinite = math.isfinite
     atol = np.array(atol, dtype=float)
-    atol_u, atol_g = atol
+    atol_u, atol_g = atol.tolist()
     yu, yg = map(float, y0)
     fu, fg = _finite(fun(t, (yu, yg)))
     h_abs = _initial_step(fun, t, np.array([yu, yg]), t_end, np.array([fu, fg]),
                           rtol, atol)
     nfev = 2
     K = np.empty((_dop.N_STAGES_EXTENDED, 2))
-    KT = [K[:s].T for s in range(_NS + 2)]
+    # per stage: its row of K, the bound dot of the stages before it, its
+    # tableau row and its node; the last is the new state, with weights B
+    stages = [(K[s], K[:s].T.dot, _A_ROWS[s], _C[s]) for s in range(1, _NS)]
+    stages.append((K[_NS], K[:_NS].T.dot, _dop.B, 1.0))
+    k_first, dot_err = K[0], K[:_NS + 1].T.dot
+    scale = np.empty(2)
     ts, us, gs, pieces = [t], [yu], [yg], []
     ev_old = events(t, (yu, yg))
     t_events, y_events = [np.array([])], [np.array([])]
@@ -243,22 +258,24 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output, events) -> IvpResult:
                 break
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            K[0] = (fu, fg)
-            for s in range(1, _NS):
-                du, dg = (np.dot(KT[s], _A_ROWS[s]) * h).tolist()
-                ku, kg = fun(t + _C[s] * h, (yu + du, yg + dg))
-                if not (isfinite(ku) and isfinite(kg)):
-                    _finite((ku, kg))
-                K[s] = (ku, kg)
-            du, dg = (h * np.dot(KT[_NS], _dop.B)).tolist()
-            nu, ng = yu + du, yg + dg
-            fnu, fng = _finite(fun(t + h, (nu, ng)))
-            K[_NS] = (fnu, fng)
+            k_first[0] = fu
+            k_first[1] = fg
+            for k, dot, row, c in stages:
+                du, dg = dot(row).tolist()
+                nu, ng = yu + du * h, yg + dg * h
+                fnu, fng = fun(t + c * h, (nu, ng))
+                if not (isfinite(fnu) and isfinite(fng)):
+                    _finite((fnu, fng))
+                k[0] = fnu
+                k[1] = fng
             nfev += _NS
-            scale = np.array([atol_u + max(abs(yu), abs(nu)) * rtol,
-                              atol_g + max(abs(yg), abs(ng)) * rtol])
-            err5_2 = _norm(np.dot(KT[_NS + 1], _dop.E5) / scale) ** 2
-            err3_2 = _norm(np.dot(KT[_NS + 1], _dop.E3) / scale) ** 2
+            scale[0] = atol_u + max(abs(yu), abs(nu)) * rtol
+            scale[1] = atol_g + max(abs(yg), abs(ng)) * rtol
+            # scipy's norm(x) ** 2, with norm(x) = sqrt(x.dot(x))
+            err5 = dot_err(_dop.E5) / scale
+            err5_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3 = dot_err(_dop.E3) / scale
+            err3_2 = math.sqrt(err3.dot(err3)) ** 2
             if err5_2 == 0 and err3_2 == 0:
                 error_norm = 0.0
             else:

@@ -382,7 +382,10 @@ def _gl_panels(fvec, a, b, segments, n=32, grading=1.0):
 
 def _gl_adaptive(fvec, a, b, tol, grading=1.0, segments=1, cap=256):
     """Double the panels from ``segments`` until two sums agree to ``tol``
-    relative, or stop once ``segments > cap`` (error INF without a second sum)."""
+    relative, or stop once ``segments > cap`` (error INF without a second sum).
+    A first pass already over ``cap`` is not evaluated: value NaN, error INF."""
+    if segments > cap:
+        return math.nan, INF, 0
     prev = None
     nev = 0
     while True:
@@ -659,7 +662,8 @@ def integrate_exact_powerlog(model: WeightModel, a=None, b=None, tol=1e-12):
         total += v
         err += e
         nev += n
-    return IntegralResult(total, err, CONVERGED, nev)
+    # an INF error is a tail too close to critical for its panel cap
+    return IntegralResult(total, err, CONVERGED if err < INF else INCONCLUSIVE, nev)
 
 
 # ---------------------------------------------------------------------------

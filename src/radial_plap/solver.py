@@ -161,6 +161,7 @@ def _segment_rhs(ps, lam, s0, shift):
     nm1 = float(ps.N - 1)
     expo = 1.0 / (ps.p - 1.0)
     pm1 = ps.p - 1.0
+    minus_lam = -lam
     vp = ps.v.pieces[ps.v.piece_index(s0)]
     wp = ps.w.pieces[ps.w.piece_index(s0)]
     cv, av, bv, lv = vp.c, vp.a, vp.b + nm1, vp.l
@@ -189,8 +190,10 @@ def _segment_rhs(ps, lam, s0, shift):
             sig *= r**bw
         if lw != 0.0:
             sig *= math.log(r) ** lw
-        du = math.copysign(abs(g / rho) ** expo, g) if g != 0.0 else 0.0
-        dg = -lam * sig * (math.copysign(abs(u) ** pm1, u) if u != 0.0 else 0.0)
+        # phi(x) = sign(x) |x|^e, branching on the sign (rho > 0) instead of
+        # calling abs and copysign; a NaN takes the last branch and stays NaN
+        du = (g / rho) ** expo if g > 0.0 else 0.0 if g == 0.0 else -((-g / rho) ** expo)
+        dg = minus_lam * sig * (u**pm1 if u > 0.0 else 0.0 if u == 0.0 else -((-u) ** pm1))
         if log_var:
             return (du * ex, dg * ex)
         return (du, dg)

@@ -402,8 +402,16 @@ class ProblemSpec:
 
     @cached_property
     def rho_conj_model(self):
-        """Model of rho**(1-p') = rho**(-1/(p-1))."""
-        return self.rho_model ** (-1.0 / (self.p - 1.0))
+        """Model of rho**(1-p') = rho**(-1/(p-1)).
+
+        Each exponent e becomes -e / (p-1), rounded once, so e = p-1 lands on
+        exactly -1, where e * (-1/(p-1)) can round off a critical value.
+        """
+        pm1 = self.p - 1.0
+        rho = self.rho_model
+        return WeightModel(tuple(
+            replace(pc, c=pc.c ** (-1.0 / pm1), a=-pc.a / pm1, b=-pc.b / pm1, l=-pc.l / pm1)
+            for pc in rho.pieces), rho.r1)
 
     @cached_property
     def phi_rho_conj(self):

@@ -69,6 +69,19 @@ class TestCheckA:
         assert rep.verdict == C.FAILS
         assert rep.witnesses["integral_P_sigma"] == INF
 
+    def test_tail_one_rounding_from_critical_reports_instead_of_raising(self):
+        # rho^{1-p'} = (r-1)^-0.25 r^(-0.75 - 2^-52): its tail panels would
+        # need about 1e17 nodes, so the witness is dropped, not allocated
+        ps = exterior(
+            [PowerLogPiece(1.0, INF, 1.0, 0.25, 0.75 + 2.0**-52)],
+            [PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0)],
+            N=1, p=2.0,
+        )
+        rep = C.check_A(ps)
+        assert rep.holds
+        assert "integral_P_sigma" not in rep.witnesses
+        assert "witness integral failed" in rep.notes
+
     def test_failed_witness_is_left_out_when_A_holds(self):
         # P σ grows toward the crossing radius, 3e-6 from R1, before its
         # endpoint power sets in; the shell test reads the growth as
@@ -215,6 +228,19 @@ class TestAEpsLeft:
             [PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0)],
             N=3, p=2.0,
         )
+        rep = C.check_A_eps_L(ps)
+        assert rep.verdict == C.FAILS
+        assert "precondition" in rep.notes
+
+    def test_precondition_failure_off_the_exact_reciprocals(self):
+        # the same v at p = 1.95, where (p-1) * (-1/(p-1)) rounds to
+        # -0.9999999999999999: rho^{1-p'} must still get exactly -1
+        p = 1.95
+        ps = ProblemSpec(N=1, p=p, R1=1.0, R2=2.0,
+                         v=WeightModel((PowerLogPiece(1.0, 2.0, 1.0, p - 1.0),), 1.0),
+                         w=WeightModel((PowerLogPiece(1.0, 2.0, 1.0),), 1.0))
+        assert (p - 1.0) * (-1.0 / (p - 1.0)) != -1.0
+        assert ps.rho_conj_model.pieces[0].a == -1.0
         rep = C.check_A_eps_L(ps)
         assert rep.verdict == C.FAILS
         assert "precondition" in rep.notes

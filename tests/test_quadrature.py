@@ -7,9 +7,11 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radial_plap import quadrature as quad
 from radial_plap.quadrature import (
     CONVERGED,
     DIVERGES,
+    INCONCLUSIVE,
     LeftCumulative,
     RightCumulative,
     integrate,
@@ -107,6 +109,17 @@ class TestExactPowerlog:
         m = WeightModel((PowerLogPiece(1.0, 2.0, 1.0, gamma),), 1.0)
         res = integrate_exact_powerlog(m)
         assert (res.verdict == DIVERGES) == (gamma <= -1.0)
+
+    def test_tail_one_rounding_from_critical_is_inconclusive(self):
+        """A tail exponent one ulp below -1 would need about 1e17 panels; the
+        first pass is refused unevaluated instead of allocating them."""
+        value, err, evaluations = quad._tail_gl(1.0, 0.0, -1.0 - 2.0**-52, 0.0, 2.0, 4.0, 1e-10)
+        assert math.isnan(value) and err == INF and evaluations == 0
+        # (r-1)^-0.25 r^-0.7500000000000002: the tail sums to -1 - 2^-52
+        m = WeightModel((PowerLogPiece(1.0, INF, 1.0, -0.25, -0.75 - 2.0**-52),), 1.0)
+        res = integrate_exact_powerlog(m)
+        assert res.verdict == INCONCLUSIVE
+        assert res.abs_error_estimate == INF
 
 
 def _random_powerlog(rng):

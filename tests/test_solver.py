@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -12,7 +13,7 @@ from scipy.integrate._ivp import dop853_coefficients
 from radial_plap import _dop853_tableau
 from radial_plap import solver as S
 from radial_plap.dop853 import brentq
-from radial_plap.presets import make_annulus, make_ex61
+from radial_plap.presets import get_preset, make_annulus, make_ex61
 from radial_plap.weights import INF, PowerLogPiece, ProblemSpec, WeightModel
 
 PI2 = math.pi**2
@@ -127,7 +128,7 @@ class _ScipyOracle:
     segment a shoot integrates, and requires bit-identical results."""
 
     def __init__(self, monkeypatch):
-        self.kinds, self.statuses, self.dense_points = set(), set(), 0
+        self.kinds, self.statuses, self.dense_points, self.rejected = set(), set(), 0, 0
         driver, integrate = S.solve_ivp, S._integrate_segment
 
         def both(fun, t_span, y0, **kw):
@@ -151,6 +152,12 @@ class _ScipyOracle:
             assert (ours.sol is None) == (ref.sol is None)
             if ours.sol is not None:
                 ours.sol = self._compared(ours.sol, ref.sol)
+            else:
+                # 2 evaluations to start, 12 per step tried, 3 for an event's
+                # interpolant: the steps tried beyond those taken were rejected
+                tried, rest = divmod(ours.nfev - 2 - 3 * (ours.status == 1), 12)
+                assert rest == 0
+                self.rejected += tried - (len(ours.t) - 1)
             self.statuses.add(ours.status)
             return ours
 
@@ -195,6 +202,19 @@ class TestDop853Driver:
         assert oracle.dense_points > 0
         assert zeros[0] is None and zeros[1] > 2.0 and zeros[4] < 2.0
 
+    @pytest.mark.parametrize("preset", ["ex62", "rmk22"])
+    def test_matched_rung_bit_identical_to_scipy(self, preset, monkeypatch):
+        """The R = 32 rung of the matched ladder integrates (1, 32) in one
+        log(r - R1) segment, on which some steps are rejected and retried."""
+        oracle = _ScipyOracle(monkeypatch)
+        eig = S.find_lambda1(get_preset(preset).problem, ladder=[32.0], check=False,
+                             bc="matched")
+        assert [r for r, _ in eig.diagnostics["ladder"]] == [32.0]
+        assert oracle.kinds == {"log(r - R1)"}
+        assert oracle.statuses == {0, 1}
+        assert oracle.rejected > 0
+        assert oracle.dense_points > 0
+
     def test_oscillator_against_scipy(self):
         def rhs(t, y):
             return (y[1], -y[0])
@@ -221,6 +241,22 @@ class TestDop853Driver:
         with pytest.raises(FloatingPointError):
             S.solve_ivp(lambda t, y: (y[0] * 1e300, 0.0), (0.0, 1.0), (1e10, 0.0), rtol=1e-6,
                         atol=(1e-9, 1e-9), dense_output=False, events=lambda t, y: y[0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("stage", [1, 6, 12])
+    def test_non_finite_stage_of_a_later_step_raises(self, stage, bad):
+        """Evaluations 1 and 2 start the solve, then each step takes 12: the
+        derivative is non-finite only at one stage of the third step tried."""
+        calls = itertools.count(1)
+        target = 2 + 2 * 12 + stage
+
+        def rhs(t, y):
+            return (bad if next(calls) == target else y[1], -y[0])
+
+        with pytest.raises(FloatingPointError):
+            S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), rtol=1e-9, atol=(1e-12, 1e-12),
+                        dense_output=False, events=lambda t, y: 1.0)
+        assert next(calls) == target + 1
 
     def test_tableau_equals_scipy(self):
         """The vendored tableau is scipy's, name for name and bit for bit."""
