@@ -200,6 +200,28 @@ def _search_eps(ps, end):
     return eps_infimum(grow, decay, ps.p - 1.0)
 
 
+def _failed_probes(notes, failed):
+    """``notes``, plus a note naming the ``failed`` numeric witnesses."""
+    if not failed:
+        return notes
+    note = (f"numeric witness {', '.join(failed)} failed; verdict from the "
+            "exponent certificate")
+    return f"{notes}; {note}" if notes else note
+
+
+def _eps_report(cid, witnesses, eps, eps_inf, analytic_ok):
+    if analytic_ok:
+        verdict, notes = HOLDS, ""
+    elif eps_inf is not None:
+        verdict, notes = FAILS, f"ε={eps} below the exponent-test infimum {eps_inf}"
+    else:
+        verdict, notes = FAILS, "probe sup grows without analytic bound"
+    # both integrals of F are finite here (the precondition), so a NaN or
+    # inf sup_F is a quadrature that overflowed or was refused
+    failed = [] if math.isfinite(witnesses["sup_F"]) else ["sup_F"]
+    return ConditionReport(cid, verdict, witnesses, _failed_probes(notes, failed))
+
+
 def search_eps_L(ps: ProblemSpec):
     """Infimum ε making (A_eps_L) hold, from exponents; None if none."""
     return _search_eps(ps, LEFT_R1)
@@ -235,16 +257,7 @@ def check_A_eps_L(ps: ProblemSpec, xi=None, eps=None) -> ConditionReport:
     F = psi_sig(rs) * phi(rs) ** eps
     witnesses["sup_F"] = float(np.max(F))
     witnesses["argmax_r"] = float(rs[int(np.argmax(F))])
-    if analytic_ok:
-        return ConditionReport("A_eps_L", HOLDS, witnesses)
-    if eps_inf is not None:
-        return ConditionReport(
-            "A_eps_L", FAILS, witnesses,
-            f"ε={eps} below the exponent-test infimum {eps_inf}",
-        )
-    return ConditionReport(
-        "A_eps_L", FAILS, witnesses, "probe sup grows without analytic bound"
-    )
+    return _eps_report("A_eps_L", witnesses, eps, eps_inf, analytic_ok)
 
 
 def search_eps_R(ps: ProblemSpec):
@@ -286,16 +299,7 @@ def check_A_eps_R(ps: ProblemSpec, xi=None, eps=None) -> ConditionReport:
     F = phi_sig(rs) * psi(rs) ** eps
     witnesses["sup_F"] = float(np.max(F))
     witnesses["argmax_r"] = float(rs[int(np.argmax(F))])
-    if analytic_ok:
-        return ConditionReport("A_eps_R", HOLDS, witnesses)
-    if eps_inf is not None:
-        return ConditionReport(
-            "A_eps_R", FAILS, witnesses,
-            f"ε={eps} below the exponent-test infimum {eps_inf}",
-        )
-    return ConditionReport(
-        "A_eps_R", FAILS, witnesses, "probe sup grows without analytic bound"
-    )
+    return _eps_report("A_eps_R", witnesses, eps, eps_inf, analytic_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +331,25 @@ def _ok_product_limits(ps, sigma_first):
 
 
 def _ok_probe_values(ps):
-    """Numeric values of both products at deep probe radii near each end."""
+    """Numeric values of both products at deep probe radii near each end,
+    and the names of those that failed: NaN, or inf although neither of
+    their integrals diverges (an overflowed or refused quadrature)."""
     pm1 = ps.p - 1.0
-    phi_s = ps.phi_sigma
-    psi_s = ps.psi_sigma
-    phi_r = ps.phi_rho_conj
-    psi_r = ps.psi_rho_conj
     span = (ps.R2 - ps.R1) if math.isfinite(ps.R2) else max(ps.R1, 1.0)
     r_lo = ps.R1 + span * 2.0**-30
     r_hi = (ps.R2 - span * 2.0**-30) if math.isfinite(ps.R2) \
         else max(ps.R1, 1.0) * 2.0**20
-    out = {}
+    alternatives = (("alt1", ps.phi_sigma, ps.psi_rho_conj),
+                    ("alt2", ps.psi_sigma, ps.phi_rho_conj))
+    out, failed = {}, []
     for tag, r in (("R1", r_lo), ("R2", r_hi)):
-        out[f"alt1_probe_{tag}"] = float(phi_s(r)) * float(psi_r(r)) ** pm1
-        out[f"alt2_probe_{tag}"] = float(psi_s(r)) * float(phi_r(r)) ** pm1
-    return out
+        for alt, sig, rhoc in alternatives:
+            value = float(sig(r)) * float(rhoc(r)) ** pm1
+            out[f"{alt}_probe_{tag}"] = value
+            if math.isnan(value) or (math.isinf(value) and not
+                                     (sig.divergent or rhoc.divergent)):
+                failed.append(f"{alt}_probe_{tag}")
+    return out, failed
 
 
 def check_OK(ps: ProblemSpec) -> ConditionReport:
@@ -356,15 +364,17 @@ def check_OK(ps: ProblemSpec) -> ConditionReport:
         "alt2_limit_R1": alt2[0],
         "alt2_limit_R2": alt2[1],
     }
-    witnesses.update(_ok_probe_values(ps))
+    probes, failed = _ok_probe_values(ps)
+    witnesses.update(probes)
     ok1 = alt1 == (ZERO, ZERO)
     ok2 = alt2 == (ZERO, ZERO)
     if ok1 or ok2:
-        which = "first" if ok1 else "second"
-        return ConditionReport("OK", HOLDS, witnesses, f"{which} alternative passes")
-    return ConditionReport(
-        "OK", FAILS, witnesses, "neither product alternative tends to 0 at both ends"
-    )
+        verdict = HOLDS
+        notes = f"{'first' if ok1 else 'second'} alternative passes"
+    else:
+        verdict = FAILS
+        notes = "neither product alternative tends to 0 at both ends"
+    return ConditionReport("OK", verdict, witnesses, _failed_probes(notes, failed))
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,8 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS):
 
 @dataclass
 class IvpResult:
-    """The fields of scipy's ``solve_ivp`` result that :func:`solve_ivp` fills."""
+    """The fields of scipy's ``solve_ivp`` result that :func:`solve_ivp` fills,
+    with ``dense`` in place of scipy's ``sol``."""
 
     t: np.ndarray
     y: np.ndarray
@@ -123,39 +124,54 @@ class IvpResult:
     message: str
     t_events: list
     y_events: list
-    sol: DenseSolution | None
+    dense: DenseNodes | None
 
     @property
     def success(self):
         return self.status >= 0
 
 
-class DenseSolution:
-    """DOP853's dense output over the accepted steps ``ts``, evaluated exactly
-    as scipy's ``OdeSolution`` of ``Dop853DenseOutput`` pieces."""
+def _interpolate(x, t_old, h, y_old, F):
+    """DOP853's dense output at the points ``x``, each with its step's
+    ``t_old``, ``h``, ``y_old`` and ``F`` (one row per point), evaluated as
+    scipy's ``Dop853DenseOutput``; shape (2, len(x))."""
+    s = ((x - t_old) / h)[:, None]
+    y = np.zeros((len(x), 2))
+    for i in range(F.shape[1]):
+        y += F[:, -1 - i]
+        y *= s if i % 2 == 0 else 1 - s
+    y += y_old
+    return y.T
 
-    def __init__(self, ts, pieces):
-        self.ts = np.asarray(ts)
-        t_old, h, y_old, F = zip(*pieces)
-        self.t_old = np.array(t_old)
-        self.h = np.array(h)
-        self.y_old = np.array(y_old)
-        self.F = np.array(F)
 
-    def __call__(self, x):
-        """State at the points ``x``, shape (2, len(x))."""
-        x = np.asarray(x, dtype=float)
-        # a point on a step boundary takes the earlier step, as in scipy
-        seg = np.searchsorted(self.ts, x, side="left") - 1
-        seg = np.clip(seg, 0, len(self.h) - 1)
-        s = ((x - self.t_old[seg]) / self.h[seg])[:, None]
-        F = self.F[seg]
-        y = np.zeros((len(x), 2))
-        for i in range(F.shape[1]):
-            y += F[:, -1 - i]
-            y *= s if i % 2 == 0 else 1 - s
-        y += self.y_old[seg]
-        return y.T
+class DenseNodes:
+    """DOP853's dense output at the nodes ``x``, from what :func:`solve_ivp`
+    kept of the accepted steps that hold them: ``(t_old, h, y_old, y, k)``
+    per step, ``k`` the bytes of the step's first 13 stages, and the number
+    of nodes the step holds.  A node on a step boundary belongs to the
+    earlier step, as in scipy's ``OdeSolution``."""
+
+    def __init__(self, fun, x, steps):
+        self.fun = fun
+        self.x = np.array(x)
+        self.steps = steps
+
+    def __call__(self):
+        """State at the nodes, shape (2, len(x)).  Builds each holding step's
+        interpolant, with its three extra stages: three evaluations of
+        ``fun`` a step, outside the solve's ``nfev``."""
+        if not self.steps:
+            return np.empty((2, 0))
+        t_old, h, y_old, y, k, counts = zip(*self.steps)
+        stages = np.frombuffer(b"".join(k)).reshape(len(k), _NS + 1, 2)
+        K = np.empty((_dop.N_STAGES_EXTENDED, 2))
+        F = np.empty((len(k), _dop.INTERPOLATOR_POWER, 2))
+        for i, (t0, hh, y0, y1, ks) in enumerate(zip(t_old, h, y_old, y, stages)):
+            K[:_NS + 1] = ks
+            F[i] = _dense_piece(self.fun, K, t0, hh, y0, y1, ks[_NS].tolist())
+        seg = np.repeat(np.arange(len(k)), counts)
+        return _interpolate(self.x, np.array(t_old)[seg], np.array(h)[seg],
+                            np.array(y_old)[seg], F[seg])
 
 
 def _finite(f):
@@ -188,7 +204,8 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
 
 
 def _dense_piece(fun, K, t_old, h, y_old, y, f):
-    """The DOP853 interpolant of the step just taken (three more stages)."""
+    """The ``F`` of the DOP853 interpolant of the step from ``t_old`` whose
+    first 13 stages are in ``K`` (three more stages go into ``K[13:]``)."""
     yu, yg = y_old
     for s, a, c in _A_EXTRA:
         du, dg = K[:s].T.dot(a).tolist()
@@ -200,10 +217,10 @@ def _dense_piece(fun, K, t_old, h, y_old, y, f):
     F[1] = h * fu_old - du, h * fg_old - dg
     F[2] = 2 * du - h * (fu + fu_old), 2 * dg - h * (fg + fg_old)
     F[3:] = h * np.dot(_dop.D, K)
-    return (t_old, h, y_old, F)
+    return F
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, dense_output, events) -> IvpResult:
+def solve_ivp(fun, t_span, y0, rtol, atol, events, nodes=None) -> IvpResult:
     """Integrate the two-state system ``y' = fun(t, y)`` forward with DOP853
     until ``t_span[1]`` or the first downward zero crossing of ``events``.
 
@@ -214,13 +231,20 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output, events) -> IvpResult:
     dense output are bit-identical to scipy's.  It drops scipy's wrapping:
     ``fun`` takes the state as a pair of floats and returns a pair, the
     event is one sign test per step, and the interpolant is built only on
-    the event step unless ``dense_output`` asks for it on every step.
-    ``atol`` is a pair.  A non-finite derivative raises FloatingPointError.
+    the event step.  ``atol`` is a pair.  A non-finite derivative raises
+    FloatingPointError.
 
-    Each stage takes its sum from BLAS (see the module notes) and does the
-    rest on Python floats: ``dot(row).tolist()`` times ``h`` is the IEEE
-    product numpy's ``* h`` forms, and the stages' bound ``dot``, rows and
-    nodes, like the error-norm ``scale`` buffer, are built once per call.
+    ``nodes``, increasing points of ``t_span``, asks for the dense output
+    there: each accepted step that holds a node up to the end (or the event
+    root) keeps a copy of its first 13 stages, and ``dense`` builds those
+    steps' interpolants only when called, so a solve whose dense output
+    goes unused pays no RHS evaluation for it.
+
+    Each stage takes its sum from BLAS (see the module notes) into one
+    preallocated pair, read on Python floats through a memoryview, and
+    writes its derivative through a flat memoryview of ``K``; the stages'
+    bound ``dot``, rows and nodes, like the error-norm ``scale`` buffer, are
+    built once per call.
     """
     t, t_end = map(float, t_span)
     if not t_end > t:
@@ -236,13 +260,20 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output, events) -> IvpResult:
                           rtol, atol)
     nfev = 2
     K = np.empty((_dop.N_STAGES_EXTENDED, 2))
-    # per stage: its row of K, the bound dot of the stages before it, its
-    # tableau row and its node; the last is the new state, with weights B
-    stages = [(K[s], K[:s].T.dot, _A_ROWS[s], _C[s]) for s in range(1, _NS)]
-    stages.append((K[_NS], K[:_NS].T.dot, _dop.B, 1.0))
-    k_first, dot_err = K[0], K[:_NS + 1].T.dot
+    kv = memoryview(K.reshape(-1))
+    sums = np.empty(2)
+    sv = memoryview(sums)
+    # per stage: its offset in kv, the bound dot of the stages before it,
+    # its tableau row and its node; the last is the new state, with weights B
+    stages = [(2 * s, K[:s].T.dot, _A_ROWS[s], _C[s]) for s in range(1, _NS)]
+    stages.append((2 * _NS, K[:_NS].T.dot, _dop.B, 1.0))
+    dot_err = K[:_NS + 1].T.dot
+    k_kept = kv[:2 * (_NS + 1)]
     scale = np.empty(2)
-    ts, us, gs, pieces = [t], [yu], [yg], []
+    ts, us, gs = [t], [yu], [yg]
+    nodes = None if nodes is None else [float(x) for x in nodes]
+    n_nodes = 0 if nodes is None else len(nodes)
+    j, kept = 0, []
     ev_old = events(t, (yu, yg))
     t_events, y_events = [np.array([])], [np.array([])]
     status = None
@@ -258,16 +289,16 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output, events) -> IvpResult:
                 break
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            k_first[0] = fu
-            k_first[1] = fg
-            for k, dot, row, c in stages:
-                du, dg = dot(row).tolist()
-                nu, ng = yu + du * h, yg + dg * h
+            kv[0] = fu
+            kv[1] = fg
+            for i, dot, row, c in stages:
+                dot(row, sums)
+                nu, ng = yu + sv[0] * h, yg + sv[1] * h
                 fnu, fng = fun(t + c * h, (nu, ng))
                 if not (isfinite(fnu) and isfinite(fng)):
                     _finite((fnu, fng))
-                k[0] = fnu
-                k[1] = fng
+                kv[i] = fnu
+                kv[i + 1] = fng
             nfev += _NS
             scale[0] = atol_u + max(abs(yu), abs(nu)) * rtol
             scale[1] = atol_g + max(abs(yg), abs(ng)) * rtol
@@ -297,31 +328,30 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output, events) -> IvpResult:
         t, yu, yg, fu, fg = t_new, nu, ng, fnu, fng
         if t == t_end:
             status = 0
-        piece = None
-        if dense_output:
-            piece = _dense_piece(fun, K, t_old, h, y_old, (yu, yg), (fu, fg))
-            nfev += 3
-            pieces.append(piece)
         ev_new = events(t, (yu, yg))
         if ev_old >= 0 and ev_new <= 0:
-            if piece is None:
-                piece = _dense_piece(fun, K, t_old, h, y_old, (yu, yg), (fu, fg))
-                nfev += 3
-            step = DenseSolution((t_old, t), [piece])
+            F = _dense_piece(fun, K, t_old, h, y_old, (yu, yg), (fu, fg))[None]
+            nfev += 3
+
+            def at(x):
+                return _interpolate(np.array([x]), t_old, h, y_old, F)[:, 0]
+
             # scipy's event root: brentq on the step's interpolant
-            root = brentq(lambda x: events(x, step([x])[:, 0]), t_old, t,
+            root = brentq(lambda x: events(x, at(x)), t_old, t,
                           xtol=4 * _EPS, rtol=4 * _EPS)
-            y_root = step([root])[:, 0]
+            y_root = at(root)
             t_events, y_events = [np.array([root])], [y_root[None, :]]
             status, message = 1, "A termination event occurred."
             t, (yu, yg) = root, y_root.tolist()
         ev_old = ev_new
-        if dense_output and len(ts) > 1 and ts[-1] == t:
-            pieces.pop()  # scipy drops an event step that ends on the last node
-        else:
-            ts.append(t)
-            us.append(yu)
-            gs.append(yg)
-    sol = DenseSolution(ts, pieces) if dense_output else None
+        if j < n_nodes and nodes[j] <= t:
+            j0 = j
+            while j < n_nodes and nodes[j] <= t:
+                j += 1
+            kept.append((t_old, h, y_old, (nu, ng), bytes(k_kept), j - j0))
+        ts.append(t)
+        us.append(yu)
+        gs.append(yg)
+    dense = None if nodes is None else DenseNodes(fun, nodes[:j], kept)
     return IvpResult(np.array(ts), np.array([us, gs]), nfev, status, message,
-                     t_events, y_events, sol)
+                     t_events, y_events, dense)

@@ -411,19 +411,25 @@ def _power_int(base, gap, e):
 
     ``gap`` may be inf (needs e < -1).  The difference of powers is formed
     as base^(e+1) expm1((e+1) log1p(gap/base)), so narrow spans keep their
-    digits.  Returns None where the integral is not finite.
+    digits.  Returns None where the integral is not finite, and inf where
+    it is finite but past the largest float (a steep power next to 0, say).
     """
     k = e + 1.0
-    if not math.isfinite(gap):
-        return -(base**k) / k if k < 0.0 else None
-    if base == 0.0:
-        return gap**k / k if k > 0.0 else None
-    rel = math.log1p(gap / base)
-    if k == 0.0:
-        return rel
-    if k * rel > 700.0:
-        return ((base + gap) ** k - base**k) / k
-    return base**k * math.expm1(k * rel) / k
+    try:
+        if not math.isfinite(gap):
+            return -(base**k) / k if k < 0.0 else None
+        if base == 0.0:
+            return gap**k / k if k > 0.0 else None
+        rel = math.log1p(gap / base)
+        if k == 0.0:
+            return rel
+        if k * rel > 700.0:
+            return ((base + gap) ** k - base**k) / k
+        return base**k * math.expm1(k * rel) / k
+    except OverflowError:
+        # every branch above is positive: a float power that overflows is
+        # a value above the float range
+        return math.inf
 
 
 def _closed_form(c, A, B, L, r1, x0, x1):

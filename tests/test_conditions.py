@@ -295,6 +295,67 @@ class TestCheckOK:
         assert rep.witnesses["alt1_limit_R2"] == "zero"
 
 
+class TestFailedWitnessProbes:
+    """A numeric witness that overflows or comes out NaN says so in the
+    notes; the verdict, from the exponent algebra, does not change."""
+
+    FAILED = "failed; verdict from the exponent certificate"
+
+    @staticmethod
+    def _steep_ball():
+        # rho^{1-p'} ~ r^-65.2 near R1 = 0: its integral from r = 2.3e-9 is
+        # finite but past the float range
+        v = WeightModel((PowerLogPiece(0.0, 2.5, 0.686, -0.5, 4.082486770064989),), 0.0)
+        return ProblemSpec(N=4, p=1.1009235320031816, R1=0.0, R2=2.5, v=v,
+                           w=WeightModel.constant(1.0, 0.0, 2.5))
+
+    @staticmethod
+    def _tail_one_rounding_from_critical():
+        # the rho^{1-p'} tail r^-(1 + 2^-52) is refused by the tail quadrature
+        v = WeightModel((PowerLogPiece(1.0, INF, 1.0, 0.25, 0.75 + 2.0**-52),), 1.0)
+        w = WeightModel((PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0),), 1.0)
+        return ProblemSpec(N=1, p=2.0, R1=1.0, R2=INF, v=v, w=w)
+
+    def test_power_int_overflow_is_inf(self):
+        assert quad._power_int(2.3e-9, 2.5, -65.2) == INF
+        assert quad._power_int(2.3e-9, INF, -65.2) == INF
+        assert quad._power_int(0.0, 1e200, 2.0) == INF
+
+    def test_overflowed_ok_probe_is_noted(self):
+        rep = C.check_OK(self._steep_ball())
+        assert rep.verdict == C.FAILS
+        assert (rep.witnesses["alt1_limit_R1"], rep.witnesses["alt1_limit_R2"]) == (
+            "infinite", "zero")
+        assert rep.witnesses["alt1_probe_R1"] == INF
+        # alt2's probes are inf because phi of rho^{1-p'} diverges at R1:
+        # an honest value, not a failed probe
+        assert rep.witnesses["alt2_probe_R1"] == INF
+        assert rep.notes == ("neither product alternative tends to 0 at both ends; "
+                             f"numeric witness alt1_probe_R1 {self.FAILED}")
+
+    def test_nan_eps_right_probe_is_noted(self):
+        rep = C.check_A_eps_R(self._tail_one_rounding_from_critical())
+        assert rep.verdict == C.HOLDS
+        assert math.isnan(rep.witnesses["sup_F"])
+        assert rep.notes == f"numeric witness sup_F {self.FAILED}"
+
+    def test_nan_ok_probes_are_noted(self):
+        rep = C.check_OK(self._tail_one_rounding_from_critical())
+        assert rep.verdict == C.HOLDS
+        assert math.isnan(rep.witnesses["alt1_probe_R1"])
+        assert math.isnan(rep.witnesses["alt1_probe_R2"])
+        assert rep.notes == ("first alternative passes; numeric witness "
+                             f"alt1_probe_R1, alt1_probe_R2 {self.FAILED}")
+
+    @pytest.mark.parametrize("name", ["rmk22", "rmk23"])
+    def test_divergent_factor_is_not_a_failed_probe(self, name):
+        # phi of sigma diverges at R1 on both presets, so their inf probes
+        # are the true values
+        rep = C.check_OK(get_preset(name).problem)
+        assert INF in rep.witnesses.values()
+        assert "numeric witness" not in rep.notes
+
+
 def _logcritical_tails(v_tail, w_tail, N=3, p=2.0):
     """v = w = 1 on (1, 2) and the given (b, l) tails r^b (log r)^l beyond."""
     return exterior(

@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.optimize
 from scipy.integrate._ivp import dop853_coefficients
 
-from radial_plap import _dop853_tableau
+from radial_plap import _dop853_tableau, cli
 from radial_plap import solver as S
 from radial_plap.dop853 import brentq
 from radial_plap.presets import get_preset, make_annulus, make_ex61
@@ -23,6 +23,14 @@ CRITERION3 = {
     1.5: (1.5, 3, 0.25, -0.2, -4.0),
     2.0: (2.0, 3, 0.5, -0.25, -4.0),
     3.0: (3.0, 3, 1.0, -0.5, -5.0),
+}
+# all five instances of acceptance criterion 3
+DUAL = {
+    "p=1.5 degenerate": CRITERION3[1.5],
+    "p=2 degenerate": CRITERION3[2.0],
+    "p=3 degenerate": CRITERION3[3.0],
+    "p=2 singular": (2.0, 3, -0.5, -0.25, -4.0),
+    "p=3 singular": (3.0, 4, -0.5, -0.25, -5.0),
 }
 
 
@@ -123,16 +131,103 @@ class TestFindLambda1:
         assert abs(lam_d - eig_r.lam) / lam_d < 1e-3
 
 
+class TestOneIntegrationPerLambda:
+    """find_lambda1 takes the eigenfunction from the root's own margin shoot
+    at the lam brentq returns: each lam is integrated once, and the trace
+    is, bit for bit, the one a fresh shoot at that lam gives."""
+
+    @staticmethod
+    def _problem(name, dual_instance):
+        if name in DUAL:
+            return dual_instance(*DUAL[name]), {}
+        # what `radial-plap example ex62` solves: the truncation at _auto_rmax
+        ps = get_preset(name).problem
+        return ps.truncated(cli._auto_rmax(ps)), dict(n_core=3000, per_decade=16)
+
+    @pytest.mark.parametrize("name", [*DUAL, "ex62"])
+    def test_trace_equals_a_fresh_shoot(self, name, dual_instance):
+        ps, kwargs = self._problem(name, dual_instance)
+        eig = S.find_lambda1(ps, check=False, **kwargs)
+        # eig.lam is the root, or the nudged lam whose trace is positive
+        res = S.shoot(ps, eig.lam, mesh=eig.mesh, want_trace=True)
+        r, u, g = res.trace
+        scale = float(np.max(u))
+        assert np.array_equal(r, eig.mesh.nodes)
+        assert np.array_equal(u / scale, eig.u)
+        assert np.array_equal(g / scale ** (ps.p - 1.0), eig.flux)
+
+    @pytest.mark.parametrize("delta_left,fresh", [
+        (None, 0),  # the root's own offset and end: its shoots keep the nodes
+        (1e-7, 1),  # another offset: the eigenfunction needs its own shoot
+    ])
+    def test_callers_mesh(self, delta_left, fresh, trivial_annulus, monkeypatch):
+        ps = trivial_annulus
+        mesh = S.make_mesh(ps, n_core=300, delta_left=delta_left)
+        traced = []
+        shoot = S.shoot
+
+        def logged_shoot(ps, lam, *args, **kwargs):
+            traced.append(kwargs.get("want_trace", False))
+            return shoot(ps, lam, *args, **kwargs)
+
+        monkeypatch.setattr(S, "shoot", logged_shoot)
+        eig = S.find_lambda1(ps, check=False, mesh=mesh)
+        monkeypatch.undo()
+        assert sum(traced) == fresh + eig.diagnostics["lambda_nudges"]
+        assert eig.mesh is mesh
+        r, u, g = S.shoot(ps, eig.lam, mesh=mesh, want_trace=True).trace
+        assert np.array_equal(r, mesh.nodes)
+        assert np.array_equal(u / np.max(u), eig.u)
+
+    @pytest.mark.parametrize("p,nudges", [(2.0, 0), (3.0, 1)])
+    def test_each_lambda_integrated_once(self, p, nudges, dual_instance, monkeypatch):
+        shoots, solves = [], []
+        shoot, solve = S.shoot, S.solve_ivp
+
+        def logged_shoot(ps, lam, *args, **kwargs):
+            shoots.append((lam, kwargs.get("want_trace", False)))
+            return shoot(ps, lam, *args, **kwargs)
+
+        def logged_solve(*args, **kwargs):
+            solves.append(shoots[-1][0] if shoots else None)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(S, "shoot", logged_shoot)
+        monkeypatch.setattr(S, "solve_ivp", logged_solve)
+        eig = S.find_lambda1(dual_instance(*CRITERION3[p]), check=False)
+        lams = [lam for lam, _ in shoots]
+        # every integration is a shoot's, and no lam is shot twice
+        assert solves and None not in solves
+        assert len(set(lams)) == len(lams)
+        runs = [lam for i, lam in enumerate(solves) if i == 0 or solves[i - 1] != lam]
+        assert runs == lams
+        d = eig.diagnostics
+        assert d["lambda_nudges"] == nudges
+        assert d["lambda_root"] in lams
+        traced = [lam for lam, want_trace in shoots if want_trace]
+        if nudges:
+            # the root's shoot shows the trace is not positive; the nudge
+            # is the one shoot the eigenfunction adds
+            assert traced == [lams[-1]] == [eig.lam]
+            assert eig.lam not in lams[:-1]
+        else:
+            assert traced == []
+            assert eig.lam == d["lambda_root"]
+
+
 class _ScipyOracle:
     """Runs scipy's ``solve_ivp`` beside the package's DOP853 driver on every
-    segment a shoot integrates, and requires bit-identical results."""
+    segment a shoot integrates, and requires bit-identical results: ``t``,
+    ``y``, ``nfev``, the status and the event against scipy's solve without
+    dense output, and the dense output at every kept node against scipy's
+    solve with it."""
 
     def __init__(self, monkeypatch):
         self.kinds, self.statuses, self.dense_points, self.rejected = set(), set(), 0, 0
         driver, integrate = S.solve_ivp, S._integrate_segment
 
-        def both(fun, t_span, y0, **kw):
-            ours = driver(fun, t_span, y0, **kw)
+        def both(fun, t_span, y0, nodes=None, **kw):
+            ours = driver(fun, t_span, y0, nodes=nodes, **kw)
             event = kw["events"]
 
             def scipy_event(t, y):
@@ -140,8 +235,8 @@ class _ScipyOracle:
 
             scipy_event.terminal = True
             scipy_event.direction = -1
-            ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853",
-                                            **{**kw, "events": scipy_event})
+            kw = {**kw, "events": scipy_event}
+            ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", **kw)
             assert np.array_equal(ours.t, ref.t)
             assert np.array_equal(ours.y, ref.y)
             assert ours.nfev == ref.nfev
@@ -149,35 +244,58 @@ class _ScipyOracle:
             for mine, theirs in [(ours.t_events, ref.t_events), (ours.y_events, ref.y_events)]:
                 assert len(mine) == len(theirs) == 1
                 assert np.array_equal(mine[0], theirs[0])
-            assert (ours.sol is None) == (ref.sol is None)
-            if ours.sol is not None:
-                ours.sol = self._compared(ours.sol, ref.sol)
-            else:
-                # 2 evaluations to start, 12 per step tried, 3 for an event's
-                # interpolant: the steps tried beyond those taken were rejected
-                tried, rest = divmod(ours.nfev - 2 - 3 * (ours.status == 1), 12)
-                assert rest == 0
-                self.rejected += tried - (len(ours.t) - 1)
+            # 2 evaluations to start, 12 per step tried, 3 for an event's
+            # interpolant: the steps tried beyond those taken were rejected
+            tried, rest = divmod(ours.nfev - 2 - 3 * (ours.status == 1), 12)
+            assert rest == 0
+            self.rejected += tried - (len(ours.t) - 1)
+            assert (ours.dense is None) == (nodes is None)
+            if nodes is not None:
+                # every node up to the end, or the event root, is kept
+                assert list(ours.dense.x) == [x for x in nodes if x <= ours.t[-1]]
+                ours.dense = _CheckedDense(self, ours, lambda: scipy.integrate.solve_ivp(
+                    fun, t_span, y0, method="DOP853", dense_output=True, **kw))
             self.statuses.add(ours.status)
             return ours
 
-        def integrate_segment(ps, lam, s0, s1, *args):
-            sol, fwd, inv = integrate(ps, lam, s0, s1, *args)
-            self.kinds.add("r" if fwd(s0) == s0 else "log r" if fwd is math.log
-                           else "log(r - R1)")
-            return sol, fwd, inv
+        def integrate_segment(ps, lam, seg, *args):
+            self.kinds.add("r" if seg.fwd(seg.s0) == seg.s0 else "log r"
+                           if seg.fwd is math.log else "log(r - R1)")
+            return integrate(ps, lam, seg, *args)
 
         monkeypatch.setattr(S, "solve_ivp", both)
         monkeypatch.setattr(S, "_integrate_segment", integrate_segment)
 
-    def _compared(self, mine, theirs):
-        def sol(xs):
-            out = mine(xs)
-            assert np.array_equal(out, theirs(xs))
-            self.dense_points += len(xs)
-            return out
 
-        return sol
+class _CheckedDense:
+    """A solve's ``dense``, compared with scipy's dense output when it is
+    evaluated.  Evaluating it builds the interpolant of each step that holds
+    a node: three RHS evaluations a step, outside ``nfev``, so scipy's dense
+    solve counts ``nfev`` plus 3 for every step taken but the event step,
+    whose interpolant both build while stepping."""
+
+    def __init__(self, oracle, ours, scipy_dense):
+        self.oracle, self.ours, self.scipy_dense = oracle, ours, scipy_dense
+        self.dense = ours.dense
+        self.x = self.dense.x
+
+    def __call__(self):
+        calls = itertools.count()
+        fun = self.dense.fun
+
+        def counted(t, y):
+            next(calls)
+            return fun(t, y)
+
+        self.dense.fun = counted
+        out = self.dense()
+        ours, ref = self.ours, self.scipy_dense()
+        holding = np.unique(np.clip(np.searchsorted(ours.t, self.x, side="left") - 1, 0, None))
+        assert next(calls) == 3 * len(holding) == 3 * len(self.dense.steps)
+        assert ref.nfev == ours.nfev + 3 * (len(ours.t) - 1 - (ours.status == 1))
+        assert np.array_equal(out, ref.sol(self.x))
+        self.oracle.dense_points += len(self.x)
+        return out
 
 
 class TestDop853Driver:
@@ -222,25 +340,55 @@ class TestDop853Driver:
         def event(t, y):
             return y[0]
 
-        for dense in (False, True):
+        xs = np.linspace(0.0, 2.0, 50)
+        for nodes in (None, xs):
             ours = S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), rtol=1e-9, atol=(1e-12, 1e-12),
-                               dense_output=dense, events=event)
+                               events=event, nodes=nodes)
             event.terminal, event.direction = True, -1
-            ref = scipy.integrate.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), method="DOP853",
-                                            rtol=1e-9, atol=1e-12, dense_output=dense,
-                                            events=event)
-            assert ours.t_events[0][0] == ref.t_events[0][0]
+            for dense in (False, True):
+                ref = scipy.integrate.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0),
+                                                method="DOP853", rtol=1e-9, atol=1e-12,
+                                                dense_output=dense, events=event)
+                assert ours.t_events[0][0] == ref.t_events[0][0]
+                assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
             assert ours.t_events[0][0] == pytest.approx(math.pi / 2, rel=1e-9)
-            assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
-            assert ours.nfev == ref.nfev
-            if dense:
-                xs = np.linspace(0.0, ours.t[-1], 50)
-                assert np.array_equal(ours.sol(xs), ref.sol(xs))
+            # scipy's dense solve builds an interpolant on every step taken;
+            # ours only on the event step
+            assert ours.nfev == ref.nfev - 3 * (len(ours.t) - 2)
+            if nodes is not None:
+                kept = xs[xs <= ours.t_events[0][0]]
+                assert 0 < len(kept) < len(xs)
+                assert np.array_equal(ours.dense.x, kept)
+                assert np.array_equal(ours.dense(), ref.sol(kept))
+            else:
+                assert ours.dense is None
+
+    def test_node_on_a_step_boundary_takes_the_earlier_step(self):
+        """Nodes placed on the step boundaries themselves: each is evaluated
+        on the step that ends there (the first on the first step), as
+        scipy's ``OdeSolution`` does."""
+
+        def rhs(t, y):
+            return (y[1], -y[0])
+
+        def event(t, y):
+            return 1.0
+
+        kw = dict(rtol=1e-9, atol=(1e-12, 1e-12), events=event)
+        steps = S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), **kw).t
+        ours = S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), nodes=steps, **kw)
+        event.terminal, event.direction = True, -1
+        ref = scipy.integrate.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), method="DOP853",
+                                        rtol=1e-9, atol=1e-12, dense_output=True,
+                                        events=event)
+        assert len(ours.dense.steps) == len(steps) - 1
+        assert np.array_equal(ours.dense.x, steps)
+        assert np.array_equal(ours.dense(), ref.sol(steps))
 
     def test_non_finite_derivative_raises(self):
         with pytest.raises(FloatingPointError):
             S.solve_ivp(lambda t, y: (y[0] * 1e300, 0.0), (0.0, 1.0), (1e10, 0.0), rtol=1e-6,
-                        atol=(1e-9, 1e-9), dense_output=False, events=lambda t, y: y[0])
+                        atol=(1e-9, 1e-9), events=lambda t, y: y[0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("stage", [1, 6, 12])
@@ -255,7 +403,7 @@ class TestDop853Driver:
 
         with pytest.raises(FloatingPointError):
             S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), rtol=1e-9, atol=(1e-12, 1e-12),
-                        dense_output=False, events=lambda t, y: 1.0)
+                        events=lambda t, y: 1.0)
         assert next(calls) == target + 1
 
     def test_tableau_equals_scipy(self):
@@ -464,6 +612,48 @@ def _p2_count_below(kappa, dmass, x):
             neg += a < 0
             piv = a
         return neg
+
+
+def _inverse_step_by_bisection(p, kappa, dmass, u):
+    """The discrete inverse step with its flux constant bisected over
+    [0, s[-1]] down to adjacent floats."""
+    s = np.concatenate([[0.0], np.cumsum(dmass * u ** (p - 1.0))])
+
+    def dv(c):
+        f = (c - s) / kappa
+        return np.sign(f) * np.abs(f) ** (1.0 / (p - 1.0))
+
+    lo, hi = 0.0, float(s[-1])
+    while True:
+        c = 0.5 * (lo + hi)
+        if c in (lo, hi):
+            break
+        if np.sum(dv(c)) < 0.0:
+            lo = c
+        else:
+            hi = c
+    d = dv(c)
+    k = int(np.searchsorted(s, c))
+    return np.concatenate([np.cumsum(d[:k]), -np.cumsum(d[:k:-1])[::-1]])
+
+
+class TestInverseStep:
+    @pytest.mark.parametrize("name", sorted(DUAL))
+    def test_newton_lands_on_the_bisection_constant(self, name, dual_instance):
+        """Newton inside the bracket ends on the same adjacent floats as
+        bisection, so the step is bit-identical: from the envelope start,
+        along the iteration, and from random positive vectors."""
+        ps = dual_instance(*DUAL[name])
+        mesh = S.make_mesh(ps, n_core=600)
+        kappa, dmass = S._assemble(ps, mesh)
+        rng = np.random.default_rng(3)
+        u = S.envelope_hat(ps, mesh)
+        starts = [u] + [rng.uniform(0.01, 1.0, mesh.n) for _ in range(3)]
+        for u in starts:
+            for _ in range(4):
+                v = S._inverse_step(ps.p, kappa, dmass, u)
+                assert np.array_equal(v, _inverse_step_by_bisection(ps.p, kappa, dmass, u))
+                u = v / np.max(v)
 
 
 class TestRayleighEnclosure:
