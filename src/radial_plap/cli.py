@@ -221,6 +221,12 @@ def cmd_solve(args) -> int:
                          "minimizer solves the Dirichlet problem only")
     if args.ladder is not None and args.ladder < 1:
         raise UsageError("--ladder needs at least one rung")
+    if args.ladder is not None and args.rmax is not None:
+        raise UsageError("--ladder and --rmax both set the truncation; pass one")
+    if math.isfinite(ps.R2) and (args.ladder is not None or args.rmax is not None
+                                 or args.bc == "matched"):
+        raise UsageError("--ladder, --rmax and --bc matched are for exterior "
+                         f"domains; this one ends at R2 = {ps.R2}")
     if not args.no_check:
         _gate([conditions.check_A(ps, tol=args.tol)])
     out = _out_dir(args)

@@ -220,19 +220,19 @@ def _dense_piece(fun, K, t_old, h, y_old, y, f):
     return F
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, events, nodes=None) -> IvpResult:
+def solve_ivp(fun, t_span, y0, rtol, atol, nodes=None) -> IvpResult:
     """Integrate the two-state system ``y' = fun(t, y)`` forward with DOP853
-    until ``t_span[1]`` or the first downward zero crossing of ``events``.
+    until ``t_span[1]`` or the first downward zero crossing of ``y[0]``.
 
-    A lean driver for scipy's ``solve_ivp(method="DOP853")`` with a terminal,
-    direction -1 event: it evaluates scipy's expressions in scipy's order
-    (tableau, stage sums, initial step, error norm, step-size rule, event
-    root and dense interpolant), so ``t``, ``y``, ``nfev``, the event and the
-    dense output are bit-identical to scipy's.  It drops scipy's wrapping:
-    ``fun`` takes the state as a pair of floats and returns a pair, the
-    event is one sign test per step, and the interpolant is built only on
-    the event step.  ``atol`` is a pair.  A non-finite derivative raises
-    FloatingPointError.
+    A lean driver for scipy's ``solve_ivp(method="DOP853")`` with the
+    terminal, direction -1 event ``y[0]``, the one shooting needs: it
+    evaluates scipy's expressions in scipy's order (tableau, stage sums,
+    initial step, error norm, step-size rule, event root and dense
+    interpolant), so ``t``, ``y``, ``nfev``, the event and the dense output
+    are bit-identical to scipy's.  It drops scipy's wrapping: ``fun`` takes
+    the state as a pair of floats and returns a pair, the event is one sign
+    test per step, and the interpolant is built only on the event step.
+    ``atol`` is a pair.  A non-finite derivative raises FloatingPointError.
 
     ``nodes``, increasing points of ``t_span``, asks for the dense output
     there: each accepted step that holds a node up to the end (or the event
@@ -274,7 +274,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events, nodes=None) -> IvpResult:
     nodes = None if nodes is None else [float(x) for x in nodes]
     n_nodes = 0 if nodes is None else len(nodes)
     j, kept = 0, []
-    ev_old = events(t, (yu, yg))
     t_events, y_events = [np.array([])], [np.array([])]
     status = None
     message = "The solver successfully reached the end of the integration interval."
@@ -328,8 +327,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events, nodes=None) -> IvpResult:
         t, yu, yg, fu, fg = t_new, nu, ng, fnu, fng
         if t == t_end:
             status = 0
-        ev_new = events(t, (yu, yg))
-        if ev_old >= 0 and ev_new <= 0:
+        if y_old[0] >= 0 and yu <= 0:
             F = _dense_piece(fun, K, t_old, h, y_old, (yu, yg), (fu, fg))[None]
             nfev += 3
 
@@ -337,13 +335,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events, nodes=None) -> IvpResult:
                 return _interpolate(np.array([x]), t_old, h, y_old, F)[:, 0]
 
             # scipy's event root: brentq on the step's interpolant
-            root = brentq(lambda x: events(x, at(x)), t_old, t,
+            root = brentq(lambda x: at(x)[0], t_old, t,
                           xtol=4 * _EPS, rtol=4 * _EPS)
             y_root = at(root)
             t_events, y_events = [np.array([root])], [y_root[None, :]]
             status, message = 1, "A termination event occurred."
             t, (yu, yg) = root, y_root.tolist()
-        ev_old = ev_new
         if j < n_nodes and nodes[j] <= t:
             j0 = j
             while j < n_nodes and nodes[j] <= t:

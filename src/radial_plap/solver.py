@@ -28,14 +28,15 @@ whose values decrease monotonically to lam_1 by domain inclusion.
 
 Each lam is integrated once.  The shoots of one root share a set-up
 (:class:`_Shooting`: the start, the tolerances, the segments and their
-weight pieces).  For a finite annulus the mesh is built before the root, so
-each margin shoot keeps what the dense output at the mesh nodes needs (the
-stages of every step that holds a node), and the root holds the latest such
-shoot on each side of lam_1.  The eigenfunction comes from the one at
-brentq's lam, whose interpolants are built only then.  A fresh shoot is
-taken for a nudge (the trace at brentq's lam is not positive, so lam steps
-down by 8 tol, see :func:`_eigenpair_from_shoot`), for a ladder's last rung,
-and for a caller's mesh whose offset or end differ from the root's.
+weight pieces).  Every root, a finite annulus or a ladder rung, builds its
+mesh first, so each margin shoot keeps what the dense output at the mesh
+nodes needs (the stages of every step that holds a node), and the root
+holds the latest such shoot on each side of lam_1.  The eigenfunction comes
+from the one at brentq's lam (for a ladder, the last rung's), whose
+interpolants are built only then.  Only a nudge shoots afresh: when the
+trace at brentq's lam is not positive, lam steps down by 8 tol on the
+root's own set-up (see :func:`_eigenpair_from_shoot`, which also shoots
+brentq's lam again in the unlikely case that its shoot was not held).
 
 Independent cross-checks: the left-boundary fixed-point integral map
 (:func:`fixed_point_left`) and the discrete Rayleigh quotient's principal
@@ -57,6 +58,9 @@ from .weights import ProblemSpec
 
 class SolverError(RuntimeError):
     pass
+
+
+_RTOL = 1e-11  # relative tolerance of every shoot
 
 
 @dataclass
@@ -148,7 +152,6 @@ class ShootResult:
     first_zero: float | None
     terminal_u: float
     terminal_flux: float
-    trace: tuple | None = None  # (r, u, g) arrays on the requested nodes
     # (mesh nodes, DenseNodes) per segment that holds one, kept by a shoot
     # whose set-up has nodes; _trace builds the (r, u, g) trace from them
     dense: list | None = None
@@ -259,18 +262,14 @@ def _segment_rhs(ps, lam, seg):
     return rhs
 
 
-def _hit_zero(x, y):
-    return y[0]
-
-
 @np.errstate(over="raise", invalid="raise")
-def _integrate_segment(ps, lam, seg, y, rtol, atol):
-    """Integrate one smooth segment from the state ``y``, keeping the dense
-    output at the segment's mesh nodes, if it has any.  A state that
-    overflows raises FloatingPointError (or OverflowError) instead of
-    turning to NaN."""
+def _integrate_segment(ps, lam, seg, y, atol):
+    """Integrate one smooth segment from the state ``y`` up to u's first
+    zero, keeping the dense output at the segment's mesh nodes, if it has
+    any.  A state that overflows raises FloatingPointError (or
+    OverflowError) instead of turning to NaN."""
     return solve_ivp(_segment_rhs(ps, lam, seg), (seg.fwd(seg.s0), seg.fwd(seg.s1)), y,
-                     rtol=rtol, atol=atol, events=_hit_zero, nodes=seg.x_nodes)
+                     rtol=_RTOL, atol=atol, nodes=seg.x_nodes)
 
 
 class _Shooting:
@@ -280,12 +279,12 @@ class _Shooting:
     breakpoints, each with its weight pieces and the mesh nodes it holds.
     Built once per root, so a shoot only integrates."""
 
-    def __init__(self, ps, r_end, delta_left, rtol, nodes=None):
+    def __init__(self, ps, r_end, delta_left, nodes=None):
         if ps.phi_rho_conj.divergent:
             raise SolverError("rho^(1-p') not integrable near R1; no shooting start")
         if delta_left is None:
             delta_left = _default_delta_left(ps, r_end)
-        self.ps, self.r_end, self.rtol = ps, r_end, rtol
+        self.ps, self.r_end = ps, r_end
         r0 = ps.R1 + delta_left
         u0 = ps.phi_rho_conj(r0)
         self.y0 = (float(u0), 1.0)
@@ -314,7 +313,7 @@ class _Shooting:
         first_zero = None
         for seg in self.segments:
             try:
-                sol = _integrate_segment(self.ps, lam, seg, y, self.rtol, atol)
+                sol = _integrate_segment(self.ps, lam, seg, y, atol)
             except (FloatingPointError, OverflowError) as exc:
                 # lam far above the spectrum: a failed shot, not a NaN margin
                 raise SolverError(
@@ -333,41 +332,35 @@ class _Shooting:
         return ShootResult(first_zero, y[0], y[1], dense=dense)
 
 
-def shoot(ps: ProblemSpec, lam, r_end=None, mesh: Mesh | None = None,
-          delta_left=None, rtol=1e-11, want_trace=False, plan=None) -> ShootResult:
-    """Integrate the flux system from the left asymptote; stop at the first
-    interior zero of u if one occurs.  With ``want_trace`` and a ``mesh``,
-    ``trace`` holds (r, u, g) at the mesh nodes up to that zero.
+def shoot(ps: ProblemSpec, lam, r_end=None, nodes=None, plan=None) -> ShootResult:
+    """Integrate the flux system from the left asymptote, at
+    :func:`make_mesh`'s default offset from R1, to ``r_end`` (default R2);
+    stop at the first interior zero of u if one occurs.  With ``nodes``,
+    increasing radii of that span (a mesh's nodes), the result keeps the
+    dense output there, from which :func:`_trace` builds (r, u, g) at the
+    nodes up to that zero.
 
     ``plan``, a root's shared set-up (:class:`_Shooting`), replaces
-    ``r_end``, ``mesh``, ``delta_left`` and ``rtol``; the result then keeps
-    the dense output at the plan's nodes, if it has any, for :func:`_trace`.
+    ``r_end`` and ``nodes``.
 
     Requires rho^{1-p'} integrable near R1 (the asymptote used for the start).
     """
     if lam <= 0:
         raise SolverError("lam must be positive")
     if plan is None:
-        if mesh is not None:
-            r_end = mesh.r_end
-            delta_left = mesh.delta_left
         if r_end is None:
             if not math.isfinite(ps.R2):
                 raise SolverError("r_end required for exterior domains")
             r_end = ps.R2
-        nodes = mesh.nodes if (want_trace and mesh is not None) else None
-        plan = _Shooting(ps, r_end, delta_left, rtol, nodes)
-    res = plan(lam)
-    if want_trace:
-        res.trace = _trace(res)
-    return res
+        plan = _Shooting(ps, r_end, None, nodes)
+    return plan(lam)
 
 
 @np.errstate(over="raise", invalid="raise")
 def _trace(res):
-    """(r, u, g) at the nodes a shoot kept, or None if it kept none."""
+    """(r, u, g) at the nodes a shoot kept; SolverError if it kept none."""
     if not res.dense:
-        return None
+        raise SolverError("no trace produced")
     try:
         values = [dense() for _, dense in res.dense]
     except (FloatingPointError, OverflowError) as exc:
@@ -377,7 +370,7 @@ def _trace(res):
             np.concatenate([v[1] for v in values]))
 
 
-def _margin(ps, lam, plan, matcher=None):
+def _margin(lam, plan, matcher=None):
     """Continuous, Sturm-monotone shooting objective, and the shoot.
 
     Dirichlet: terminal u while no interior zero, else minus the distance of
@@ -385,6 +378,7 @@ def _margin(ps, lam, plan, matcher=None):
     data), the target is instead the decay-matched condition
     u'/u = envelope'/envelope at r_end.
     """
+    ps = plan.ps
     res = shoot(ps, lam, plan=plan)
     if res.first_zero is not None:
         return -(plan.r_end - res.first_zero), res
@@ -396,25 +390,26 @@ def _margin(ps, lam, plan, matcher=None):
     return du * psi_end + res.terminal_u * rhoc_end, res
 
 
-def _coarse_lambda_estimate(ps, r_end):
-    mesh = make_mesh(ps, r_end=r_end, n_core=200, per_decade=6)
+def _coarse_lambda_estimate(ps):
+    mesh = make_mesh(ps, n_core=200, per_decade=6)
     phi = ps.phi_rho_conj(mesh.nodes)
     hat = np.minimum(phi, phi[-1] - phi + phi[0] * 1e-6)
     hat = np.maximum(hat, 1e-12 * np.max(hat))
     return rayleigh_quotient(ps, mesh, hat)
 
 
-def _lambda1_truncated(ps, r_end, tol, rtol, bracket=None, delta_left=None,
-                       matcher=None, nodes=None):
-    """lam_1 of the truncation at ``r_end``, and the shoot at it that kept
-    the dense output at ``nodes`` (None without ``nodes``, or if that shoot
+def _lambda1_truncated(ps, tol, n_core, per_decade, bracket=None, matcher=None):
+    """lam_1 of the finite problem ``ps`` (an annulus or a ladder rung), the
+    mesh built before the root, the root's set-up on it, and the shoot at
+    lam_1 that kept the dense output at the mesh nodes (None if that shoot
     was not held).
 
     Only the latest shoot on each side of the root is held, counting memo
     hits in the order brentq asks for lam; brentq returns one of the two
     nearly always.
     """
-    plan = _Shooting(ps, r_end, delta_left, rtol, nodes)
+    mesh = make_mesh(ps, n_core=n_core, per_decade=per_decade)
+    plan = _Shooting(ps, mesh.r_end, mesh.delta_left, mesh.nodes)
     margins = {}
     latest = {}  # margin > 0 -> (lam, its shoot, or None after a memo hit)
 
@@ -425,14 +420,13 @@ def _lambda1_truncated(ps, r_end, tol, rtol, bracket=None, delta_left=None,
             if latest[m > 0.0][0] != lam:
                 latest[m > 0.0] = (lam, None)
         else:
-            m, res = _margin(ps, lam, plan, matcher=matcher)
+            m, res = _margin(lam, plan, matcher=matcher)
             margins[lam] = m
-            latest[m > 0.0] = (lam, res if nodes is not None else None)
+            latest[m > 0.0] = (lam, res)
         return m
 
     if bracket is None:
-        lam0 = _coarse_lambda_estimate(ps, r_end)
-        lo = hi = lam0
+        lo = hi = _coarse_lambda_estimate(ps)
     else:
         lo, hi = bracket
     n_expand = 0
@@ -441,43 +435,37 @@ def _lambda1_truncated(ps, r_end, tol, rtol, bracket=None, delta_left=None,
         n_expand += 1
         if n_expand > 80:
             raise SolverError(
-                f"no lower bracket for lam_1 found down to {lo}; "
-                "check the problem or supply bracket=(lo, hi)"
-            )
+                f"no lower bracket for lam_1 found down to {lo}; check the problem")
     n_expand = 0
     while f(hi) > 0.0:
         hi *= 2.0
         n_expand += 1
         if n_expand > 80:
             raise SolverError(
-                f"no upper bracket for lam_1 found up to {hi}; "
-                "check the problem or supply bracket=(lo, hi)"
-            )
+                f"no upper bracket for lam_1 found up to {hi}; check the problem")
     lam = brentq(f, lo, hi, rtol=max(tol, 1e-14), xtol=1e-300)
     kept = next((res for at, res in latest.values() if at == lam), None)
-    return lam, kept
+    return lam, mesh, plan, kept
 
 
-def _eigenpair_from_shoot(ps, lam, mesh, rtol, diagnostics, kept=None):
-    """Eigenfunction shot at ``lam``, stepped down by 8 * tol (at most eight
-    times) while the trace is not positive; ``diagnostics`` records the root
-    as ``lambda_root`` and the steps taken as ``lambda_nudges``.  ``kept``, a
-    shoot at ``lam`` that kept the dense output at the mesh nodes, stands in
-    for the first shoot."""
+def _eigenpair_from_shoot(lam, mesh, plan, kept, diagnostics):
+    """Eigenfunction of the root ``lam`` found on ``mesh`` with the set-up
+    ``plan``: the root's own shoot ``kept`` at ``lam`` (shot afresh if it
+    was not held), stepped down by 8 * tol (at most eight times) on the same
+    set-up while the trace is not positive; ``diagnostics`` records the root
+    as ``lambda_root`` and the steps taken as ``lambda_nudges``."""
+    ps = plan.ps
     lam_side = lam
     nudges = 0
     res = kept
     for i in range(8):
         if i or res is None:
-            res = shoot(ps, lam_side, mesh=mesh, rtol=rtol, want_trace=True)
+            res = shoot(ps, lam_side, plan=plan)
         if res.first_zero is None and res.terminal_u >= 0.0:
             break
         lam_side *= 1.0 - 8.0 * max(diagnostics.get("lambda_rtol", 1e-10), 1e-12)
         nudges += 1
-    trace = res.trace if res.trace is not None else _trace(res)
-    if trace is None:
-        raise SolverError("no trace produced")
-    r, u, g = trace
+    r, u, g = _trace(res)
     if len(r) != mesh.n:
         mesh = Mesh(r, mesh.r1, mesh.r_end, mesh.delta_left, mesh.delta_right)
     scale = float(np.max(u))
@@ -507,15 +495,15 @@ def _discrete_residual(ps, mesh, u, g, lam):
 
 
 def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
-                 rtol=1e-11, n_core=1200, per_decade=12, check=True,
-                 bracket=None, ladder_rtol=1e-3, mesh=None,
+                 n_core=1200, per_decade=12, check=True,
                  bc="dirichlet") -> Eigenpair:
     """Principal eigenvalue and eigenfunction.
 
     Finite R2: one truncation-free solve.  R2 = inf: a truncation ladder over
-    ``ladder`` (default R1 * 2^k, k = 2..7, stopping once successive values
-    agree to ``ladder_rtol``); ``lam`` is the Richardson-extrapolated limit,
-    the eigenfunction belongs to the largest rung, and the monotone ladder is
+    ``ladder``, strictly increasing radii above R1 (default R1 * 2^k, k =
+    2..7, or up to ``r_max``, stopping once successive values agree to a
+    relative 1e-3); ``lam`` is the Richardson-extrapolated limit, the
+    eigenfunction belongs to the largest rung, and the monotone ladder is
     reported in ``diagnostics['ladder']``.  With fewer than three rungs, or
     last differences that do not shrink geometrically, ``lam`` is the last
     rung's value and ``diagnostics['richardson_applied']`` is False.
@@ -524,10 +512,36 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
     certified one-sided monotone convergence, but only at the slow rate the
     bounded companion solution allows) or ``'matched'`` (u'/u equal to the
     exterior envelope's logarithmic derivative at r_end, far faster in R).
+    ValueError for any other ``bc``, for ``'matched'``, ``ladder`` or
+    ``r_max`` on a finite R2, for both ``ladder`` and ``r_max``, and for a
+    ladder that is empty, not increasing or not above R1.
 
     ``check=True`` enforces the condition-(A) precondition (override with
     ``check=False``).
     """
+    if bc not in ("dirichlet", "matched"):
+        raise ValueError(f"bc must be 'dirichlet' or 'matched', not {bc!r}")
+    finite = math.isfinite(ps.R2)
+    if finite and (bc == "matched" or ladder is not None or r_max is not None):
+        raise ValueError("bc='matched', ladder and r_max are for exterior "
+                         f"domains only; this one ends at R2 = {ps.R2}")
+    auto_ladder = ladder is None
+    if not finite and auto_ladder:
+        top = r_max if r_max is not None else ps.R1 * 2.0**7
+        ladder = []
+        rk = ps.R1 * 4.0
+        while rk <= top * (1 + 1e-12):
+            ladder.append(rk)
+            rk *= 2.0
+        if r_max is not None and (not ladder or ladder[-1] < r_max * (1 - 1e-12)):
+            ladder.append(float(r_max))
+    elif r_max is not None:
+        raise ValueError("pass either ladder or r_max, not both")
+    if not finite:
+        ladder = [float(rk) for rk in ladder]
+        if not ladder or ladder[0] <= ps.R1 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+            raise ValueError("the truncation ladder must be a non-empty, strictly "
+                             f"increasing list of radii above R1 = {ps.R1}, not {ladder}")
     if check:
         from . import conditions
 
@@ -537,34 +551,15 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
                 f"condition (A) fails ({rep.notes}); pass check=False to override"
             )
     diagnostics = {"lambda_rtol": tol}
-    if math.isfinite(ps.R2):
-        # the mesh comes first, so the root's shoots keep the dense output at
-        # its nodes and the eigenfunction needs no shoot of its own
-        delta_left = _default_delta_left(ps, ps.R2)
-        if mesh is None:
-            mesh = make_mesh(ps, r_end=ps.R2, n_core=n_core, per_decade=per_decade,
-                             delta_left=delta_left)
-        same = mesh.delta_left == delta_left and mesh.r_end == ps.R2
-        lam, kept = _lambda1_truncated(ps, ps.R2, tol, rtol, bracket=bracket,
-                                       delta_left=delta_left,
-                                       nodes=mesh.nodes if same else None)
+    if finite:
+        lam, *root = _lambda1_truncated(ps, tol, n_core, per_decade)
         diagnostics["truncation_radius"] = ps.R2
         diagnostics["bisection_width"] = tol * lam
-        return _eigenpair_from_shoot(ps, lam, mesh, rtol, diagnostics, kept)
+        return _eigenpair_from_shoot(lam, *root, diagnostics)
 
-    auto_ladder = ladder is None
-    if auto_ladder:
-        top = r_max if r_max is not None else ps.R1 * 2.0**7
-        ladder = []
-        rk = ps.R1 * 4.0
-        while rk <= top * (1 + 1e-12):
-            ladder.append(rk)
-            rk *= 2.0
-        if r_max is not None and (not ladder or ladder[-1] < r_max * (1 - 1e-12)):
-            ladder.append(float(r_max))
     rungs = []
     lam_prev = None
-    brk = bracket
+    brk = None
     for rk in ladder:
         ps_k = ps.truncated(rk)
         matcher = None
@@ -575,8 +570,8 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
                 float(ps.rho_model(r_in)),
                 float(ps.rho_conj_model(r_in)),
             )
-        lam_k, _ = _lambda1_truncated(ps_k, rk, tol, rtol, bracket=brk,
-                                      matcher=matcher)
+        lam_k, *root = _lambda1_truncated(ps_k, tol, n_core, per_decade, bracket=brk,
+                                          matcher=matcher)
         rungs.append((rk, lam_k))
         if lam_prev is not None:
             if lam_k > lam_prev * (1.0 + 1e-8) and bc == "dirichlet":
@@ -585,7 +580,7 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
                     f"truncation ladder not monotone at R={rk}: "
                     f"{lam_k} > {lam_prev}"
                 )
-            if auto_ladder and abs(lam_prev - lam_k) <= ladder_rtol * lam_k:
+            if auto_ladder and abs(lam_prev - lam_k) <= 1e-3 * lam_k:
                 break
         brk = (0.25 * lam_k, lam_k * (1.0 + 1e-6))
         lam_prev = lam_k
@@ -598,15 +593,11 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
             q = d1 / d2
             lam_ext = lams[-1] - d1 * q / (1.0 - q)
             richardson = True
-    r_last = rungs[-1][0]
-    ps_last = ps.truncated(r_last)
-    if mesh is None:
-        mesh = make_mesh(ps_last, r_end=r_last, n_core=n_core, per_decade=per_decade)
     diagnostics["ladder"] = rungs
-    diagnostics["truncation_radius"] = r_last
-    diagnostics["lambda_dirichlet_last"] = rungs[-1][1]
-    diagnostics["bisection_width"] = tol * rungs[-1][1]
-    eig = _eigenpair_from_shoot(ps_last, rungs[-1][1], mesh, rtol, diagnostics)
+    diagnostics["truncation_radius"] = rungs[-1][0]
+    diagnostics["lambda_dirichlet_last"] = lams[-1]
+    diagnostics["bisection_width"] = tol * lams[-1]
+    eig = _eigenpair_from_shoot(lams[-1], *root, diagnostics)
     eig.lam = lam_ext
     eig.diagnostics["lambda_extrapolated"] = lam_ext
     eig.diagnostics["richardson_applied"] = richardson

@@ -97,6 +97,23 @@ class TestSolve:
                    "--out-dir", str(tmp_path)) == 1
         assert not (tmp_path / "solve.json").exists()
 
+    @pytest.mark.parametrize("method", ["shoot", "rayleigh"])
+    @pytest.mark.parametrize("flags", [
+        ("--bc", "matched", "--ladder", "3"),
+        ("--ladder", "3"),
+        ("--rmax", "3"),
+        ("--bc", "matched"),
+    ])
+    def test_exterior_options_on_an_annulus_exit_2(self, tmp_path, flags, method):
+        assert run("solve", "--preset", "annulus-n3", "--no-check", "--method", method,
+                   *flags, "--out-dir", str(tmp_path)) == 2
+        assert not (tmp_path / "solve.json").exists()
+
+    def test_ladder_and_rmax_together_exit_2(self, tmp_path):
+        assert run("solve", "--preset", "rmk22", "--no-check", "--ladder", "2",
+                   "--rmax", "24", "--out-dir", str(tmp_path)) == 2
+        assert not (tmp_path / "solve.json").exists()
+
 
 class TestSolveRayleighExterior:
     """Rayleigh runs on the truncation the shooting solve used or asked for."""

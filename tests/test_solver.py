@@ -63,6 +63,16 @@ class TestShoot:
         assert all(z is not None for z in zeros)
         assert all(z2 <= z1 + 1e-10 for z1, z2 in zip(zeros, zeros[1:]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_insane_lambda_raises(self, trivial_annulus, dual_instance):
+        # a lam far above the spectrum overflows the state: a typed error,
+        # never a NaN margin or a RuntimeWarning
+        for ps in [trivial_annulus, dual_instance(*CRITERION3[1.5]),
+                   dual_instance(*CRITERION3[3.0])]:
+            for lam in (1e290, 2e290):
+                with pytest.raises(S.SolverError):
+                    S.shoot(ps, lam)
+
 
 class TestFindLambda1:
     def test_trivial_pi_squared(self, trivial_eigenpair):
@@ -84,15 +94,6 @@ class TestFindLambda1:
         res = S.shoot(trivial_annulus, 4.0 * trivial_eigenpair.lam, r_end=2.0)
         assert res.first_zero is not None and res.first_zero < 2.0
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_insane_bracket_raises(self, trivial_annulus, dual_instance):
-        # a lam far above the spectrum overflows the state: a typed error,
-        # never a NaN margin or a RuntimeWarning
-        for ps in [trivial_annulus, dual_instance(*CRITERION3[1.5]),
-                   dual_instance(*CRITERION3[3.0])]:
-            with pytest.raises(S.SolverError):
-                S.find_lambda1(ps, check=False, bracket=(1e290, 2e290))
-
     @pytest.mark.parametrize("name,p,nudges", [("p=2 degenerate", 2.0, 0),
                                                ("p=3 degenerate", 3.0, 1)])
     def test_lambda_nudges_are_reported(self, name, p, nudges, dual_instance):
@@ -103,6 +104,35 @@ class TestFindLambda1:
         for _ in range(d["lambda_nudges"]):
             lam *= 1.0 - 8.0 * max(d["lambda_rtol"], 1e-12)
         assert lam == eig.lam
+
+    @pytest.mark.parametrize("preset,kwargs", [
+        ("annulus-n3", dict(bc="matched")),
+        ("annulus-n3", dict(ladder=[4.0])),
+        ("annulus-n3", dict(r_max=3.0)),
+        ("ex62", dict(bc="Matched")),
+        ("annulus-n3", dict(bc="neumann")),
+    ])
+    def test_options_outside_their_domain_raise(self, preset, kwargs):
+        # on a finite R2 these options used to be ignored, and an unknown bc
+        # ran Dirichlet
+        with pytest.raises(ValueError, match="bc"):
+            S.find_lambda1(get_preset(preset).problem, check=False, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(ladder=[]),
+        dict(ladder=[8.0, 4.0]),
+        dict(ladder=[4.0, 4.0]),
+        dict(ladder=[0.5, 4.0]),
+        dict(ladder=[1.0, 4.0]),
+        dict(r_max=0.5),
+    ])
+    def test_invalid_ladder_raises(self, ex62, kwargs):
+        with pytest.raises(ValueError, match="truncation ladder must be"):
+            S.find_lambda1(ex62, check=False, **kwargs)
+
+    def test_ladder_and_r_max_together_raise(self, ex62):
+        with pytest.raises(ValueError, match="not both"):
+            S.find_lambda1(ex62, check=False, ladder=[4.0], r_max=8.0)
 
     def test_condition_gate(self):
         # exterior pair with a critical sigma tail violates condition (A)
@@ -131,10 +161,34 @@ class TestFindLambda1:
         assert abs(lam_d - eig_r.lam) / lam_d < 1e-3
 
 
+# the bench's exterior ladders: preset, truncation condition, rungs
+LADDERS = {
+    "ex62 dirichlet": ("ex62", "dirichlet", [4.0, 8.0, 16.0]),
+    "ex62 matched": ("ex62", "matched", [4.0, 8.0, 16.0, 32.0]),
+    "rmk22 matched": ("rmk22", "matched", [4.0, 8.0, 16.0, 32.0]),
+}
+
+
+def _solve_ladder(name):
+    preset, bc, rungs = LADDERS[name]
+    return S.find_lambda1(get_preset(preset).problem, ladder=rungs, check=False, bc=bc)
+
+
+def _eigenfunction_lam(eig):
+    """The lam the eigenfunction was shot at: the root, nudged as reported
+    (for a ladder, the last rung's root rather than the extrapolated lam)."""
+    d = eig.diagnostics
+    lam = d["lambda_root"]
+    for _ in range(d["lambda_nudges"]):
+        lam *= 1.0 - 8.0 * max(d["lambda_rtol"], 1e-12)
+    return lam
+
+
 class TestOneIntegrationPerLambda:
     """find_lambda1 takes the eigenfunction from the root's own margin shoot
-    at the lam brentq returns: each lam is integrated once, and the trace
-    is, bit for bit, the one a fresh shoot at that lam gives."""
+    at the lam brentq returns (for a ladder, the last rung's root): each lam
+    is integrated once, and the trace is, bit for bit, the one a fresh shoot
+    at that lam gives."""
 
     @staticmethod
     def _problem(name, dual_instance):
@@ -144,75 +198,77 @@ class TestOneIntegrationPerLambda:
         ps = get_preset(name).problem
         return ps.truncated(cli._auto_rmax(ps)), dict(n_core=3000, per_decade=16)
 
-    @pytest.mark.parametrize("name", [*DUAL, "ex62"])
-    def test_trace_equals_a_fresh_shoot(self, name, dual_instance):
-        ps, kwargs = self._problem(name, dual_instance)
-        eig = S.find_lambda1(ps, check=False, **kwargs)
-        # eig.lam is the root, or the nudged lam whose trace is positive
-        res = S.shoot(ps, eig.lam, mesh=eig.mesh, want_trace=True)
-        r, u, g = res.trace
+    @staticmethod
+    def _assert_fresh_shoot(ps, eig):
+        lam = _eigenfunction_lam(eig)
+        r, u, g = S._trace(S.shoot(ps, lam, nodes=eig.mesh.nodes))
         scale = float(np.max(u))
         assert np.array_equal(r, eig.mesh.nodes)
         assert np.array_equal(u / scale, eig.u)
         assert np.array_equal(g / scale ** (ps.p - 1.0), eig.flux)
 
-    @pytest.mark.parametrize("delta_left,fresh", [
-        (None, 0),  # the root's own offset and end: its shoots keep the nodes
-        (1e-7, 1),  # another offset: the eigenfunction needs its own shoot
-    ])
-    def test_callers_mesh(self, delta_left, fresh, trivial_annulus, monkeypatch):
-        ps = trivial_annulus
-        mesh = S.make_mesh(ps, n_core=300, delta_left=delta_left)
-        traced = []
-        shoot = S.shoot
+    @pytest.mark.parametrize("name", [*DUAL, "ex62"])
+    def test_trace_equals_a_fresh_shoot(self, name, dual_instance):
+        ps, kwargs = self._problem(name, dual_instance)
+        eig = S.find_lambda1(ps, check=False, **kwargs)
+        # eig.lam is the root, or the nudged lam whose trace is positive
+        assert eig.lam == _eigenfunction_lam(eig)
+        self._assert_fresh_shoot(ps, eig)
 
-        def logged_shoot(ps, lam, *args, **kwargs):
-            traced.append(kwargs.get("want_trace", False))
-            return shoot(ps, lam, *args, **kwargs)
+    @pytest.mark.parametrize("name", LADDERS)
+    def test_ladder_trace_equals_a_fresh_shoot(self, name):
+        eig = _solve_ladder(name)
+        r_last = eig.diagnostics["truncation_radius"]
+        assert r_last == LADDERS[name][2][-1]
+        assert eig.mesh.r_end == r_last
+        self._assert_fresh_shoot(get_preset(LADDERS[name][0]).problem.truncated(r_last), eig)
 
-        monkeypatch.setattr(S, "shoot", logged_shoot)
-        eig = S.find_lambda1(ps, check=False, mesh=mesh)
-        monkeypatch.undo()
-        assert sum(traced) == fresh + eig.diagnostics["lambda_nudges"]
-        assert eig.mesh is mesh
-        r, u, g = S.shoot(ps, eig.lam, mesh=mesh, want_trace=True).trace
-        assert np.array_equal(r, mesh.nodes)
-        assert np.array_equal(u / np.max(u), eig.u)
-
-    @pytest.mark.parametrize("p,nudges", [(2.0, 0), (3.0, 1)])
-    def test_each_lambda_integrated_once(self, p, nudges, dual_instance, monkeypatch):
+    @staticmethod
+    def _assert_each_lambda_integrated_once(solve, nudges, monkeypatch):
+        """Runs ``solve`` with every shoot and every integration logged, by
+        the end of the problem shot (a ladder rung) and lam."""
         shoots, solves = [], []
-        shoot, solve = S.shoot, S.solve_ivp
+        shoot, solve_ivp = S.shoot, S.solve_ivp
 
         def logged_shoot(ps, lam, *args, **kwargs):
-            shoots.append((lam, kwargs.get("want_trace", False)))
+            shoots.append((ps.R2, lam))
             return shoot(ps, lam, *args, **kwargs)
 
         def logged_solve(*args, **kwargs):
-            solves.append(shoots[-1][0] if shoots else None)
-            return solve(*args, **kwargs)
+            solves.append(shoots[-1] if shoots else None)
+            return solve_ivp(*args, **kwargs)
 
         monkeypatch.setattr(S, "shoot", logged_shoot)
         monkeypatch.setattr(S, "solve_ivp", logged_solve)
-        eig = S.find_lambda1(dual_instance(*CRITERION3[p]), check=False)
-        lams = [lam for lam, _ in shoots]
-        # every integration is a shoot's, and no lam is shot twice
+        eig = solve()
+        monkeypatch.undo()
+        # every integration is a shoot's, and no lam is shot twice on one rung
         assert solves and None not in solves
-        assert len(set(lams)) == len(lams)
-        runs = [lam for i, lam in enumerate(solves) if i == 0 or solves[i - 1] != lam]
-        assert runs == lams
+        assert len(set(shoots)) == len(shoots)
+        runs = [key for i, key in enumerate(solves) if i == 0 or solves[i - 1] != key]
+        assert runs == shoots
         d = eig.diagnostics
         assert d["lambda_nudges"] == nudges
-        assert d["lambda_root"] in lams
-        traced = [lam for lam, want_trace in shoots if want_trace]
+        r_last = d["truncation_radius"]
+        assert (r_last, d["lambda_root"]) in shoots
+        lam = _eigenfunction_lam(eig)
         if nudges:
             # the root's shoot shows the trace is not positive; the nudge
             # is the one shoot the eigenfunction adds
-            assert traced == [lams[-1]] == [eig.lam]
-            assert eig.lam not in lams[:-1]
+            assert shoots[-1] == (r_last, lam)
         else:
-            assert traced == []
-            assert eig.lam == d["lambda_root"]
+            assert lam == d["lambda_root"]
+
+    @pytest.mark.parametrize("p,nudges", [(2.0, 0), (3.0, 1)])
+    def test_each_lambda_integrated_once(self, p, nudges, dual_instance, monkeypatch):
+        ps = dual_instance(*CRITERION3[p])
+        self._assert_each_lambda_integrated_once(
+            lambda: S.find_lambda1(ps, check=False), nudges, monkeypatch)
+
+    @pytest.mark.parametrize("name", LADDERS)
+    def test_each_ladder_lambda_integrated_once(self, name, monkeypatch):
+        self._assert_each_lambda_integrated_once(
+            lambda: _solve_ladder(name), 0, monkeypatch)
 
 
 class _ScipyOracle:
@@ -228,10 +284,9 @@ class _ScipyOracle:
 
         def both(fun, t_span, y0, nodes=None, **kw):
             ours = driver(fun, t_span, y0, nodes=nodes, **kw)
-            event = kw["events"]
 
             def scipy_event(t, y):
-                return event(t, y)
+                return y[0]
 
             scipy_event.terminal = True
             scipy_event.direction = -1
@@ -312,9 +367,11 @@ class TestDop853Driver:
                                (20.0, 2.0, False), (20.0, 30.0, True)]:
             ps = dual_instance(*CRITERION3[p], r2=r2)
             mesh = S.make_mesh(ps, n_core=100, per_decade=4)
-            res = S.shoot(ps, lam, mesh=mesh, want_trace=dense)
+            res = S.shoot(ps, lam, nodes=mesh.nodes if dense else None)
             zeros.append(res.first_zero)
-            assert (res.trace is not None) == dense
+            assert (res.dense is not None) == dense
+            if dense:
+                S._trace(res)  # evaluates the dense output, which the oracle checks
         assert oracle.kinds == {"log(r - R1)", "r", "log r"}
         assert oracle.statuses == {0, 1}
         assert oracle.dense_points > 0
@@ -343,7 +400,7 @@ class TestDop853Driver:
         xs = np.linspace(0.0, 2.0, 50)
         for nodes in (None, xs):
             ours = S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), rtol=1e-9, atol=(1e-12, 1e-12),
-                               events=event, nodes=nodes)
+                               nodes=nodes)
             event.terminal, event.direction = True, -1
             for dense in (False, True):
                 ref = scipy.integrate.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0),
@@ -366,21 +423,17 @@ class TestDop853Driver:
     def test_node_on_a_step_boundary_takes_the_earlier_step(self):
         """Nodes placed on the step boundaries themselves: each is evaluated
         on the step that ends there (the first on the first step), as
-        scipy's ``OdeSolution`` does."""
+        scipy's ``OdeSolution`` does.  u = cos t has no zero on [0, 1.5]."""
 
         def rhs(t, y):
             return (y[1], -y[0])
 
-        def event(t, y):
-            return 1.0
-
-        kw = dict(rtol=1e-9, atol=(1e-12, 1e-12), events=event)
-        steps = S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), **kw).t
-        ours = S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), nodes=steps, **kw)
-        event.terminal, event.direction = True, -1
-        ref = scipy.integrate.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), method="DOP853",
-                                        rtol=1e-9, atol=1e-12, dense_output=True,
-                                        events=event)
+        kw = dict(rtol=1e-9, atol=(1e-12, 1e-12))
+        steps = S.solve_ivp(rhs, (0.0, 1.5), (1.0, 0.0), **kw).t
+        ours = S.solve_ivp(rhs, (0.0, 1.5), (1.0, 0.0), nodes=steps, **kw)
+        ref = scipy.integrate.solve_ivp(rhs, (0.0, 1.5), (1.0, 0.0), method="DOP853",
+                                        rtol=1e-9, atol=1e-12, dense_output=True)
+        assert ours.status == 0 and len(steps) > 3
         assert len(ours.dense.steps) == len(steps) - 1
         assert np.array_equal(ours.dense.x, steps)
         assert np.array_equal(ours.dense(), ref.sol(steps))
@@ -388,7 +441,7 @@ class TestDop853Driver:
     def test_non_finite_derivative_raises(self):
         with pytest.raises(FloatingPointError):
             S.solve_ivp(lambda t, y: (y[0] * 1e300, 0.0), (0.0, 1.0), (1e10, 0.0), rtol=1e-6,
-                        atol=(1e-9, 1e-9), events=lambda t, y: y[0])
+                        atol=(1e-9, 1e-9))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("stage", [1, 6, 12])
@@ -402,8 +455,7 @@ class TestDop853Driver:
             return (bad if next(calls) == target else y[1], -y[0])
 
         with pytest.raises(FloatingPointError):
-            S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), rtol=1e-9, atol=(1e-12, 1e-12),
-                        events=lambda t, y: 1.0)
+            S.solve_ivp(rhs, (0.0, 10.0), (1.0, 0.0), rtol=1e-9, atol=(1e-12, 1e-12))
         assert next(calls) == target + 1
 
     def test_tableau_equals_scipy(self):
