@@ -24,6 +24,13 @@ INF = math.inf
 LEFT = "left"
 RIGHT = "right"
 
+#: envelope level, as a share of max u, at the inner edge of a finite-end window
+_WINDOW_LEVEL = 1e-4
+#: largest passing spread ratio_max / ratio_min of u / envelope on a window
+_RATIO_CAP = 10.0
+#: largest passing gap between the fitted and the theoretical exponent
+_EXPONENT_TOL = 0.05
+
 
 class WindowError(ValueError):
     pass
@@ -118,41 +125,35 @@ def _solve_envelope_level(fun, lo, hi, target, increasing):
     return 0.5 * (lo + hi)
 
 
-def default_window(ps: ProblemSpec, eig: Eigenpair, boundary, level=1e-4):
+def default_window(ps: ProblemSpec, eig: Eigenpair, boundary):
     """Concrete verification window.
 
-    Left: (R1 + eta, R1 + 10 eta) with envelope_left(R1 + eta) = level * max u;
-    finite right: mirrored.  Right at infinity: one envelope decade between
-    the radii where envelope_right equals 1e-2 and 1e-3 of max u (the literal
-    1e-4 rule would need truncation radii far beyond what polynomial-tail
-    contamination allows; the achieved window is reported either way).
+    At a finite end: (eta, 10 eta) away from it, with the envelope at
+    distance eta equal to ``_WINDOW_LEVEL`` * max u.  Right at infinity:
+    one envelope decade between the radii where envelope_right equals 1e-2
+    and 1e-3 of max u (the literal 1e-4 rule would need truncation radii far
+    beyond what polynomial-tail contamination allows; the achieved window is
+    reported either way).
     """
     umax = float(np.max(eig.u))
     mesh = eig.mesh
-    if boundary == LEFT:
-        phi = ps.phi_rho_conj
-        target = level * umax
-        eta_lo = mesh.delta_left
-        eta_hi = 0.25 * (mesh.r_end - ps.R1)
+    if boundary == LEFT or math.isfinite(ps.R2):
+        # side: +1 when the window lies right of its end, -1 left of it
+        end, side, env, eta_lo = (
+            (ps.R1, 1.0, ps.phi_rho_conj, mesh.delta_left) if boundary == LEFT
+            else (ps.R2, -1.0, ps.psi_rho_conj, mesh.delta_right))
         eta = _solve_envelope_level(
-            lambda d: phi(ps.R1 + d), eta_lo, eta_hi, target, increasing=True
+            lambda d: env(end + side * d), eta_lo, 0.25 * (mesh.r_end - ps.R1),
+            _WINDOW_LEVEL * umax, increasing=True,
         )
-        return (ps.R1 + eta, ps.R1 + 10.0 * eta)
-    if math.isfinite(ps.R2):
-        psi = ps.psi_rho_conj
-        target = level * umax
-        eta = _solve_envelope_level(
-            lambda d: psi(ps.R2 - d), mesh.delta_right, 0.25 * (ps.R2 - ps.R1),
-            target, increasing=True,
-        )
-        return (ps.R2 - 10.0 * eta, ps.R2 - eta)
+        return tuple(sorted((end + side * eta, end + side * 10.0 * eta)))
     psi = ps.psi_rho_conj
     r_in = _solve_envelope_level(
-        lambda r: psi(r), ps.R1 + 0.5 * (mesh.r_end - ps.R1) * 1e-6, mesh.r_end,
+        psi, ps.R1 + 0.5 * (mesh.r_end - ps.R1) * 1e-6, mesh.r_end,
         1e-2 * umax, increasing=False,
     )
     r_out = _solve_envelope_level(
-        lambda r: psi(r), r_in, mesh.r_end, 1e-3 * umax, increasing=False,
+        psi, r_in, mesh.r_end, 1e-3 * umax, increasing=False,
     )
     if r_out > mesh.r_end / 6.0:
         raise WindowError(
@@ -162,12 +163,12 @@ def default_window(ps: ProblemSpec, eig: Eigenpair, boundary, level=1e-4):
     return (r_in, r_out)
 
 
-def sandwich_check(eig: Eigenpair, ps: ProblemSpec, boundary, window=None,
-                   ratio_cap=10.0, exponent_tol=0.05) -> AsymptoticVerdict:
+def sandwich_check(eig: Eigenpair, ps: ProblemSpec, boundary,
+                   window=None) -> AsymptoticVerdict:
     """Measure C1 <= u/envelope <= C2 and the flux bounds on a window.
 
-    ``passed`` is ratio_max/ratio_min <= ratio_cap AND, when an exponent is
-    theoretically forced, |fitted - theoretical| <= exponent_tol.  The
+    ``passed`` is ratio_max/ratio_min <= ``_RATIO_CAP`` AND, when an exponent
+    is theoretically forced, |fitted - theoretical| <= ``_EXPONENT_TOL``.  The
     derivative sandwich (flux between positive constants, equivalently
     |u'| between multiples of rho^{1-p'}) is reported in ``extras``.
     A zero of u inside the window contradicts nonoscillation and errors.
@@ -192,16 +193,12 @@ def sandwich_check(eig: Eigenpair, ps: ProblemSpec, boundary, window=None,
     ratio = us / env
     ratio_min, ratio_max = float(np.min(ratio)), float(np.max(ratio))
     # drop the 2 samples nearest the analyzed boundary: integrator startup
-    if boundary == LEFT:
-        fit_r, fit_u = rs[2:], us[2:]
-        anchor = ps.R1
-    else:
-        fit_r, fit_u = rs[:-2], us[:-2]
-        anchor = ps.R2 if math.isfinite(ps.R2) else None
-    fitted, resid = fit_exponent(fit_r, fit_u, boundary=boundary, anchor=anchor)
+    fit = slice(2, None) if boundary == LEFT else slice(None, -2)
+    anchor = ps.R1 if boundary == LEFT else ps.R2 if math.isfinite(ps.R2) else None
+    fitted, resid = fit_exponent(rs[fit], us[fit], boundary=boundary, anchor=anchor)
     theo = theoretical_exponent(ps, boundary)
-    ok_ratio = ratio_max / ratio_min <= ratio_cap
-    ok_exp = True if theo is None else abs(fitted - theo) <= exponent_tol
+    ok_ratio = ratio_max / ratio_min <= _RATIO_CAP
+    ok_exp = True if theo is None else abs(fitted - theo) <= _EXPONENT_TOL
     gabs = np.abs(gs)
     extras = {
         "flux_min": float(np.min(gabs)),

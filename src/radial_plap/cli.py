@@ -20,7 +20,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -37,14 +36,6 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """An option combination the command cannot run (exit code 2)."""
-
-
-def thread_cap() -> int:
-    """Parallelism cap from RADIAL_PLAP_THREADS (>= 1; default 1)."""
-    try:
-        return max(1, int(os.environ.get("RADIAL_PLAP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _sanitize(obj):
@@ -114,6 +105,16 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 # the pipeline: gate -> solve -> verify
 # ---------------------------------------------------------------------------
+
+
+def _check_exterior_options(ps, args):
+    """Refuse the truncation options on a domain that ends at a finite R2;
+    a command without --ladder or --bc has only --rmax to refuse."""
+    if math.isfinite(ps.R2) and (getattr(args, "ladder", None) is not None
+                                 or args.rmax is not None
+                                 or getattr(args, "bc", None) == "matched"):
+        raise UsageError("--ladder, --rmax and --bc matched are for exterior "
+                         f"domains; this one ends at R2 = {ps.R2}")
 
 
 def _gate(reports):
@@ -223,10 +224,7 @@ def cmd_solve(args) -> int:
         raise UsageError("--ladder needs at least one rung")
     if args.ladder is not None and args.rmax is not None:
         raise UsageError("--ladder and --rmax both set the truncation; pass one")
-    if math.isfinite(ps.R2) and (args.ladder is not None or args.rmax is not None
-                                 or args.bc == "matched"):
-        raise UsageError("--ladder, --rmax and --bc matched are for exterior "
-                         f"domains; this one ends at R2 = {ps.R2}")
+    _check_exterior_options(ps, args)
     if not args.no_check:
         _gate([conditions.check_A(ps, tol=args.tol)])
     out = _out_dir(args)
@@ -265,6 +263,7 @@ def _read_eigen_csv(path, ps, r_end):
 
 def cmd_asymptotics(args) -> int:
     ps = _load_spec(args)
+    _check_exterior_options(ps, args)
     r_end = ps.R2 if math.isfinite(ps.R2) else args.rmax
     if args.eig and r_end is None:
         raise UsageError("--rmax required with --eig on exterior domains")
@@ -296,8 +295,7 @@ def cmd_asymptotics(args) -> int:
 
 def cmd_degiorgi(args) -> int:
     if args.sweep:
-        payload = {alt: degiorgi.sweep(args.sweep, seed=args.seed, alternative=alt,
-                                       workers=thread_cap())
+        payload = {alt: degiorgi.sweep(args.sweep, seed=args.seed, alternative=alt)
                    for alt in ("a", "b")}
         bad = sum(r["counterexamples"] for r in payload.values())
     else:

@@ -30,6 +30,7 @@ from . import quadrature as quad
 from .weights import (
     INFINITY,
     LEFT_R1,
+    RIGHT_R2,
     ZERO,
     ProblemSpec,
     PowerLogPiece,
@@ -131,7 +132,7 @@ def check_A(ps: ProblemSpec, tol=1e-8) -> ConditionReport:
     """
     rhoc = ps.rho_conj_model
     li = quad.left_integrable(rhoc)
-    ti = quad.tail_integrable(rhoc) if not math.isfinite(ps.R2) else True
+    ti = quad.tail_integrable(rhoc)  # always at a finite R2
     witnesses = {
         "rho_conj_left_integrable": float(li),
         "rho_conj_right_integrable": float(ti),
@@ -176,17 +177,16 @@ def check_A(ps: ProblemSpec, tol=1e-8) -> ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def _default_xi_left(ps):
-    hi0 = ps.rho_conj_model.pieces[0].hi
-    if not math.isfinite(hi0):
-        hi0 = ps.R1 + 2.0 if not math.isfinite(ps.R2) else ps.R2
-    return 0.5 * (ps.R1 + min(hi0, ps.R2 if math.isfinite(ps.R2) else hi0))
-
-def _default_xi_right(ps):
-    lo_last = ps.rho_conj_model.pieces[-1].lo
-    if math.isfinite(ps.R2):
-        return 0.5 * (max(lo_last, ps.R1) + ps.R2)
-    return max(lo_last + 1.0, 2.0 * max(ps.R1, 1.0))
+def _default_xi(ps, end):
+    """Midway from a finite ``end`` to the nearest junction of ρ^{1-p'}
+    (or to the other end); at infinity, past the last junction."""
+    pieces = ps.rho_conj_model.pieces
+    if end == INFINITY:
+        return max(pieces[-1].lo + 1.0, 2.0 * max(ps.R1, 1.0))
+    if end == LEFT_R1:
+        edge = min(pieces[0].hi, ps.R2)
+        return 0.5 * (ps.R1 + (edge if math.isfinite(edge) else ps.R1 + 2.0))
+    return 0.5 * (max(pieces[-1].lo, ps.R1) + ps.R2)
 
 
 def _search_eps(ps, end):
@@ -209,8 +209,44 @@ def _failed_probes(notes, failed):
     return f"{notes}; {note}" if notes else note
 
 
-def _eps_report(cid, witnesses, eps, eps_inf, analytic_ok):
-    if analytic_ok:
+def _check_A_eps(ps, end, xi, eps):
+    """(A_eps) at ``end``: ρ^{1-p'} integrable between ``end`` and ξ, and
+    F = (∫ σ from r out to ξ)(∫ ρ^{1-p'} from ``end`` to r)^ε bounded."""
+    left = end == LEFT_R1
+    cid = "A_eps_L" if left else "A_eps_R"
+    xi = _default_xi(ps, end) if xi is None else xi
+    witnesses = {"xi": xi}
+    if near_integral(magnitude(ps.rho_conj_model, end), end) is None:
+        return ConditionReport(
+            cid, FAILS, witnesses,
+            f"precondition fails: rho^(1-p') not integrable near {'R1' if left else 'R2'}",
+        )
+    eps_inf = _search_eps(ps, end)
+    witnesses["eps_infimum"] = INF if eps_inf is None else eps_inf
+    if eps is None:
+        if eps_inf is None:
+            heavy = "mass near R1" if left else "tail"
+            return ConditionReport(
+                cid, FAILS, witnesses,
+                f"no admissible ε in (0, p-1): the σ {heavy} is too heavy",
+            )
+        eps = 0.5 * (eps_inf + ps.p - 1.0)
+    witnesses["eps"] = eps
+    if not (0.0 < eps < ps.p - 1.0):
+        return ConditionReport(cid, FAILS, witnesses, f"ε={eps} outside (0, p-1)")
+    if left:
+        sig = quad.RightCumulative(ps.sigma_model.restricted(ps.R1, xi))
+        rhoc = ps.phi_rho_conj
+        rs = ps.R1 + probe_grid(xi - ps.R1, anchor=ps.R1)
+    else:
+        sig = quad.LeftCumulative(ps.sigma_model.restricted(xi, ps.R2))
+        rhoc = ps.psi_rho_conj
+        rs = (ps.R2 - probe_grid(ps.R2 - xi, anchor=ps.R2) if end == RIGHT_R2
+              else xi * 2.0 ** np.arange(1, 40))
+    F = sig(rs) * rhoc(rs) ** eps
+    witnesses["sup_F"] = float(np.max(F))
+    witnesses["argmax_r"] = float(rs[int(np.argmax(F))])
+    if eps_inf is not None and eps >= eps_inf - 1e-12:
         verdict, notes = HOLDS, ""
     elif eps_inf is not None:
         verdict, notes = FAILS, f"ε={eps} below the exponent-test infimum {eps_inf}"
@@ -229,35 +265,7 @@ def search_eps_L(ps: ProblemSpec):
 
 def check_A_eps_L(ps: ProblemSpec, xi=None, eps=None) -> ConditionReport:
     """(A_eps_L): ρ^{1-p'} ∈ L¹(R1, ξ) and (∫_r^ξ σ)(∫_{R1}^r ρ^{1-p'})^ε bounded."""
-    xi = _default_xi_left(ps) if xi is None else xi
-    witnesses = {"xi": xi}
-    if not quad.left_integrable(ps.rho_conj_model):
-        return ConditionReport(
-            "A_eps_L", FAILS, witnesses,
-            "precondition fails: rho^(1-p') not integrable near R1",
-        )
-    eps_inf = search_eps_L(ps)
-    witnesses["eps_infimum"] = INF if eps_inf is None else eps_inf
-    if eps is None:
-        if eps_inf is None:
-            return ConditionReport(
-                "A_eps_L", FAILS, witnesses,
-                "no admissible ε in (0, p-1): the σ mass near R1 is too heavy",
-            )
-        eps = 0.5 * (eps_inf + ps.p - 1.0)
-    witnesses["eps"] = eps
-    if not (0.0 < eps < ps.p - 1.0):
-        return ConditionReport(
-            "A_eps_L", FAILS, witnesses, f"ε={eps} outside (0, p-1)"
-        )
-    analytic_ok = eps_inf is not None and eps >= eps_inf - 1e-12
-    phi = ps.phi_rho_conj
-    psi_sig = quad.RightCumulative(ps.sigma_model.restricted(ps.R1, xi))
-    rs = ps.R1 + probe_grid(xi - ps.R1, anchor=ps.R1)
-    F = psi_sig(rs) * phi(rs) ** eps
-    witnesses["sup_F"] = float(np.max(F))
-    witnesses["argmax_r"] = float(rs[int(np.argmax(F))])
-    return _eps_report("A_eps_L", witnesses, eps, eps_inf, analytic_ok)
+    return _check_A_eps(ps, LEFT_R1, xi, eps)
 
 
 def search_eps_R(ps: ProblemSpec):
@@ -267,39 +275,7 @@ def search_eps_R(ps: ProblemSpec):
 
 def check_A_eps_R(ps: ProblemSpec, xi=None, eps=None) -> ConditionReport:
     """(A_eps_R): ρ^{1-p'} ∈ L¹(ξ, R2) and (∫_ξ^r σ)(∫_r^{R2} ρ^{1-p'})^ε bounded."""
-    xi = _default_xi_right(ps) if xi is None else xi
-    witnesses = {"xi": xi}
-    rhoc = ps.rho_conj_model
-    if not quad.tail_integrable(rhoc):
-        return ConditionReport(
-            "A_eps_R", FAILS, witnesses,
-            "precondition fails: rho^(1-p') not integrable near R2",
-        )
-    eps_inf = search_eps_R(ps)
-    witnesses["eps_infimum"] = INF if eps_inf is None else eps_inf
-    if eps is None:
-        if eps_inf is None:
-            return ConditionReport(
-                "A_eps_R", FAILS, witnesses,
-                "no admissible ε in (0, p-1): the σ tail is too heavy",
-            )
-        eps = 0.5 * (eps_inf + ps.p - 1.0)
-    witnesses["eps"] = eps
-    if not (0.0 < eps < ps.p - 1.0):
-        return ConditionReport(
-            "A_eps_R", FAILS, witnesses, f"ε={eps} outside (0, p-1)"
-        )
-    analytic_ok = eps_inf is not None and eps >= eps_inf - 1e-12
-    psi = ps.psi_rho_conj
-    phi_sig = quad.LeftCumulative(ps.sigma_model.restricted(xi, ps.R2))
-    if math.isfinite(ps.R2):
-        rs = ps.R2 - probe_grid(ps.R2 - xi, anchor=ps.R2)
-    else:
-        rs = xi * 2.0 ** np.arange(1, 40)
-    F = phi_sig(rs) * psi(rs) ** eps
-    witnesses["sup_F"] = float(np.max(F))
-    witnesses["argmax_r"] = float(rs[int(np.argmax(F))])
-    return _eps_report("A_eps_R", witnesses, eps, eps_inf, analytic_ok)
+    return _check_A_eps(ps, right_end(ps.R2), xi, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +431,7 @@ def check_W2(ps: ProblemSpec) -> ConditionReport:
     _require_exterior(ps)
     R, p, N = ps.R1, ps.p, ps.N
     v, w = ps.v, ps.w
-    hi0 = v.pieces[0].hi
-    xi = 0.5 * (R + (hi0 if math.isfinite(hi0) else R + 2.0))
+    xi = _default_xi(ps, LEFT_R1)
     witnesses = {"xi": xi}
     v_at_R = magnitude(v, LEFT_R1)
     if limit(v_at_R) == ZERO:

@@ -238,7 +238,7 @@ def sweep(n_draws=1000, seed=0, alternative="a", n_max=10_000, margin=0.99,
     every bound is >= -3e12 a draw there can violate nothing later.
     ``workers`` splits the merged draws into that many slices run on
     threads; each draw's arithmetic is its own, so the result does not
-    depend on it (the CLI caps it with RADIAL_PLAP_THREADS).  Returns the
+    depend on it.  Returns the
     counterexample count (expected 0) plus the largest n0 seen.
     """
     sizes = [min(chunk, n_draws - s) for s in range(0, n_draws, chunk)]

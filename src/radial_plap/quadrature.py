@@ -190,13 +190,11 @@ def _panel(f, a, b, rtol):
 _SHELL_MAX = 400
 _DIVERGE_RATIO_SLACK = 1e-9
 _ABS_FLOOR = 1e-280
+#: a shell sum past this certifies divergence
+_DIVERGE_CAP = 1e12
 
 
-class _ShellOutcome(Exception):
-    pass
-
-
-def _analyze_shells(shell_iter, f, rtol, cap, scale, tol_goal):
+def _analyze_shells(shell_iter, f, rtol, scale, tol_goal):
     """Sum shell integrals with geometric tail extrapolation.
 
     ``shell_iter`` yields (x0, x1) pairs marching toward the singular
@@ -226,7 +224,7 @@ def _analyze_shells(shell_iter, f, rtol, cap, scale, tol_goal):
         total += s
         err += e
         shells.append(s)
-        if abs(total) > cap:
+        if abs(total) > _DIVERGE_CAP:
             return INF, INF, DIVERGES
         if k < 3:
             continue
@@ -261,31 +259,15 @@ def _analyze_shells(shell_iter, f, rtol, cap, scale, tol_goal):
     return finish()
 
 
-def _left_shells(f, a, d, rtol, cap, scale, tol_goal):
-    def gen():
-        for k in range(_SHELL_MAX):
-            yield a + d * 2.0 ** -(k + 1), a + d * 2.0**-k
-
-    return _analyze_shells(gen(), f, rtol, cap, scale, tol_goal)
-
-
-def _right_shells(f, b, d, rtol, cap, scale, tol_goal):
-    def gen():
-        for k in range(_SHELL_MAX):
-            yield b - d * 2.0**-k, b - d * 2.0 ** -(k + 1)
-
-    return _analyze_shells(gen(), f, rtol, cap, scale, tol_goal)
+def _shells(end, d):
+    """Shells halving toward ``end`` from the distance |d|: d > 0 approaches
+    from the right of ``end``, d < 0 from its left."""
+    for k in range(_SHELL_MAX):
+        near, far = end + d * 2.0 ** -(k + 1), end + d * 2.0**-k
+        yield (near, far) if d > 0.0 else (far, near)
 
 
-def _tail_octaves(f, t0, rtol, cap, scale, tol_goal):
-    def gen():
-        for k in range(900):
-            yield t0 * 2.0**k, t0 * 2.0 ** (k + 1)
-
-    return _analyze_shells(gen(), f, rtol, cap, scale, tol_goal)
-
-
-def integrate(f, a, b, tol=1e-10, budget=10**6, cap=1e12):
+def integrate(f, a, b, tol=1e-10, budget=10**6):
     """Integrate ``f`` over (a, b) with endpoint singularities allowed.
 
     ``f`` maps a 1-D array of abscissae to the array of its values; it is
@@ -293,52 +275,45 @@ def integrate(f, a, b, tol=1e-10, budget=10**6, cap=1e12):
     the smooth core, then shell by shell), never point by point.
     ``b`` may be ``math.inf``.  The result's verdict is ``converged`` only if
     the combined error estimate meets ``tol * (1 + |value|)``; divergence is
-    reported when shell sums exceed ``cap`` or endpoint shells persistently
-    fail to decay.  ``budget`` caps the points evaluated; a batch that would
-    exceed it is not evaluated, and the result is ``inconclusive``, never a
-    silently truncated value.
+    reported when shell sums exceed ``_DIVERGE_CAP`` or endpoint shells
+    persistently fail to decay.  ``budget`` caps the points evaluated; a
+    batch that would exceed it is not evaluated, and the result is
+    ``inconclusive``, never a silently truncated value.
     """
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
     cf = _Counted(f, budget)
     try:
-        value, err, verdict = _driver(cf, a, b, tol, cap)
+        value, err, verdict = _driver(cf, a, b, tol)
     except BudgetExceeded:
         return IntegralResult(math.nan, INF, INCONCLUSIVE, cf.n)
     return IntegralResult(value, err, verdict, cf.n)
 
 
-def _driver(cf, a, b, tol, cap):
+def _driver(cf, a, b, tol):
+    """The core panel, then the shells toward ``a``, then those toward a
+    finite ``b`` or the octaves out along an infinite one."""
     rtol = tol * 1e-3
     if math.isfinite(b):
         d = (b - a) / 4.0
-        core, core_err = _panel(cf, a + d, b - d, rtol)
-        scale = 1.0 + abs(core)
-        lv, le, lverdict = _left_shells(cf, a, d, rtol, cap, scale, tol)
-        if lverdict == DIVERGES:
-            return INF, INF, DIVERGES
-        rv, re_, rverdict = _right_shells(cf, b, d, rtol, cap, scale, tol)
-        if rverdict == DIVERGES:
-            return INF, INF, DIVERGES
-        parts = (lverdict, rverdict)
-        value = core + lv + rv
-        err = core_err + le + re_
+        core_hi = b - d
+        far = _shells(b, -d)
     else:
         d = max(1.0, 0.5 * max(a, 1.0))
-        t0 = 2.0 * (a + d)
-        core, core_err = _panel(cf, a + d, t0, rtol)
-        scale = 1.0 + abs(core)
-        lv, le, lverdict = _left_shells(cf, a, d, rtol, cap, scale, tol)
-        if lverdict == DIVERGES:
+        core_hi = 2.0 * (a + d)
+        far = ((core_hi * 2.0**k, core_hi * 2.0 ** (k + 1)) for k in range(900))
+    value, err = _panel(cf, a + d, core_hi, rtol)
+    scale = 1.0 + abs(value)
+    converged = True
+    for shells in (_shells(a, d), far):
+        v, e, verdict = _analyze_shells(shells, cf, rtol, scale, tol)
+        if verdict == DIVERGES:
             return INF, INF, DIVERGES
-        tv, te, tverdict = _tail_octaves(cf, t0, rtol, cap, scale, tol)
-        if tverdict == DIVERGES:
-            return INF, INF, DIVERGES
-        parts = (lverdict, tverdict)
-        value = core + lv + tv
-        err = core_err + le + te
+        value += v
+        err += e
+        converged = converged and verdict == CONVERGED
     # field invariant: converged implies abs_error_estimate <= tol (1 + |value|)
-    if all(p == CONVERGED for p in parts) and err <= tol * (1.0 + abs(value)):
+    if converged and err <= tol * (1.0 + abs(value)):
         return value, err, CONVERGED
     return value, err, INCONCLUSIVE
 
@@ -347,8 +322,9 @@ def _driver(cf, a, b, tol, cap):
 # power-log piece integrals: closed forms, offset-coordinate panels, tails
 # ---------------------------------------------------------------------------
 
-#: nodes of one Gauss-Legendre panel of the offset kernel
+#: nodes of one Gauss-Legendre panel, and the rule's abscissae and weights
 _GL_N = 32
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_N)
 #: reach of the Taylor start at the singular origin, as a share of the
 #: distance to the nearest singularity of the smooth factor
 _TAYLOR_REACH = 3e-9
@@ -357,27 +333,18 @@ _BLOCK_PANELS = 256
 #: relative rounding bound reported for fixed-rule panel sums
 _PANEL_RTOL = 1e-14
 
-_GL_CACHE = {}
 
-
-def _gl(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _gl_panels(fvec, a, b, segments, n=32, grading=1.0):
+def _gl_panels(fvec, a, b, segments, grading=1.0):
     """Composite fixed Gauss-Legendre; edges graded toward ``a`` if asked."""
-    x, wt = _gl(n)
     u = np.linspace(0.0, 1.0, segments + 1)
     if grading != 1.0:
         u = u**grading
     edges = a + (b - a) * u
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
+    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
     vals = fvec(nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(vals @ wt * half)), nodes.size
+    return float(np.sum(vals @ _GL_W * half)), nodes.size
 
 
 def _gl_adaptive(fvec, a, b, tol, grading=1.0, segments=1, cap=256):
@@ -491,13 +458,12 @@ def _offset_cells(c, A, B, L, r1, t0, t1):
         hi = np.empty(n_pan)
         hi[:-1] = lo[1:]
         hi[start + m - 1] = t1
-    x, wt = _gl(_GL_N)
     vals = np.empty(n_pan)
     for s in range(0, n_pan, _BLOCK_PANELS):
         a, b = lo[s:s + _BLOCK_PANELS], hi[s:s + _BLOCK_PANELS]
         half = 0.5 * (b - a)
-        nodes = (a + half)[:, None] + half[:, None] * x
-        vals[s:s + _BLOCK_PANELS] = _integrand(c, A, B, L, r1, nodes) @ wt * half
+        nodes = (a + half)[:, None] + half[:, None] * _GL_X
+        vals[s:s + _BLOCK_PANELS] = _integrand(c, A, B, L, r1, nodes) @ _GL_W * half
     if start is not None:
         vals = np.add.reduceat(vals, start)
     return vals, n_pan * _GL_N

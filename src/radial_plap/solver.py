@@ -103,12 +103,16 @@ def _default_delta_left(ps, r_end):
     return lo
 
 
+#: share of the span each geometric boundary layer of the mesh reaches out to
+_LAYER_FRAC = 0.02
+
+
 def make_mesh(ps: ProblemSpec, r_end=None, n_core=1200, per_decade=12,
-              delta_left=None, delta_right=None, layer_frac=0.02) -> Mesh:
+              delta_left=None, delta_right=None) -> Mesh:
     """Graded mesh: narrow geometric boundary layers plus a dense core.
 
     The layers run from the offsets down at ``delta_left``/``delta_right`` out
-    to ``layer_frac`` of the span, with ``per_decade`` nodes per decade of
+    to ``_LAYER_FRAC`` of the span, with ``per_decade`` nodes per decade of
     boundary distance; keeping them narrow leaves the core (log-spaced when
     the domain spans more than a decade in r, uniform otherwise) to resolve
     the eigenfunction's bulk.  Weight junctions are inserted as nodes so
@@ -123,8 +127,8 @@ def make_mesh(ps: ProblemSpec, r_end=None, n_core=1200, per_decade=12,
         delta_left = _default_delta_left(ps, r_end)
     if delta_right is None:
         delta_right = 1e-9 * span
-    layer_l = max(span * layer_frac, 1e3 * delta_left)
-    layer_r = max(span * layer_frac, 1e3 * delta_right)
+    layer_l = max(span * _LAYER_FRAC, 1e3 * delta_left)
+    layer_r = max(span * _LAYER_FRAC, 1e3 * delta_right)
     k_left = max(2, int(math.ceil(per_decade * math.log10(layer_l / delta_left))))
     d_left = delta_left * (layer_l / delta_left) ** (np.arange(k_left + 1) / k_left)
     k_right = max(2, int(math.ceil(per_decade * math.log10(layer_r / delta_right))))

@@ -548,9 +548,3 @@ def load_problem(path) -> ProblemSpec:
         except json.JSONDecodeError as exc:
             raise SpecError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return problem_from_dict(d)
-
-
-def dump_problem(ps: ProblemSpec, path):
-    with open(path, "w") as fh:
-        json.dump(problem_to_dict(ps), fh, indent=2, sort_keys=True)
-        fh.write("\n")

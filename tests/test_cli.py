@@ -174,6 +174,16 @@ class TestAsymptoticsCommand:
                    "--out-dir", str(tmp_path)) == 1
         assert not (tmp_path / "asymptotics.json").exists()
 
+    def test_rmax_on_an_annulus_exits_2_like_solve(self, tmp_path, capsys):
+        assert run("solve", "--preset", "annulus-n3", "--rmax", "3",
+                   "--out-dir", str(tmp_path / "solve")) == 2
+        solve_err = capsys.readouterr().err
+        assert run("asymptotics", "--preset", "annulus-n3", "--rmax", "3",
+                   "--out-dir", str(tmp_path / "asy")) == 2
+        assert capsys.readouterr().err == solve_err
+        assert "are for exterior domains" in solve_err
+        assert not (tmp_path / "asy" / "asymptotics.json").exists()
+
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_asymptotics_rows_match_example(tmp_path, preset):

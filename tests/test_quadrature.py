@@ -85,6 +85,16 @@ class TestDivergenceSweep:
             assert res.verdict == CONVERGED
             assert res.value == pytest.approx(1.0 / (gamma + 1.0), rel=1e-9)
 
+    @pytest.mark.parametrize("gamma", GAMMA_SWEEP)
+    def test_right_endpoint_verdict_matches_exponent_test(self, gamma):
+        # the singularity at b goes through the far-side shells
+        res = integrate(lambda r, g=gamma: (2.0 - r) ** g, 1.0, 2.0)
+        if gamma <= -1.0:
+            assert res.verdict == DIVERGES
+        else:
+            assert res.verdict == CONVERGED
+            assert res.value == pytest.approx(1.0 / (gamma + 1.0), rel=1e-10)
+
 
 class TestExactPowerlog:
     def test_boundary_exponent_diverges(self):
