@@ -46,6 +46,8 @@ class AsymptoticVerdict:
     theoretical_exponent: float | None
     passed: bool
     extras: dict = field(default_factory=dict)
+    #: the window's (r, u, envelope) samples; not part of :meth:`to_dict`
+    window_data: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self):
         return {
@@ -215,4 +217,5 @@ def sandwich_check(eig: Eigenpair, ps: ProblemSpec, boundary,
         theoretical_exponent=theo,
         passed=bool(ok_ratio and ok_exp),
         extras=extras,
+        window_data=(rs, us, env),
     )

@@ -164,13 +164,10 @@ def _verify(eig, ps, ps_solve, boundaries, csv_dir=None):
             continue
         rows.append(v.to_dict())
         if csv_dir is not None:
-            mask = (eig.mesh.nodes >= v.window[0]) & (eig.mesh.nodes <= v.window[1])
-            rs = eig.mesh.nodes[mask]
-            env = (asymptotics.envelope_left(ps_env, rs) if b == "left"
-                   else asymptotics.envelope_right(ps_env, rs))
+            rs, us, env = v.window_data
             files.append(_write_csv(csv_dir / f"asymptotics_{b}.csv",
                                     ["r", "u", "envelope", "ratio"],
-                                    [rs, eig.u[mask], env, eig.u[mask] / env]))
+                                    [rs, us, env, us / env]))
     return rows, files
 
 

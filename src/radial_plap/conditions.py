@@ -33,8 +33,6 @@ from .weights import (
     RIGHT_R2,
     ZERO,
     ProblemSpec,
-    PowerLogPiece,
-    WeightModel,
     eps_infimum,
     far_integral,
     limit,
@@ -376,7 +374,7 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
         return ConditionReport(
             "W1", FAILS, witnesses, "essinf of v near infinity is 0"
         )
-    vinv = v ** (-1.0 / (p - 1.0))
+    vinv = v.conj(p)
     a_v = magnitude(v, LEFT_R1)[0]
     if not a_v < p - 1.0:
         return ConditionReport(
@@ -398,14 +396,10 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
     res1 = quad.integrate(f1, R, xi, tol=1e-8)
     witnesses["I1"] = res1.value
     if p != N:
-        tail_model = w.restricted(xi, INF).shifted_r_power(p - 1.0)
+        tail_model = w.restricted(xi, INF).times(b=p - 1.0)
         label = "∫_ξ^∞ r^(p-1) w dr"
     else:
-        logf = WeightModel(
-            (PowerLogPiece(lo=xi, hi=INF, c=1.0, b=float(N - 1), l=float(N - 1)),),
-            ps.R1,
-        )
-        tail_model = w.restricted(xi, INF) * logf
+        tail_model = w.restricted(xi, INF).times(b=N - 1.0, l=N - 1.0)
         label = "∫_ξ^∞ [r log r]^(N-1) w dr"
     res2 = quad.integrate_exact_powerlog(tail_model, a=xi)
     witnesses["I2"] = res2.value
@@ -444,8 +438,7 @@ def check_W2(ps: ProblemSpec) -> ConditionReport:
             "W2", FAILS, witnesses, "[r^(N-1) v]^(-1/(p-1)) not integrable at infinity"
         )
     witnesses["int_rho_conj_xi_inf"] = ps.psi_rho_conj(xi)
-    shift = WeightModel((PowerLogPiece(lo=R, hi=xi, c=1.0, a=p - 1.0),), R)
-    m1 = w.restricted(R, xi) * shift
+    m1 = w.restricted(R, xi).times(a=p - 1.0)
     res1 = quad.integrate_exact_powerlog(m1)
     witnesses["I1"] = res1.value
     if res1.diverges:

@@ -332,6 +332,9 @@ _TAYLOR_REACH = 3e-9
 _BLOCK_PANELS = 256
 #: relative rounding bound reported for fixed-rule panel sums
 _PANEL_RTOL = 1e-14
+#: relative accuracy at which the adaptive routes of the exact power-log
+#: integrals (tails and the spectral singular start) stop
+_EXACT_RTOL = 1e-12
 
 
 def _gl_panels(fvec, a, b, segments, grading=1.0):
@@ -364,13 +367,6 @@ def _gl_adaptive(fvec, a, b, tol, grading=1.0, segments=1, cap=256):
             return val, abs(val - prev) if prev is not None else INF, nev
         prev = val
         segments *= 2
-
-
-def _merged_exponents(piece, r1):
-    """(c, A, B, L) with the r**b factor folded into (r-R1)**a when R1 == 0."""
-    if r1 == 0.0:
-        return piece.c, 0.0, piece.a + piece.b, piece.l
-    return piece.c, piece.a, piece.b, piece.l
 
 
 def _power_int(base, gap, e):
@@ -469,14 +465,14 @@ def _offset_cells(c, A, B, L, r1, t0, t1):
     return vals, n_pan * _GL_N
 
 
-def _piece_partial(piece, r1, x0, x1, tol=1e-12):
+def _piece_partial(piece, r1, x0, x1):
     """∫_{x0}^{x1} of one power-log piece, assuming convergence.
 
     ``x0`` may sit on the singular origin (x0 == r1) and ``x1`` may be inf;
-    returns (value, err, evaluations).  ``tol`` steers the adaptive routes
-    (tails and the spectral singular start); the rest are fixed rules.
+    returns (value, err, evaluations).  The tails and the spectral singular
+    start stop at ``_EXACT_RTOL``; the rest are fixed rules.
     """
-    c, A, B, L = _merged_exponents(piece, r1)
+    c, A, B, L = piece.c, piece.a, piece.b, piece.l
     closed = _closed_form(c, A, B, L, r1, x0, x1)
     if closed is not None:
         return closed, abs(closed) * 1e-15, 0
@@ -487,18 +483,18 @@ def _piece_partial(piece, r1, x0, x1, tol=1e-12):
         mid = max(x0, 2.0 * r1, math.e if L != 0.0 else 0.0)
         if x0 <= r1:
             mid = max(mid, r1 + 1.0)
-        v, e, n = _tail_gl(c, A, B, L, r1, mid, tol)
+        v, e, n = _tail_gl(c, A, B, L, r1, mid)
         if mid > x0:
-            hv, he, hn = _piece_partial(piece, r1, x0, mid, tol)
+            hv, he, hn = _piece_partial(piece, r1, x0, mid)
             v, e, n = v + hv, e + he, n + hn
         return v, e, n
     if x0 <= r1:
-        return _left_singular(c, A, B, L, r1, x1 - r1, tol)
+        return _left_singular(c, A, B, L, r1, x1 - r1)
     v, n = _offset_cells(c, A, B, L, r1, [x0 - r1], [x1 - r1])
     return float(v[0]), abs(float(v[0])) * _PANEL_RTOL, n
 
 
-def _left_singular(c, A, B, L, r1, d, tol):
+def _left_singular(c, A, B, L, r1, d):
     """∫_0^d c t^A (r1+t)^B log(r1+t)^L dt (needs A > -1).
 
     With t = y**m, m = ceil(3/(1+A)) for A < 0, the integrand becomes
@@ -528,7 +524,7 @@ def _left_singular(c, A, B, L, r1, d, tol):
                 out = out * np.power(np.log(r), L)
             return out
 
-        return _gl_adaptive(fvec, 0.0, d ** (1.0 / m), tol, grading=2.0)
+        return _gl_adaptive(fvec, 0.0, d ** (1.0 / m), _EXACT_RTOL, grading=2.0)
 
     delta = r1 if L == 0.0 else r1 - 1.0
     eps = min(d, _TAYLOR_REACH * delta / (1.0 + abs(B) + abs(L)))
@@ -546,7 +542,7 @@ def _left_singular(c, A, B, L, r1, d, tol):
     return v, abs(v) * _PANEL_RTOL, n
 
 
-def _tail_gl(c, A, B, L, r1, x0, tol):
+def _tail_gl(c, A, B, L, r1, x0):
     """∫_{x0}^inf via r = e**s; integrand ~ e^{(A+B+1)s} s^L decays."""
     kappa = -(A + B + 1.0)
     s0 = math.log(x0)
@@ -562,7 +558,7 @@ def _tail_gl(c, A, B, L, r1, x0, tol):
                 out = out * np.power(1.0 - r1 * np.exp(-s), A)
             return out
 
-        v1, e1, n1 = _gl_adaptive(fvec, s0, s_cut, tol)
+        v1, e1, n1 = _gl_adaptive(fvec, s0, s_cut, _EXACT_RTOL)
         v2 = -c * s_cut ** (L + 1.0) / (L + 1.0)
         return v1 + v2, e1 + abs(v2) * 1e-14, n1
 
@@ -582,7 +578,7 @@ def _tail_gl(c, A, B, L, r1, x0, tol):
         return out
 
     segments = max(8, int(2 * (s_end - s0)))
-    return _gl_adaptive(fvec, s0, s_end, tol, segments=segments, cap=4096)
+    return _gl_adaptive(fvec, s0, s_end, _EXACT_RTOL, segments=segments, cap=4096)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +598,7 @@ def tail_integrable(model: WeightModel):
     return near_integral(magnitude(model, end), end) is not None
 
 
-def integrate_exact_powerlog(model: WeightModel, a=None, b=None, tol=1e-12):
+def integrate_exact_powerlog(model: WeightModel, a=None, b=None):
     """Integral of a power-log model with exponent-certified verdicts.
 
     Convergence/divergence at the endpoints is decided analytically; the value
@@ -630,7 +626,7 @@ def integrate_exact_powerlog(model: WeightModel, a=None, b=None, tol=1e-12):
         if not lo < hi:
             continue
         x0 = model.r1 if (touches_left and lo <= model.r1) else lo
-        v, e, n = _piece_partial(piece, model.r1, x0, hi, tol)
+        v, e, n = _piece_partial(piece, model.r1, x0, hi)
         total += v
         err += e
         nev += n
@@ -643,14 +639,14 @@ def integrate_exact_powerlog(model: WeightModel, a=None, b=None, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 
-def _piece_cells(piece, r1, a, b, tol):
+def _piece_cells(piece, r1, a, b):
     """∫ of one piece over each [a[k], b[k]] (radii), via the offset kernel.
 
     Cells touching the origin (a <= r1) or reaching infinity are rare and
     take the scalar :func:`_piece_partial` route.
     """
     odd = (a <= r1) | ~np.isfinite(b)
-    cab = _merged_exponents(piece, r1)
+    cab = piece.c, piece.a, piece.b, piece.l
     if not odd.any():
         return _offset_cells(*cab, r1, a - r1, b - r1)[0]
     out = np.empty(a.shape)
@@ -658,7 +654,7 @@ def _piece_cells(piece, r1, a, b, tol):
     out[reg] = _offset_cells(*cab, r1, a[reg] - r1, b[reg] - r1)[0]
     for k in np.flatnonzero(odd):
         live = b[k] > max(a[k], r1)
-        out[k] = _piece_partial(piece, r1, a[k], b[k], tol)[0] if live else 0.0
+        out[k] = _piece_partial(piece, r1, a[k], b[k])[0] if live else 0.0
     return out
 
 
@@ -685,15 +681,14 @@ class LeftCumulative:
     into the caller's order.  A single query integrates directly.
     """
 
-    def __init__(self, model: WeightModel, tol=1e-12):
+    def __init__(self, model: WeightModel):
         self.model = model
-        self.tol = tol
         self.divergent = not left_integrable(model)
         prefix = [0.0]
         if not self.divergent:
             for piece in model.pieces[:-1]:
                 x0 = model.r1 if piece.lo <= model.r1 else piece.lo
-                v, _, _ = _piece_partial(piece, model.r1, x0, piece.hi, tol)
+                v, _, _ = _piece_partial(piece, model.r1, x0, piece.hi)
                 prefix.append(prefix[-1] + v)
         self._prefix = prefix
 
@@ -713,7 +708,7 @@ class LeftCumulative:
             x0 = self._start(piece)
             v = self._prefix[i]
             if rj > x0:
-                v += _piece_partial(piece, self.model.r1, x0, rj, self.tol)[0]
+                v += _piece_partial(piece, self.model.r1, x0, rj)[0]
             return v if scalar else np.full(rs.shape, v)
         flat = rs.ravel()
         order, q, runs = _by_piece(self.model, flat)
@@ -727,7 +722,7 @@ class LeftCumulative:
             if k < len(qi):
                 live = qi[k:]
                 gaps = _piece_cells(piece, self.model.r1,
-                                    np.concatenate([[x0], live[:-1]]), live, self.tol)
+                                    np.concatenate([[x0], live[:-1]]), live)
                 vals[sl][k:] = self._prefix[i] + np.cumsum(gaps)
         out = np.empty(flat.shape)
         out[order] = vals
@@ -745,16 +740,15 @@ class RightCumulative:
     between consecutive sorted queries gives the rest.
     """
 
-    def __init__(self, model: WeightModel, tol=1e-12):
+    def __init__(self, model: WeightModel):
         self.model = model
-        self.tol = tol
         self.divergent = not tail_integrable(model)
         n = len(model.pieces)
         suffix = [0.0] * (n + 1)
         if not self.divergent:
             for i in range(n - 1, 0, -1):
                 piece = model.pieces[i]
-                v, _, _ = _piece_partial(piece, model.r1, piece.lo, piece.hi, tol)
+                v, _, _ = _piece_partial(piece, model.r1, piece.lo, piece.hi)
                 suffix[i] = suffix[i + 1] + v
             suffix[0] = math.nan  # unused: first-piece queries integrate from r
         self._suffix = suffix
@@ -771,7 +765,7 @@ class RightCumulative:
             piece = self.model.pieces[i]
             v = self._suffix[i + 1]
             if rj < piece.hi:
-                v += _piece_partial(piece, self.model.r1, rj, piece.hi, self.tol)[0]
+                v += _piece_partial(piece, self.model.r1, rj, piece.hi)[0]
             return v if scalar else np.full(rs.shape, v)
         flat = rs.ravel()
         order, q, runs = _by_piece(self.model, flat)
@@ -784,14 +778,14 @@ class RightCumulative:
             if k > 0:
                 live = qi[:k]
                 gaps = _piece_cells(piece, self.model.r1, live,
-                                    np.concatenate([live[1:], [piece.hi]]), self.tol)
+                                    np.concatenate([live[1:], [piece.hi]]))
                 vals[sl][:k] = self._suffix[i + 1] + np.cumsum(gaps[::-1])[::-1]
         out = np.empty(flat.shape)
         out[order] = vals
         return out.reshape(rs.shape)
 
 
-def interval_integrals(model: WeightModel, edges, tol=1e-12):
+def interval_integrals(model: WeightModel, edges):
     """∫ of the model over each [edges[i], edges[i+1]], vectorized.
 
     Cells crossing piece junctions are split there and summed.  Every
@@ -816,5 +810,5 @@ def interval_integrals(model: WeightModel, edges, tol=1e-12):
     vals = np.empty(lo.shape)
     for i in np.unique(idx):
         m = idx == i
-        vals[m] = _piece_cells(model.pieces[i], model.r1, lo[m], hi[m], tol)
+        vals[m] = _piece_cells(model.pieces[i], model.r1, lo[m], hi[m])
     return np.bincount(cell, weights=vals, minlength=n)

@@ -136,7 +136,7 @@ def make_mesh(ps: ProblemSpec, r_end=None, n_core=1200, per_decade=12,
     left_nodes = ps.R1 + d_left
     right_nodes = r_end - d_right
     a, b = ps.R1 + layer_l, r_end - layer_r
-    if (ps.R1 + span) / max(ps.R1, 1e-300) > 10.0 and ps.R1 > 0:
+    if (ps.R1 + span) / ps.R1 > 10.0:
         core = np.geomspace(a, b, n_core)
     else:
         core = np.linspace(a, b, n_core)

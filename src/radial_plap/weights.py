@@ -1,16 +1,17 @@
 """Piecewise power-log radial weights and the radial eigenproblem data.
 
-A weight on (R1, R2) is represented piecewise as ``c * (r-R1)**a * r**b *
-(log r)**l``.  The family is closed under products and real powers, so every
-integrability question that matters here -- at R1, at a finite R2, at
-infinity -- is decided by exponent arithmetic alone.  Log factors are only
-allowed on pieces with ``lo > 1``, which keeps ``log r`` positive and bounded
-away from zero on the piece; log-type behavior can then only occur at
-infinity.
+A weight on the annulus (R1, R2), 0 < R1 < R2 <= inf, is represented
+piecewise as ``c * (r-R1)**a * r**b * (log r)**l``.  The family is closed
+under multiplication by one such factor (:meth:`WeightModel.times`) and under
+the conjugate power (:meth:`WeightModel.conj`), so every integrability
+question that matters here -- at R1, at a finite R2, at infinity -- is
+decided by exponent arithmetic alone.  Log factors are only allowed on
+pieces with ``lo > 1``, which keeps ``log r`` positive and bounded away from
+zero on the piece; log-type behavior can then only occur at infinity.
 
 The derived 1-d coefficients are ``rho = r**(N-1) * v`` and
 ``sigma = r**(N-1) * w``; the conjugate power ``rho**(1-p')`` with
-``p' = p/(p-1)`` stays in the family (exponents scale by ``-1/(p-1)``).
+``p' = p/(p-1)`` stays in the family (each exponent e becomes -e/(p-1)).
 
 Endpoint behavior is decided in one magnitude algebra.  A magnitude is a
 triple ``(power, log, loglog)`` standing for ``d**power * |log d|**log *
@@ -88,28 +89,6 @@ class PowerLogPiece:
             out = out * np.power(np.log(r), self.l)
         return out
 
-    def powered(self, q):
-        return replace(
-            self, c=self.c**q, a=self.a * q, b=self.b * q, l=self.l * q
-        )
-
-
-def _merge_breaks(x, y):
-    """Union of two sorted breakpoint arrays, snapping nearly equal radii."""
-    merged = []
-    for t in sorted(list(x) + list(y)):
-        if merged and t == merged[-1]:
-            continue
-        if (
-            merged
-            and math.isfinite(t)
-            and math.isfinite(merged[-1])
-            and abs(t - merged[-1]) <= _JUNCTION_RTOL * max(1.0, abs(t))
-        ):
-            continue
-        merged.append(t)
-    return merged
-
 
 @dataclass(frozen=True)
 class WeightModel:
@@ -129,9 +108,11 @@ class WeightModel:
     def __post_init__(self):
         if not self.pieces:
             raise SpecError("weight model needs at least one piece")
+        if not self.r1 > 0.0:
+            raise SpecError(f"origin r1 must be positive (an annulus), got {self.r1}")
         pieces = tuple(self.pieces)
         lo0 = pieces[0].lo
-        if lo0 < self.r1 - _JUNCTION_RTOL * max(1.0, abs(self.r1)):
+        if lo0 < self.r1 - _JUNCTION_RTOL * max(1.0, self.r1):
             raise SpecError(
                 f"first piece starts at {lo0}, left of the origin r1={self.r1}"
             )
@@ -157,7 +138,7 @@ class WeightModel:
     @property
     def left_singular(self):
         """Whether the domain starts at the (r-R1) origin itself."""
-        return self.lo_domain <= self.r1 + _JUNCTION_RTOL * max(1.0, abs(self.r1))
+        return self.lo_domain <= self.r1 + _JUNCTION_RTOL * max(1.0, self.r1)
 
     @cached_property
     def _los(self):
@@ -191,43 +172,22 @@ class WeightModel:
 
     # -- algebra (closed in the power-log family) --------------------------
 
-    def scaled(self, factor):
-        if not factor > 0:
-            raise SpecError("scale factor must be positive")
-        return WeightModel(
-            tuple(replace(p, c=p.c * factor) for p in self.pieces), self.r1
-        )
+    def times(self, c=1.0, a=0.0, b=0.0, l=0.0):
+        """Multiply every piece by ``c * (r-R1)**a * r**b * (log r)**l``."""
+        return WeightModel(tuple(
+            replace(pc, c=pc.c * c, a=pc.a + a, b=pc.b + b, l=pc.l + l)
+            for pc in self.pieces), self.r1)
 
-    def shifted_r_power(self, db):
-        """Multiply by ``r**db`` (used for the r^(N-1) factor)."""
-        return WeightModel(
-            tuple(replace(p, b=p.b + db) for p in self.pieces), self.r1
-        )
+    def conj(self, p):
+        """The model raised to ``1 - p' = -1/(p-1)``.
 
-    def __pow__(self, q):
-        return WeightModel(tuple(p.powered(q) for p in self.pieces), self.r1)
-
-    def __mul__(self, other):
-        if not isinstance(other, WeightModel):
-            return NotImplemented
-        if abs(other.r1 - self.r1) > _JUNCTION_RTOL * max(1.0, abs(self.r1)):
-            raise SpecError("cannot multiply models with different origins")
-        if abs(other.lo_domain - self.lo_domain) > _JUNCTION_RTOL * max(
-            1.0, abs(self.lo_domain)
-        ) or not (other.r2 == self.r2 or abs(other.r2 - self.r2) <= _JUNCTION_RTOL * abs(self.r2)):
-            raise SpecError("cannot multiply models tiling different intervals")
-        breaks = _merge_breaks(self.breakpoints(), other.breakpoints())
-        pieces = []
-        for lo, hi in zip(breaks[:-1], breaks[1:]):
-            pa = self.pieces[self.piece_index(lo)]
-            pb = other.pieces[other.piece_index(lo)]
-            pieces.append(
-                PowerLogPiece(
-                    lo=lo, hi=hi, c=pa.c * pb.c, a=pa.a + pb.a,
-                    b=pa.b + pb.b, l=pa.l + pb.l,
-                )
-            )
-        return WeightModel(tuple(pieces), self.r1)
+        Each exponent e becomes -e / (p-1), rounded once, so e = p-1 lands on
+        exactly -1, where e * (-1/(p-1)) can round off a critical value.
+        """
+        pm1 = p - 1.0
+        return WeightModel(tuple(
+            replace(pc, c=pc.c ** (-1.0 / pm1), a=-pc.a / pm1, b=-pc.b / pm1, l=-pc.l / pm1)
+            for pc in self.pieces), self.r1)
 
     def restricted(self, a, b):
         """Sub-model tiling (a, b); keeps the offset origin r1."""
@@ -257,18 +217,12 @@ INFINITY = "infinity"
 def local_exponents(wm: WeightModel, endpoint: str):
     """Governing (power, log-power) of the piece adjacent to an endpoint.
 
-    Left endpoint: behavior in (r - R1); with R1 == 0 the r**b factor merges
-    into the same power, and a domain starting right of the origin is regular
-    there, reported as (0, 0).  At infinity the (r-R1)**a factor behaves like
-    r**a, so the governing power is a + b.
+    Left endpoint: behavior in (r - R1); a domain starting right of the
+    origin is regular there, reported as (0, 0).  At infinity the (r-R1)**a
+    factor behaves like r**a, so the governing power is a + b.
     """
     if endpoint == LEFT_R1:
-        if not wm.left_singular:
-            return (0.0, 0.0)
-        p = wm.pieces[0]
-        if wm.r1 == 0.0:
-            return (p.a + p.b, p.l)
-        return (p.a, 0.0)
+        return (wm.pieces[0].a, 0.0) if wm.left_singular else (0.0, 0.0)
     if endpoint == INFINITY:
         if math.isfinite(wm.r2):
             raise ValueError("model ends at a finite radius")
@@ -358,7 +312,7 @@ def eps_infimum(grow, decay, cap):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Radial Dirichlet eigenproblem data (N, p, R1, R2, v, w).
+    """Radial Dirichlet eigenproblem data (N, p, R1, R2, v, w), 0 < R1 < R2.
 
     Induces ``rho = r**(N-1) v`` and ``sigma = r**(N-1) w``.  Immutable after
     construction; derived models and cumulative integrals are cached, so
@@ -371,15 +325,14 @@ class ProblemSpec:
     R2: float
     v: WeightModel
     w: WeightModel
-    lam: float | None = None
 
     def __post_init__(self):
         if not (isinstance(self.N, int) and self.N >= 1):
             raise SpecError(f"N must be an integer >= 1, got {self.N}", "N")
         if not self.p > 1.0:
             raise SpecError(f"p must exceed 1, got {self.p}", "p")
-        if not (0.0 <= self.R1 < self.R2):
-            raise SpecError(f"need 0 <= R1 < R2, got R1={self.R1}, R2={self.R2}", "R1")
+        if not (0.0 < self.R1 < self.R2):
+            raise SpecError(f"need 0 < R1 < R2, got R1={self.R1}, R2={self.R2}", "R1")
         for name, wm in (("v", self.v), ("w", self.w)):
             if abs(wm.r1 - self.R1) > _JUNCTION_RTOL * max(1.0, self.R1):
                 raise SpecError(f"{name} has origin {wm.r1}, not R1={self.R1}", name)
@@ -388,30 +341,18 @@ class ProblemSpec:
             if not (wm.r2 == self.R2 or abs(wm.r2 - self.R2) <= _JUNCTION_RTOL * max(1.0, abs(wm.r2))):
                 raise SpecError(f"{name} ends at {wm.r2}, not R2={self.R2}", name)
 
-    @property
-    def p_conj(self):
-        return self.p / (self.p - 1.0)
-
     @cached_property
     def rho_model(self):
-        return self.v.shifted_r_power(self.N - 1)
+        return self.v.times(b=self.N - 1)
 
     @cached_property
     def sigma_model(self):
-        return self.w.shifted_r_power(self.N - 1)
+        return self.w.times(b=self.N - 1)
 
     @cached_property
     def rho_conj_model(self):
-        """Model of rho**(1-p') = rho**(-1/(p-1)).
-
-        Each exponent e becomes -e / (p-1), rounded once, so e = p-1 lands on
-        exactly -1, where e * (-1/(p-1)) can round off a critical value.
-        """
-        pm1 = self.p - 1.0
-        rho = self.rho_model
-        return WeightModel(tuple(
-            replace(pc, c=pc.c ** (-1.0 / pm1), a=-pc.a / pm1, b=-pc.b / pm1, l=-pc.l / pm1)
-            for pc in rho.pieces), rho.r1)
+        """Model of rho**(1-p') = rho**(-1/(p-1))."""
+        return self.rho_model.conj(self.p)
 
     @cached_property
     def phi_rho_conj(self):
@@ -440,10 +381,10 @@ class ProblemSpec:
         return quadrature.RightCumulative(self.sigma_model)
 
     def with_scaled_w(self, factor):
-        return replace(self, w=self.w.scaled(factor))
+        return replace(self, w=self.w.times(c=factor))
 
     def with_scaled_v(self, factor):
-        return replace(self, v=self.v.scaled(factor))
+        return replace(self, v=self.v.times(c=factor))
 
     def truncated(self, r_max):
         """Finite-annulus restriction (R1, r_max) of an exterior problem."""
@@ -453,7 +394,6 @@ class ProblemSpec:
             N=self.N, p=self.p, R1=self.R1, R2=r_max,
             v=self.v.restricted(self.R1, r_max),
             w=self.w.restricted(self.R1, r_max),
-            lam=self.lam,
         )
 
 
@@ -513,8 +453,7 @@ def problem_from_dict(d) -> ProblemSpec:
     r2 = _num(d, "R2", "")
     v = _pieces_from_json(d.get("v"), r1, "v")
     w = _pieces_from_json(d.get("w"), r1, "w")
-    lam = _num(d, "lambda", "", required=False)
-    return ProblemSpec(N=n, p=p, R1=r1, R2=r2, v=v, w=w, lam=lam)
+    return ProblemSpec(N=n, p=p, R1=r1, R2=r2, v=v, w=w)
 
 
 def _jsonable(x):
@@ -528,7 +467,7 @@ def problem_to_dict(ps: ProblemSpec) -> dict:
             for p in wm.pieces
         ]
 
-    d = {
+    return {
         "N": ps.N,
         "p": ps.p,
         "R1": ps.R1,
@@ -536,9 +475,6 @@ def problem_to_dict(ps: ProblemSpec) -> dict:
         "v": pieces(ps.v),
         "w": pieces(ps.w),
     }
-    if ps.lam is not None:
-        d["lambda"] = ps.lam
-    return d
 
 
 def load_problem(path) -> ProblemSpec:

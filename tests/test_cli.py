@@ -75,6 +75,16 @@ class TestCheckConditions:
         assert run("check-conditions", "--problem", str(tmp_path / "nope.json"),
                    "--out-dir", str(tmp_path)) == 2
 
+    def test_ball_r1_zero_exits_2(self, tmp_path, capsys):
+        ball = tmp_path / "ball.json"
+        ball.write_text(json.dumps({
+            "N": 1, "p": 2.0, "R1": 0, "R2": 1.0,
+            "v": [{"lo": 0.0, "hi": 1.0}], "w": [{"lo": 0.0, "hi": 1.0}],
+        }))
+        assert run("check-conditions", "--problem", str(ball),
+                   "--out-dir", str(tmp_path)) == 2
+        assert "invalid problem spec" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_trivial_preset(self, tmp_path):

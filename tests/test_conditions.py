@@ -26,9 +26,9 @@ def const_problem(N=1, p=2.0, R1=1.0, R2=2.0, v=1.0, w=1.0):
 
 class TestCapacityP:
     def test_unit_interval_tent(self):
-        ps = const_problem(R1=0.0, R2=1.0)
-        for r in (0.1, 0.25, 0.5, 0.8):
-            assert C.capacity_P(ps, r) == pytest.approx(min(r, 1.0 - r), rel=1e-10)
+        ps = const_problem(R1=1.0, R2=2.0)
+        for r in (1.1, 1.25, 1.5, 1.8):
+            assert C.capacity_P(ps, r) == pytest.approx(min(r - 1.0, 2.0 - r), rel=1e-10)
 
     def test_degenerate_weight_vanishes_at_inner_boundary(self):
         ps = make_ex61(alpha=0.5)
@@ -272,7 +272,8 @@ class TestAEpsRight:
 
 class TestCheckOK:
     def test_unit_ball_coefficients(self):
-        ps = const_problem(R1=0.0, R2=1.0)
+        # N = 1 on a unit-length interval: the annulus (1, 2)
+        ps = const_problem(R1=1.0, R2=2.0)
         rep = C.check_OK(ps)
         assert rep.holds
 
@@ -302,12 +303,13 @@ class TestFailedWitnessProbes:
     FAILED = "failed; verdict from the exponent certificate"
 
     @staticmethod
-    def _steep_ball():
-        # rho^{1-p'} ~ r^-65.2 near R1 = 0: its integral from r = 2.3e-9 is
-        # finite but past the float range
-        v = WeightModel((PowerLogPiece(0.0, 2.5, 0.686, -0.5, 4.082486770064989),), 0.0)
-        return ProblemSpec(N=4, p=1.1009235320031816, R1=0.0, R2=2.5, v=v,
-                           w=WeightModel.constant(1.0, 0.0, 2.5))
+    def _steep_annulus():
+        # rho^{1-p'} ~ (r-1)^-65.2 near R1 = 1: its integral from
+        # r - 1 = 2.3e-9 is finite but past the float range
+        p = 1.1009235320031816
+        v = WeightModel((PowerLogPiece(1.0, 3.5, 0.686, 65.2 * (p - 1.0)),), 1.0)
+        return ProblemSpec(N=1, p=p, R1=1.0, R2=3.5, v=v,
+                           w=WeightModel.constant(1.0, 1.0, 3.5))
 
     @staticmethod
     def _tail_one_rounding_from_critical():
@@ -322,7 +324,7 @@ class TestFailedWitnessProbes:
         assert quad._power_int(0.0, 1e200, 2.0) == INF
 
     def test_overflowed_ok_probe_is_noted(self):
-        rep = C.check_OK(self._steep_ball())
+        rep = C.check_OK(self._steep_annulus())
         assert rep.verdict == C.FAILS
         assert (rep.witnesses["alt1_limit_R1"], rep.witnesses["alt1_limit_R2"]) == (
             "infinite", "zero")

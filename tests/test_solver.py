@@ -835,15 +835,6 @@ class TestFixedPointLeft:
         assert np.max(np.abs(u / scale - mesh_u)) < 1e-3
 
 
-class TestBallDomain:
-    def test_unit_ball_coefficients(self):
-        # R1 = 0 with N = 1 is the unit interval again: lam_1 = pi^2
-        one = WeightModel.constant(1.0, 0.0, 1.0)
-        ps = ProblemSpec(N=1, p=2.0, R1=0.0, R2=1.0, v=one, w=one)
-        eig = S.find_lambda1(ps, check=False)
-        assert eig.lam == pytest.approx(math.pi**2, rel=1e-8)
-
-
 class TestMesh:
     def test_strictly_increasing_and_offsets(self, trivial_annulus):
         mesh = S.make_mesh(trivial_annulus, n_core=300)

@@ -114,10 +114,6 @@ class TestLocalExponents:
         wm = model(PowerLogPiece(3.0, INF, 1.0, 0.0, 2.0, 2.0), r1=1.0)
         assert local_exponents(wm, "infinity") == (2.0, 2.0)
 
-    def test_ball_origin_merges_powers(self):
-        wm = model(PowerLogPiece(0.0, 1.0, 1.0, 0.5, 1.5), r1=0.0)
-        assert local_exponents(wm, "left_R1") == (2.0, 0.0)
-
 
 class TestMagnitudes:
     def test_finite_right_regular(self):
@@ -211,15 +207,16 @@ class TestInvariants:
         c=st.floats(0.01, 100.0), p=st.floats(1.2, 6.0), n=st.integers(1, 5),
     )
     def test_conj_power_exponent_algebra(self, a, b, l, c, p, n):
-        """rho_conj's piece exponents are rho's scaled by 1 - p' = -1/(p-1)."""
-        vm = model(PowerLogPiece(2.0, 5.0, c, a, b, l), r1=1.0)
-        rho_piece = PowerLogPiece(2.0, 5.0, c, a, b + n - 1, l)
-        scale = -1.0 / (p - 1.0)
-        got = (vm.shifted_r_power(n - 1) ** scale).pieces[0]
-        assert got.a == pytest.approx(rho_piece.a * scale, rel=1e-12, abs=1e-12)
-        assert got.b == pytest.approx(rho_piece.b * scale, rel=1e-12, abs=1e-12)
-        assert got.l == pytest.approx(rho_piece.l * scale, rel=1e-12, abs=1e-12)
-        assert got.c == pytest.approx(rho_piece.c**scale, rel=1e-12)
+        """rho_conj's piece exponents are rho's e = (a, b + N - 1, l), each
+        mapped to -e / (p-1) with one rounding; its scale is c**(1 - p')."""
+        vm = model(PowerLogPiece(2.0, 5.0, c, a, b, l), r1=2.0)
+        ps = ProblemSpec(N=n, p=p, R1=2.0, R2=5.0, v=vm,
+                         w=WeightModel.constant(1.0, 2.0, 5.0))
+        got = ps.rho_conj_model.pieces[0]
+        assert got.a == -a / (p - 1.0)
+        assert got.b == -(b + (n - 1)) / (p - 1.0)
+        assert got.l == -l / (p - 1.0)
+        assert got.c == pytest.approx(c ** (-1.0 / (p - 1.0)), rel=1e-12)
 
 
 class TestProblemJson:
@@ -254,6 +251,29 @@ class TestProblemJson:
             ProblemSpec(N=0, p=2.0, R1=1.0, R2=2.0, v=one, w=one)
         with pytest.raises(SpecError):
             ProblemSpec(N=1, p=1.0, R1=1.0, R2=2.0, v=one, w=one)
+
+
+class TestAnnulusOnly:
+    """The domain is an annulus, 0 < R1: the ball case R1 = 0 is refused."""
+
+    def test_weight_model_origin_zero_rejected(self):
+        with pytest.raises(SpecError):
+            model(PowerLogPiece(0.0, 1.0, 1.0, 0.5), r1=0.0)
+        with pytest.raises(SpecError):
+            WeightModel.constant(1.0, 0.0, 1.0)
+
+    def test_problem_spec_r1_zero_rejected(self):
+        # weights whose origin 1e-12 matches R1 = 0 to the junction tolerance
+        near = WeightModel.constant(1.0, 1e-12, 1.0)
+        with pytest.raises(SpecError) as exc:
+            ProblemSpec(N=1, p=2.0, R1=0.0, R2=1.0, v=near, w=near)
+        assert exc.value.field_path == "R1"
+
+    def test_json_r1_zero_rejected(self):
+        piece = {"lo": 0.0, "hi": 1.0}
+        with pytest.raises(SpecError):
+            problem_from_dict({"N": 1, "p": 2.0, "R1": 0.0, "R2": 1.0,
+                               "v": [piece], "w": [piece]})
 
 
 class TestScaling:
