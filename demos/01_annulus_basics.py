@@ -5,9 +5,8 @@ With rho = sigma = 1 on (1, 2) the problem is -u'' = lam u, u(1) = u(2) = 0:
 the principal eigenvalue is pi^2 with eigenfunction sin(pi (r-1)).  The
 N = 3 annulus with unit weights hides the same spectrum: u = sin(pi(r-1))/r
 satisfies -(r^2 u')' = pi^2 r^2 u exactly.  This script solves both by
-shooting, cross-checks with the discrete Rayleigh minimizer (an inverse
-iteration that also encloses the discrete eigenvalue from both sides), and
-applies the left-boundary fixed-point map as a third independent route.
+shooting and cross-checks with the discrete Rayleigh minimizer (an inverse
+iteration that also encloses the discrete eigenvalue from both sides).
 """
 
 import math
@@ -40,15 +39,6 @@ def main():
         print(f"  Rayleigh minimizer  {eig_r.lam:.8f} "
               f"({eig_r.diagnostics['iterations']} inverse iterations)")
         print(f"  discrete lambda_h in [{lo:.15f}, {hi:.15f}]")
-
-        # the map integrates up to the eigenfunction's first critical point
-        a_tilde = float(r[int(np.argmax(eig.u))])
-        nodes, u_fp = solver.fixed_point_left(ps, eig.lam, a_tilde, iters=30)
-        u_ref = np.interp(nodes, r, eig.u)
-        scale = u_fp[-1] / u_ref[-1]
-        print(f"  fixed-point map shape error "
-              f"{np.max(np.abs(u_fp / scale - u_ref)):.2e} "
-              f"(peak at r = {a_tilde:.4f})")
         print()
 
 

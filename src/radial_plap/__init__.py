@@ -51,7 +51,6 @@ from .solver import (  # noqa: F401
     ShootResult,
     SolverError,
     find_lambda1,
-    fixed_point_left,
     flux,
     make_mesh,
     rayleigh_minimize,

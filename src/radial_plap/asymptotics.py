@@ -158,6 +158,13 @@ def default_window(ps: ProblemSpec, eig: Eigenpair, boundary):
         psi, r_in, mesh.r_end, 1e-3 * umax, increasing=False,
     )
     if r_out > mesh.r_end / 6.0:
+        # the bisection above stops at r_end: name the radius past the mesh
+        hi = mesh.r_end
+        while psi(hi) >= 1e-3 * umax:
+            hi *= 2.0
+        if hi > mesh.r_end:
+            r_out = _solve_envelope_level(psi, 0.5 * hi, hi, 1e-3 * umax,
+                                          increasing=False)
         raise WindowError(
             f"truncation radius {mesh.r_end} too small for the default right "
             f"window (needs about {6.0 * r_out:.0f}); solve with a larger r_max"

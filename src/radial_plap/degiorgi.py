@@ -59,15 +59,9 @@ class RecursionParams:
 @dataclass
 class RecursionTrace:
     log_J: np.ndarray
+    J: np.ndarray  # plain-float track where representable, else exp(log_J)
     n0: int | None
     overflowed: bool = False
-    J_values: np.ndarray | None = None  # plain-float track where representable
-
-    @property
-    def J(self):
-        if self.J_values is not None:
-            return self.J_values
-        return np.exp(self.log_J)
 
 
 def threshold_log(params: RecursionParams):
@@ -134,8 +128,7 @@ def simulate(params: RecursionParams) -> RecursionTrace:
                       plains)
     below = np.nonzero(log_J <= 0.0)[0]
     n0 = int(below[0]) if len(below) else None
-    return RecursionTrace(log_J=log_J, n0=n0, overflowed=overflowed,
-                          J_values=J_vals)
+    return RecursionTrace(log_J=log_J, J=J_vals, n0=n0, overflowed=overflowed)
 
 
 def verify_bound(params: RecursionParams, slack=1e-9):
@@ -236,25 +229,16 @@ def sweep(n_draws=1000, seed=0, alternative="a", n_max=10_000, margin=0.99,
     parked at the clamp).  The clamp is a fixpoint: the next step gives
     -(1+d1) 1e290 plus at most logK + n log(eta), far below it, and since
     every bound is >= -3e12 a draw there can violate nothing later.
-    ``workers`` splits the merged draws into that many slices run on
-    threads; each draw's arithmetic is its own, so the result does not
-    depend on it.  Returns the
-    counterexample count (expected 0) plus the largest n0 seen.
+    All draws run in one pass; ``workers`` accepts only 1 and goes with the
+    benchmark's next change, which drops the one caller that passes it.
+    Returns the counterexample count (expected 0) plus the largest n0 seen.
     """
+    if workers != 1:
+        raise ValueError("sweep runs its draws in one pass: workers must be 1")
     sizes = [min(chunk, n_draws - s) for s in range(0, n_draws, chunk)]
     chunks = [_draws(sz, [seed, idx]) for idx, sz in enumerate(sizes)]
     draws = [np.concatenate(cols) for cols in zip(*chunks or [_draws(0, seed)])]
-    args = (alternative, n_max, margin, slack)
-    if workers > 1 and n_draws > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        cuts = np.array_split(np.arange(n_draws), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ix: _advance(*(c[ix] for c in draws), *args),
-                                  cuts))
-        n0, first_bad = (np.concatenate(cols) for cols in zip(*parts))
-    else:
-        n0, first_bad = _advance(*draws, *args)
+    n0, first_bad = _advance(*draws, alternative, n_max, margin, slack)
     K, eta, d1, d2 = draws
     bad = np.flatnonzero(first_bad >= 0)
     details = [

@@ -38,8 +38,7 @@ trace at brentq's lam is not positive, lam steps down by 8 tol on the
 root's own set-up (see :func:`_eigenpair_from_shoot`, which also shoots
 brentq's lam again in the unlikely case that its shoot was not held).
 
-Independent cross-checks: the left-boundary fixed-point integral map
-(:func:`fixed_point_left`) and the discrete Rayleigh quotient's principal
+Independent cross-check: the discrete Rayleigh quotient's principal
 eigenpair (:func:`rayleigh_minimize`), found by inverse power iteration,
 whose load-to-response ratios enclose the discrete eigenvalue from both sides.
 """
@@ -757,7 +756,7 @@ def rayleigh_minimize(ps: ProblemSpec, mesh: Mesh) -> Eigenpair:
 
 
 # ---------------------------------------------------------------------------
-# flux and the fixed-point boundary map
+# flux
 # ---------------------------------------------------------------------------
 
 
@@ -778,55 +777,3 @@ def flux(ps: ProblemSpec, mesh: Mesh, u_values):
     rho_vals = ps.rho_model(r)
     return rho_vals * np.abs(du) ** (ps.p - 1.0) * np.sign(du)
 
-
-def fixed_point_left(ps: ProblemSpec, lam, a_tilde, u_seed=None, iters=30,
-                     nodes=None, per_decade=16):
-    """Iterate the left-boundary integral representation
-
-        T[u](r) = lam^{1/(p-1)} ∫_{R1}^r rho^{1-p'}(t)
-                  ( ∫_t^{a~} sigma u^{p-1} )^{1/(p-1)} dt
-
-    on (R1, a_tilde].  Positively 1-homogeneous, so at the correct lam the
-    principal shape is a genuine fixed point and no renormalization is needed;
-    iterate norms growing beyond 1e12 of the seed raise SolverError.
-
-    Returns (nodes, u_iterate).
-    """
-    if nodes is None:
-        span = a_tilde - ps.R1
-        depth = int(10 * per_decade)
-        d = span * 10.0 ** (-np.arange(depth + 1)[::-1] / per_decade)
-        nodes = ps.R1 + np.unique(d)
-    nodes = np.asarray(nodes, dtype=float)
-    if u_seed is None:
-        u = np.ones_like(nodes)
-    elif callable(u_seed):
-        u = np.asarray(u_seed(nodes), dtype=float)
-    else:
-        u = np.asarray(u_seed, dtype=float)
-    if np.any(u < 0):
-        raise SolverError("seed must be nonnegative")
-    edges = np.concatenate([[ps.R1], nodes])
-    w_rhoc = quad.interval_integrals(ps.rho_conj_model, edges)
-    s_sig = quad.interval_integrals(ps.sigma_model, edges[1:])
-    # first-cell sigma mass against the linear ramp ((r-R1)/h)^{p-1}: exact in
-    # the model algebra (handles sigma blowing up at R1 like (r-R1)^{-1})
-    p0 = ps.sigma_model.pieces[0]
-    prod0 = replace(p0, a=p0.a + ps.p - 1.0)
-    v0, _, _ = quad._piece_partial(prod0, ps.R1, ps.R1, nodes[0])
-    s0_ramp = v0 / (nodes[0] - ps.R1) ** (ps.p - 1.0)
-    pm1 = ps.p - 1.0
-    expo = 1.0 / pm1
-    scale0 = float(np.max(u))
-    for _ in range(iters):
-        up = u**pm1
-        cell = s_sig * 0.5 * (up[1:] + up[:-1])
-        first = s0_ramp * up[0]
-        j_nodes = np.concatenate([np.cumsum(cell[::-1])[::-1], [0.0]])
-        j_mid = np.concatenate([[j_nodes[0] + 0.5 * first],
-                                0.5 * (j_nodes[1:] + j_nodes[:-1])])
-        u = lam**expo * np.cumsum(w_rhoc * j_mid**expo)
-        mx = float(np.max(u))
-        if not math.isfinite(mx) or mx > 1e12 * scale0:
-            raise SolverError("fixed-point iterates diverge (norm growth cap hit)")
-    return nodes, u

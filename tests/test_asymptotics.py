@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -131,6 +132,38 @@ class TestSandwich:
         s1 = v1.ratio_max / v1.ratio_min
         s2 = v2.ratio_max / v2.ratio_min
         assert s2 <= s1 * 1.05
+
+
+class TestDefaultWindow:
+    @staticmethod
+    def _flat_eigenpair(r_end):
+        """u = 1 on a mesh ending at r_end: only max u and the mesh matter."""
+        nodes = np.geomspace(1.0 + 1e-6, r_end, 400)
+        mesh = S.Mesh(nodes, 1.0, r_end, 1e-6, 1e-6)
+        u = np.ones_like(nodes)
+        return S.Eigenpair(1.0, mesh, u, u, 0, {})
+
+    def _need(self, ps, r_end):
+        with pytest.raises(A.WindowError, match="needs about") as exc:
+            A.default_window(ps, self._flat_eigenpair(r_end), "right")
+        return float(exc.value.args[0].split("needs about ")[1].split(")")[0])
+
+    def test_stated_need_is_the_mesh_free_one(self, ex62):
+        """ex62's envelope is atan(1/sqrt(r-1)) + sqrt(r-1)/r ~ 2 r^(-1/2);
+        the right window runs from its 1e-2 to its 1e-3 level, and the
+        message names 6 times the outer radius however short the mesh is."""
+        def level(c):
+            return float(mpmath.findroot(
+                lambda r: mpmath.atan(1 / mpmath.sqrt(r - 1))
+                + mpmath.sqrt(r - 1) / r - c, 4.0 / c**2))
+
+        need = self._need(ex62, 4096.0)
+        assert need == self._need(ex62, 24576.0)
+        assert need == pytest.approx(6.0 * level(1e-3), abs=0.5)  # printed as an integer
+        r_in, r_out = A.default_window(ex62, self._flat_eigenpair(1.01 * need),
+                                       "right")
+        assert r_in == pytest.approx(level(1e-2), rel=1e-9)
+        assert r_out == pytest.approx(level(1e-3), rel=1e-9)
 
 
 class TestTheoretical:

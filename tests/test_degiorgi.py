@@ -163,9 +163,14 @@ class TestSweep:
         ref = _reference_sweep(**kw)
         assert ref["counterexamples"] == count
         assert D.sweep(**kw) == ref
-        assert D.sweep(**kw, workers=3) == ref
         # chunks of 64 draw other samples and leave a short last chunk
         assert D.sweep(**kw, chunk=64) == _reference_sweep(**kw, chunk=64)
+
+    def test_runs_in_one_pass(self):
+        kw = dict(n_draws=50, seed=4, n_max=500)
+        assert D.sweep(**kw, workers=1) == D.sweep(**kw)
+        with pytest.raises(ValueError, match="workers"):
+            D.sweep(**kw, workers=2)
 
     def test_both_alternatives_clean(self):
         for alt in ("a", "b"):

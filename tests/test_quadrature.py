@@ -131,6 +131,23 @@ class TestExactPowerlog:
         assert res.verdict == INCONCLUSIVE
         assert res.abs_error_estimate == INF
 
+    @pytest.mark.parametrize("x0, a, b, l", [(3.0, 0.5, -1.5, -2.0),
+                                             (2.0, -0.5, -0.5, -1.5),
+                                             (5.0, 2.0, -3.0, -3.0)])
+    def test_critical_log_tail_matches_mpmath(self, x0, a, b, l):
+        """a + b = -1 leaves the tail (1 - e^-s)^a s^l in s = log r, which
+        converges only through its log power l < -1."""
+        m = WeightModel((PowerLogPiece(x0, INF, 1.0, a, b, l),), 1.0)
+        psi = RightCumulative(m)
+        for r in (x0, 4.0 * x0):
+            with mp.workdps(30):
+                ref = float(mp.quad(lambda s: (1 - mp.exp(-s)) ** a * s**l,
+                                    [mp.log(r), mp.inf]))
+            res = integrate_exact_powerlog(m, a=r)
+            assert res.verdict == CONVERGED
+            assert res.value == pytest.approx(ref, rel=1e-13)
+            assert psi(r) == pytest.approx(ref, rel=1e-13)
+
 
 def _random_powerlog(rng):
     """A convergent single-piece model, sometimes with a tail or log factor."""

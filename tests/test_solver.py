@@ -804,37 +804,6 @@ class TestTruncationLadder:
             assert d["lambda_extrapolated"] == last
 
 
-class TestFixedPointLeft:
-    def test_sine_shape(self, trivial_annulus):
-        nodes, u = S.fixed_point_left(trivial_annulus, PI2, 1.5, iters=30)
-        ref = np.sin(math.pi * (nodes - 1.0))
-        err = np.max(np.abs(u / u[-1] - ref / ref[-1]))
-        assert err < 1e-3
-
-    def test_zero_seed_is_fixed(self, trivial_annulus):
-        nodes, u = S.fixed_point_left(trivial_annulus, PI2, 1.5, iters=1,
-                                      u_seed=np.zeros(161))
-        assert np.max(np.abs(u)) == 0.0
-
-    def test_degenerate_boundary_log_slope(self):
-        """Iterate's log-slope near R1 approaches (p-1-alpha)/(p-1)."""
-        ps = make_ex61(alpha=0.5, p=2.0, N=3).truncated(16.0)
-        eig = S.find_lambda1(ps, check=False)
-        a_tilde = float(eig.mesh.nodes[int(np.argmax(eig.u))])
-        nodes, u = S.fixed_point_left(ps, eig.lam, a_tilde, iters=25)
-        sel = (nodes - 1.0 > 1e-8) & (nodes - 1.0 < 1e-5)
-        slope = np.polyfit(np.log(nodes[sel] - 1.0), np.log(u[sel]), 1)[0]
-        assert slope == pytest.approx(0.5, abs=0.02)
-
-    def test_matches_shooting_profile(self, trivial_annulus, trivial_eigenpair):
-        a_tilde = 1.5
-        nodes, u = S.fixed_point_left(trivial_annulus, trivial_eigenpair.lam,
-                                      a_tilde, iters=30)
-        mesh_u = np.interp(nodes, trivial_eigenpair.mesh.nodes, trivial_eigenpair.u)
-        scale = u[-1] / mesh_u[-1]
-        assert np.max(np.abs(u / scale - mesh_u)) < 1e-3
-
-
 class TestMesh:
     def test_strictly_increasing_and_offsets(self, trivial_annulus):
         mesh = S.make_mesh(trivial_annulus, n_core=300)
