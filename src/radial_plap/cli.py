@@ -9,8 +9,8 @@ Scalar results and verdicts go to JSON, mesh functions to CSV; result files
 carry no timestamps so reruns with an identical problem and version are
 byte-identical (the run manifest, which lists outputs and records the times,
 is the only stamped file).  Exit codes: 0 pass, 1 verdict-fail or solver
-failure (a failed condition-(A) gate included), 2 usage or malformed-spec
-error.
+failure (a failed condition-(A) gate included), 2 usage error (a number
+outside its domain included), malformed spec or malformed ``--eig`` file.
 """
 
 from __future__ import annotations
@@ -108,13 +108,17 @@ def _out_dir(args) -> Path:
 
 
 def _check_exterior_options(ps, args):
-    """Refuse the truncation options on a domain that ends at a finite R2;
-    a command without --ladder or --bc has only --rmax to refuse."""
+    """Refuse the truncation options on a domain that ends at a finite R2
+    (a command without --ladder or --bc has only --rmax to refuse), and an
+    --rmax that is not a finite radius above R1."""
     if math.isfinite(ps.R2) and (getattr(args, "ladder", None) is not None
                                  or args.rmax is not None
                                  or getattr(args, "bc", None) == "matched"):
         raise UsageError("--ladder, --rmax and --bc matched are for exterior "
                          f"domains; this one ends at R2 = {ps.R2}")
+    if args.rmax is not None and not ps.R1 < args.rmax < math.inf:
+        raise UsageError(f"--rmax must be a finite radius above R1 = {ps.R1}, "
+                         f"not {args.rmax}")
 
 
 def _gate(reports):
@@ -217,8 +221,6 @@ def cmd_solve(args) -> int:
     if rayleigh and args.bc == "matched":
         raise UsageError("--bc matched needs --method shoot: the Rayleigh "
                          "minimizer solves the Dirichlet problem only")
-    if args.ladder is not None and args.ladder < 1:
-        raise UsageError("--ladder needs at least one rung")
     if args.ladder is not None and args.rmax is not None:
         raise UsageError("--ladder and --rmax both set the truncation; pass one")
     _check_exterior_options(ps, args)
@@ -252,9 +254,18 @@ def cmd_solve(args) -> int:
 
 
 def _read_eigen_csv(path, ps, r_end):
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    mesh = solver.Mesh(rows[:, 0], ps.R1, r_end,
-                       rows[0, 0] - ps.R1, max(r_end - rows[-1, 0], 0.0))
+    """The (r, u, flux) rows of an eigenfunction CSV, after its header, as an
+    eigenpair on its own nodes; UsageError unless the rows are valid."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise UsageError(f"--eig {path}: not a CSV of numbers ({exc})") from exc
+    r = rows[:, 0] if rows.shape[1:] == (3,) else np.zeros(0)
+    if not (len(r) >= 2 and np.all(np.isfinite(rows)) and ps.R1 < r[0]
+            and r[-1] < r_end and np.all(np.diff(r) > 0.0)):
+        raise UsageError(f"--eig {path}: need at least 2 rows of 3 finite numbers "
+                         f"(r, u, flux), r strictly increasing inside ({ps.R1}, {r_end})")
+    mesh = solver.Mesh(r, ps.R1, r_end, r[0] - ps.R1, r_end - r[-1])
     return solver.Eigenpair(math.nan, mesh, rows[:, 1], rows[:, 2], 0, {})
 
 
@@ -291,7 +302,7 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_degiorgi(args) -> int:
-    if args.sweep:
+    if args.sweep is not None:
         payload = {alt: degiorgi.sweep(args.sweep, seed=args.seed, alternative=alt)
                    for alt in ("a", "b")}
         bad = sum(r["counterexamples"] for r in payload.values())
@@ -359,6 +370,18 @@ def cmd_example(args) -> int:
     return EXIT_OK if _rows_pass(rows) else EXIT_VERDICT
 
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` number above 0 (exit 2 otherwise)."""
+
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and positive, not {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="radial-plap",
@@ -370,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_problem=True, with_tol=True):
         if with_tol:
-            p.add_argument("--tol", type=float, default=1e-8,
+            p.add_argument("--tol", type=_positive(float), default=1e-8,
                            help="tolerance for condition integrals / lambda")
         p.add_argument("--out-dir", default="runs", help="output directory")
         p.add_argument("--json", action="store_true",
@@ -390,13 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rmax", type=float, default=None,
                    help="truncation radius for exterior domains")
-    p.add_argument("--ladder", type=int, default=None,
+    p.add_argument("--ladder", type=_positive(int), default=None,
                    help="number of R1*2^k truncation rungs (k = 2..)")
     p.add_argument("--method", choices=["shoot", "rayleigh", "both"],
                    default="shoot")
     p.add_argument("--bc", choices=["dirichlet", "matched"],
                    default="dirichlet", help="truncation boundary condition")
-    p.add_argument("--nodes", type=int, default=2000,
+    p.add_argument("--nodes", type=_positive(int), default=2000,
                    help="core mesh nodes for the Rayleigh minimizer")
     p.add_argument("--no-check", action="store_true",
                    help="skip the condition-(A) gate")
@@ -419,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d1", type=float, default=None)
     p.add_argument("--d2", type=float, default=None)
     p.add_argument("--J0", type=float, default=None)
-    p.add_argument("--sweep", type=int, default=None,
+    p.add_argument("--sweep", type=_positive(int), default=None,
                    help="run a randomized verification sweep of this size")
     p.set_defaults(func=cmd_degiorgi)
 

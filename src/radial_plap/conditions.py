@@ -69,13 +69,17 @@ class ConditionReport:
         }
 
 
-def probe_grid(span, depth=60, ratio=0.5, anchor=1.0):
+#: the (A_eps) probes: distances span * _PROBE_RATIO**k, k = 1.._PROBE_DEPTH
+_PROBE_DEPTH, _PROBE_RATIO = 60, 0.5
+
+
+def probe_grid(span, anchor=1.0):
     """Distances accumulating geometrically at an endpoint (deepest last).
 
     Distances are floored at a few ulps of the anchoring radius so that
     ``anchor + d`` never rounds onto the endpoint itself.
     """
-    d = span * ratio ** np.arange(1, depth + 1)
+    d = span * _PROBE_RATIO ** np.arange(1, _PROBE_DEPTH + 1)
     floor = 64.0 * np.finfo(float).eps * max(1.0, abs(anchor))
     return np.unique(np.maximum(d, floor))[::-1]
 
@@ -313,8 +317,8 @@ def _ok_probe_values(ps):
     r_lo = ps.R1 + span * 2.0**-30
     r_hi = (ps.R2 - span * 2.0**-30) if math.isfinite(ps.R2) \
         else max(ps.R1, 1.0) * 2.0**20
-    alternatives = (("alt1", ps.phi_sigma, ps.psi_rho_conj),
-                    ("alt2", ps.psi_sigma, ps.phi_rho_conj))
+    alternatives = (("alt1", quad.LeftCumulative(ps.sigma_model), ps.psi_rho_conj),
+                    ("alt2", quad.RightCumulative(ps.sigma_model), ps.phi_rho_conj))
     out, failed = {}, []
     for tag, r in (("R1", r_lo), ("R2", r_hi)):
         for alt, sig, rhoc in alternatives:

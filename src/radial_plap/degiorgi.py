@@ -29,6 +29,8 @@ LOG_OVERFLOW = 700.0
 #: the plain track is trusted only on normal floats: the logs of subnormal
 #: values are inexact and would masquerade as bound violations
 _NORMAL_MIN = sys.float_info.min
+#: log-space allowance above the bound before an index counts as a violation
+_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ def simulate(params: RecursionParams) -> RecursionTrace:
     return RecursionTrace(log_J=log_J, J=J_vals, n0=n0, overflowed=overflowed)
 
 
-def verify_bound(params: RecursionParams, slack=1e-9):
+def verify_bound(params: RecursionParams):
     """Check J_n <= min(1, (2K)^{-1/d1} eta^{-1/d1^2} eta^{-n/d1}) for n >= n0.
 
     Requires J_0 to satisfy one of the two threshold alternatives.  Returns
@@ -149,7 +151,7 @@ def verify_bound(params: RecursionParams, slack=1e-9):
     n = np.arange(len(trace.log_J))
     log_bound = np.minimum(0.0, log_b1 - n * math.log(eta) / d1)
     sel = n >= trace.n0
-    bad = np.nonzero(trace.log_J[sel] > log_bound[sel] + slack)[0]
+    bad = np.nonzero(trace.log_J[sel] > log_bound[sel] + _SLACK)[0]
     if len(bad):
         return False, int(n[sel][bad[0]]), trace
     return True, None, trace
@@ -168,7 +170,7 @@ def _draws(size, rng_key):
     return K, eta, d[:, 0], d[:, 1]
 
 
-def _advance(K, eta, d1, d2, alternative, n_max, margin, slack):
+def _advance(K, eta, d1, d2, alternative, n_max, margin):
     """Run the equality recursion for every draw at once; returns (n0, first_bad).
 
     Draws are retired as soon as their answer is final (see :func:`sweep`),
@@ -198,7 +200,7 @@ def _advance(K, eta, d1, d2, alternative, n_max, margin, slack):
                 break
             L = logK + (n - 1) * logeta + np.logaddexp(e1 * L, e2 * L)
             L = np.maximum(L, _LOG_CLAMP)
-            viol = L > np.minimum(0.0, log_b1 - n * logeta / d1) + slack
+            viol = L > np.minimum(0.0, log_b1 - n * logeta / d1) + _SLACK
             if m0.min() < 0:
                 m0 = np.where((m0 < 0) & (L <= 0.0), n, m0)
                 viol &= m0 >= 0
@@ -217,7 +219,7 @@ def _advance(K, eta, d1, d2, alternative, n_max, margin, slack):
 
 
 def sweep(n_draws=1000, seed=0, alternative="a", n_max=10_000, margin=0.99,
-          slack=1e-9, workers=1, chunk=250):
+          workers=1, chunk=250):
     """Randomized verification sweep at J0 = margin * threshold.
 
     K log-uniform in [1e-2, 1e3], eta uniform in (1, 10], 0 < d1 <= d2 <= 3.
@@ -238,7 +240,7 @@ def sweep(n_draws=1000, seed=0, alternative="a", n_max=10_000, margin=0.99,
     sizes = [min(chunk, n_draws - s) for s in range(0, n_draws, chunk)]
     chunks = [_draws(sz, [seed, idx]) for idx, sz in enumerate(sizes)]
     draws = [np.concatenate(cols) for cols in zip(*chunks or [_draws(0, seed)])]
-    n0, first_bad = _advance(*draws, alternative, n_max, margin, slack)
+    n0, first_bad = _advance(*draws, alternative, n_max, margin)
     K, eta, d1, d2 = draws
     bad = np.flatnonzero(first_bad >= 0)
     details = [

@@ -105,46 +105,29 @@ def make_annulus(N=1, p=2.0) -> ProblemSpec:
     return ProblemSpec(N=N, p=p, R1=1.0, R2=2.0, v=one, w=one)
 
 
+#: name -> (problem factory, description, expected results), in listing order
+_PRESETS = {
+    "annulus-trivial": (lambda: make_annulus(N=1),
+                        "rho = sigma = 1 on (1, 2): lam_1 = pi^2, u = sin(pi (r-1))",
+                        {"lambda1": math.pi**2}),
+    "annulus-n3": (lambda: make_annulus(N=3),
+                   "N = 3 annulus with unit weights: lam_1 = pi^2, u = sin(pi (r-1))/r",
+                   {"lambda1": math.pi**2}),
+    "ex61": (make_ex61, "degenerate inner weight alpha = 0.5, p = 2, N = 3, "
+             "w = (r-1)^-0.25 near 1 with 16 r^-4 tail",
+             {"left_exponent": 0.5, "right_exponent": -1.5}),
+    "ex62": (make_ex62, "singular inner weight alpha = -0.5, p = 2, N = 3",
+             {"left_exponent": 1.5, "right_exponent": -0.5}),
+    "rmk22": (make_rmk22, "v = 1, w = (r-1)^-1.5 near 1: (W1) holds though the global "
+              "r^(p-1) weighting fails near the inner boundary", {"W1": "holds"}),
+    "rmk23": (make_rmk23, "three-piece weights: (W1) holds, the product condition fails",
+              {"W1": "holds", "OK": "fails"}),
+}
+PRESET_NAMES = list(_PRESETS)
+
+
 def get_preset(name: str) -> Preset:
-    if name == "annulus-trivial":
-        return Preset(
-            name, make_annulus(N=1),
-            "rho = sigma = 1 on (1, 2): lam_1 = pi^2, u = sin(pi (r-1))",
-            {"lambda1": math.pi**2},
-        )
-    if name == "annulus-n3":
-        return Preset(
-            name, make_annulus(N=3),
-            "N = 3 annulus with unit weights: lam_1 = pi^2, u = sin(pi (r-1))/r",
-            {"lambda1": math.pi**2},
-        )
-    if name == "ex61":
-        return Preset(
-            name, make_ex61(),
-            "degenerate inner weight alpha = 0.5, p = 2, N = 3, "
-            "w = (r-1)^-0.25 near 1 with 16 r^-4 tail",
-            {"left_exponent": 0.5, "right_exponent": -1.5},
-        )
-    if name == "ex62":
-        return Preset(
-            name, make_ex62(),
-            "singular inner weight alpha = -0.5, p = 2, N = 3",
-            {"left_exponent": 1.5, "right_exponent": -0.5},
-        )
-    if name == "rmk22":
-        return Preset(
-            name, make_rmk22(),
-            "v = 1, w = (r-1)^-1.5 near 1: (W1) holds though the global "
-            "r^(p-1) weighting fails near the inner boundary",
-            {"W1": "holds"},
-        )
-    if name == "rmk23":
-        return Preset(
-            name, make_rmk23(),
-            "three-piece weights: (W1) holds, the product condition fails",
-            {"W1": "holds", "OK": "fails"},
-        )
-    raise KeyError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = ["annulus-trivial", "annulus-n3", "ex61", "ex62", "rmk22", "rmk23"]
+    if name not in _PRESETS:
+        raise KeyError(f"unknown preset {name!r}")
+    make, description, expected = _PRESETS[name]
+    return Preset(name, make(), description, dict(expected))

@@ -29,16 +29,15 @@ Two routes are provided and kept deliberately independent:
   ``r = e**s``, which turns them into exponentially decaying integrands.
 
 :class:`LeftCumulative` / :class:`RightCumulative` expose the one-sided
-integrals of a model as fast callables; both always integrate *away* from the
-singular endpoint, never by subtracting near-equal totals.  An array query is
-sorted once: the gaps between consecutive queries are cells of the panel
-kernel, and a running sum turns them into the envelope.
+integrals of a model as fast callables, two orientations of one body
+(:class:`_Cumulative`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partialmethod
 
 import numpy as np
 
@@ -278,10 +277,13 @@ def integrate(f, a, b, tol=1e-10, budget=10**6):
     reported when shell sums exceed ``_DIVERGE_CAP`` or endpoint shells
     persistently fail to decay.  ``budget`` caps the points evaluated; a
     batch that would exceed it is not evaluated, and the result is
-    ``inconclusive``, never a silently truncated value.
+    ``inconclusive``, never a silently truncated value.  ValueError unless
+    a < b and ``tol`` is finite and positive.
     """
     if not a < b:
         raise ValueError(f"need a < b, got ({a}, {b})")
+    if not 0.0 < tol < INF:
+        raise ValueError(f"tol must be finite and positive, not {tol}")
     cf = _Counted(f, budget)
     try:
         value, err, verdict = _driver(cf, a, b, tol)
@@ -658,131 +660,87 @@ def _piece_cells(piece, r1, a, b):
     return out
 
 
-def _by_piece(model, r):
-    """Sort ``r`` once; return the order, the sorted values and the
-    (piece index, slice) runs that split them by piece."""
-    order = np.argsort(r, kind="stable")
-    q = r[order]
-    idx = np.maximum(np.searchsorted(model._los, q, side="right") - 1, 0)
-    cuts = np.concatenate([[0], np.flatnonzero(np.diff(idx)) + 1, [len(q)]])
-    runs = [(int(idx[s]), slice(int(s), int(e)))
-            for s, e in zip(cuts[:-1], cuts[1:]) if e > s]
-    return order, q, runs
+class _Cumulative:
+    """Φ(r) = ∫_{R1}^{r} (``left``) or Ψ(r) = ∫_{r}^{R2} of a power-log
+    model; +inf everywhere if divergent.  A query in a piece is its base (the
+    total of the whole pieces between it and the end Φ or Ψ starts from) plus
+    the integral from its edge (:meth:`_edge`: R1 or its left end for Φ, its
+    right end for Ψ) to r: no total reaches the other end, which may diverge,
+    and no near-equal totals are subtracted.  A single query adds one
+    :func:`_piece_partial` call.  An array query is sorted once and grouped
+    by piece; the cells between the edge and consecutive queries go to
+    :func:`_piece_cells` in ascending order (the offset panel kernel, or
+    :func:`_piece_partial` for a cell touching R1 or infinity), and a running
+    sum from the edge gives the envelope."""
 
-
-class LeftCumulative:
-    """Φ(r) = ∫_{R1}^{r} of a power-log model; +inf everywhere if divergent.
-
-    An array query is sorted once and grouped by piece.  Within a piece the
-    first gap (from R1, or from the piece's left edge) is one
-    :func:`_piece_partial` call and the gaps between consecutive sorted
-    queries are cells of the offset-coordinate panel kernel, in
-    ``t = r - R1``; a running sum turns them into Φ, which is scattered back
-    into the caller's order.  A single query integrates directly.
-    """
-
-    def __init__(self, model: WeightModel):
-        self.model = model
-        self.divergent = not left_integrable(model)
-        prefix = [0.0]
-        if not self.divergent:
-            for piece in model.pieces[:-1]:
-                x0 = model.r1 if piece.lo <= model.r1 else piece.lo
-                v, _, _ = _piece_partial(piece, model.r1, x0, piece.hi)
-                prefix.append(prefix[-1] + v)
-        self._prefix = prefix
-
-    def _start(self, piece):
-        return self.model.r1 if piece.lo <= self.model.r1 else piece.lo
-
-    def __call__(self, r):
-        scalar = np.isscalar(r)
-        rs = np.atleast_1d(np.asarray(r, dtype=float))
-        if self.divergent:
-            out = np.full(rs.shape, INF)
-            return float(out[0]) if scalar else out
-        if rs.size == 1:
-            rj = float(rs.flat[0])
-            i = self.model.piece_index(rj)
-            piece = self.model.pieces[i]
-            x0 = self._start(piece)
-            v = self._prefix[i]
-            if rj > x0:
-                v += _piece_partial(piece, self.model.r1, x0, rj)[0]
-            return v if scalar else np.full(rs.shape, v)
-        flat = rs.ravel()
-        order, q, runs = _by_piece(self.model, flat)
-        vals = np.empty(q.shape)
-        for i, sl in runs:
-            piece = self.model.pieces[i]
-            x0 = self._start(piece)
-            qi = q[sl]
-            k = int(np.searchsorted(qi, x0, side="right"))
-            vals[sl][:k] = self._prefix[i]
-            if k < len(qi):
-                live = qi[k:]
-                gaps = _piece_cells(piece, self.model.r1,
-                                    np.concatenate([[x0], live[:-1]]), live)
-                vals[sl][k:] = self._prefix[i] + np.cumsum(gaps)
-        out = np.empty(flat.shape)
-        out[order] = vals
-        return out.reshape(rs.shape)
-
-
-class RightCumulative:
-    """Ψ(r) = ∫_{r}^{R2} of a power-log model; +inf everywhere if divergent.
-
-    The first piece's total is never formed from its left edge (which may be
-    a divergent singularity); queries inside it integrate from r directly.
-    Array queries mirror :class:`LeftCumulative`: within a piece the last
-    gap, to the piece's right edge (to R2 = inf on a tail piece), is
-    computed once, and a reversed running sum over the offset-kernel cells
-    between consecutive sorted queries gives the rest.
-    """
-
-    def __init__(self, model: WeightModel):
-        self.model = model
-        self.divergent = not tail_integrable(model)
+    def __init__(self, model: WeightModel, left):
+        self.model, self.left = model, left
+        self.divergent = not (left_integrable(model) if left else tail_integrable(model))
         n = len(model.pieces)
-        suffix = [0.0] * (n + 1)
+        base = [0.0] * n
         if not self.divergent:
-            for i in range(n - 1, 0, -1):
-                piece = model.pieces[i]
-                v, _, _ = _piece_partial(piece, model.r1, piece.lo, piece.hi)
-                suffix[i] = suffix[i + 1] + v
-            suffix[0] = math.nan  # unused: first-piece queries integrate from r
-        self._suffix = suffix
+            for i in range(1, n) if left else range(n - 2, -1, -1):
+                j = i - 1 if left else i + 1
+                piece = model.pieces[j]
+                base[i] = base[j] + self._partial(piece, piece.hi if left else piece.lo)
+        self._base = base
 
-    def __call__(self, r):
+    def _edge(self, piece):
+        return max(piece.lo, self.model.r1) if self.left else piece.hi
+
+    def _partial(self, piece, r):
+        """∫ of ``piece`` between its edge and ``r``."""
+        span = (self._edge(piece), r) if self.left else (r, self._edge(piece))
+        return _piece_partial(piece, self.model.r1, *span)[0]
+
+    def _eval(self, r):
         scalar = np.isscalar(r)
         rs = np.atleast_1d(np.asarray(r, dtype=float))
         if self.divergent:
-            out = np.full(rs.shape, INF)
-            return float(out[0]) if scalar else out
+            return INF if scalar else np.full(rs.shape, INF)
+        model, left = self.model, self.left
         if rs.size == 1:
             rj = float(rs.flat[0])
-            i = self.model.piece_index(rj)
-            piece = self.model.pieces[i]
-            v = self._suffix[i + 1]
-            if rj < piece.hi:
-                v += _piece_partial(piece, self.model.r1, rj, piece.hi)[0]
+            i = model.piece_index(rj)
+            edge, v = self._edge(model.pieces[i]), self._base[i]
+            if rj > edge if left else rj < edge:
+                v += self._partial(model.pieces[i], rj)
             return v if scalar else np.full(rs.shape, v)
         flat = rs.ravel()
-        order, q, runs = _by_piece(self.model, flat)
+        order = np.argsort(flat, kind="stable")
+        q = flat[order]
+        idx = np.maximum(np.searchsorted(model._los, q, side="right") - 1, 0)
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))
         vals = np.empty(q.shape)
-        for i, sl in runs:
-            piece = self.model.pieces[i]
-            qi = q[sl]
-            k = int(np.searchsorted(qi, piece.hi, side="left"))
-            vals[sl][k:] = self._suffix[i + 1]
-            if k > 0:
-                live = qi[:k]
-                gaps = _piece_cells(piece, self.model.r1, live,
-                                    np.concatenate([live[1:], [piece.hi]]))
-                vals[sl][:k] = self._suffix[i + 1] + np.cumsum(gaps[::-1])[::-1]
+        step = 1 if left else -1
+        for s, e in zip(starts, np.append(starts[1:], q.size)):
+            piece, run, qi = model.pieces[idx[s]], vals[s:e], q[s:e]
+            edge = self._edge(piece)
+            k = int(np.searchsorted(qi, edge, side="right" if left else "left"))
+            live = slice(k, None) if left else slice(0, k)
+            ends = np.concatenate([[edge], qi[live]] if left else [qi[live], [edge]])
+            gaps = _piece_cells(piece, model.r1, ends[:-1], ends[1:])
+            run[:] = self._base[idx[s]]
+            run[live] += np.cumsum(gaps[::step])[::step]
         out = np.empty(flat.shape)
         out[order] = vals
         return out.reshape(rs.shape)
+
+
+class LeftCumulative(_Cumulative):
+    """Φ(r) = ∫_{R1}^{r} of a power-log model (see :class:`_Cumulative`)."""
+
+    __init__ = partialmethod(_Cumulative.__init__, left=True)
+    # bound here, not inherited: the bench tracer hooks a class's own __call__
+    __call__ = _Cumulative._eval
+
+
+class RightCumulative(_Cumulative):
+    """Ψ(r) = ∫_{r}^{R2} of a power-log model (see :class:`_Cumulative`)."""
+
+    __init__ = partialmethod(_Cumulative.__init__, left=False)
+    # bound here, not inherited: the bench tracer hooks a class's own __call__
+    __call__ = _Cumulative._eval
 
 
 def interval_integrals(model: WeightModel, edges):

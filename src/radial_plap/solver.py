@@ -35,8 +35,9 @@ holds the latest such shoot on each side of lam_1.  The eigenfunction comes
 from the one at brentq's lam (for a ladder, the last rung's), whose
 interpolants are built only then.  Only a nudge shoots afresh: when the
 trace at brentq's lam is not positive, lam steps down by 8 tol on the
-root's own set-up (see :func:`_eigenpair_from_shoot`, which also shoots
-brentq's lam again in the unlikely case that its shoot was not held).
+root's own set-up, at most eight times before SolverError (see
+:func:`_eigenpair_from_shoot`, which also shoots brentq's lam again in the
+unlikely case that its shoot was not held).
 
 Independent cross-check: the discrete Rayleigh quotient's principal
 eigenpair (:func:`rayleigh_minimize`), found by inverse power iteration,
@@ -455,8 +456,9 @@ def _eigenpair_from_shoot(lam, mesh, plan, kept, diagnostics):
     """Eigenfunction of the root ``lam`` found on ``mesh`` with the set-up
     ``plan``: the root's own shoot ``kept`` at ``lam`` (shot afresh if it
     was not held), stepped down by 8 * tol (at most eight times) on the same
-    set-up while the trace is not positive; ``diagnostics`` records the root
-    as ``lambda_root`` and the steps taken as ``lambda_nudges``."""
+    set-up while the trace is not positive, and SolverError if it still is
+    not; ``diagnostics`` records the root as ``lambda_root`` and the steps
+    taken as ``lambda_nudges``."""
     ps = plan.ps
     lam_side = lam
     nudges = 0
@@ -468,9 +470,9 @@ def _eigenpair_from_shoot(lam, mesh, plan, kept, diagnostics):
             break
         lam_side *= 1.0 - 8.0 * max(diagnostics.get("lambda_rtol", 1e-10), 1e-12)
         nudges += 1
+    else:
+        raise SolverError(f"trace still not positive {nudges} nudges below lam = {lam}")
     r, u, g = _trace(res)
-    if len(r) != mesh.n:
-        mesh = Mesh(r, mesh.r1, mesh.r_end, mesh.delta_left, mesh.delta_right)
     scale = float(np.max(u))
     if scale <= 0:
         raise SolverError("eigenfunction not positive")
@@ -515,13 +517,18 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
     certified one-sided monotone convergence, but only at the slow rate the
     bounded companion solution allows) or ``'matched'`` (u'/u equal to the
     exterior envelope's logarithmic derivative at r_end, far faster in R).
-    ValueError for any other ``bc``, for ``'matched'``, ``ladder`` or
-    ``r_max`` on a finite R2, for both ``ladder`` and ``r_max``, and for a
-    ladder that is empty, not increasing or not above R1.
+    ValueError for a ``tol`` that is not finite and positive, a non-finite
+    ``r_max``, any other ``bc``, ``'matched'``, ``ladder`` or ``r_max`` on a
+    finite R2, both ``ladder`` and ``r_max``, and a ladder that is empty,
+    not increasing or not above R1.
 
     ``check=True`` enforces the condition-(A) precondition (override with
     ``check=False``).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, not {tol}")
+    if r_max is not None and not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, not {r_max}")  # its ladder never ends
     if bc not in ("dirichlet", "matched"):
         raise ValueError(f"bc must be 'dirichlet' or 'matched', not {bc!r}")
     finite = math.isfinite(ps.R2)

@@ -368,18 +368,6 @@ class ProblemSpec:
 
         return quadrature.RightCumulative(self.rho_conj_model)
 
-    @cached_property
-    def phi_sigma(self):
-        from . import quadrature
-
-        return quadrature.LeftCumulative(self.sigma_model)
-
-    @cached_property
-    def psi_sigma(self):
-        from . import quadrature
-
-        return quadrature.RightCumulative(self.sigma_model)
-
     def with_scaled_w(self, factor):
         return replace(self, w=self.w.times(c=factor))
 

@@ -195,6 +195,80 @@ class TestAsymptoticsCommand:
         assert not (tmp_path / "asy" / "asymptotics.json").exists()
 
 
+@pytest.fixture(scope="module")
+def annulus_n3_solved(tmp_path_factory):
+    """annulus-n3's eigenfunction.csv from ``solve``, and the rows of a plain
+    ``asymptotics`` run."""
+    out = tmp_path_factory.mktemp("annulus-n3")
+    assert run("solve", "--preset", "annulus-n3", "--out-dir", str(out / "solve")) == 0
+    assert run("asymptotics", "--preset", "annulus-n3", "--out-dir", str(out / "asy")) == 0
+    return out / "solve" / "eigenfunction.csv", read_json(out / "asy" / "asymptotics.json")
+
+
+def run_eig(tmp_path, csv):
+    code = run("asymptotics", "--preset", "annulus-n3", "--eig", str(csv),
+               "--out-dir", str(tmp_path))
+    return code, read_json(tmp_path / "asymptotics.json") if code != 2 else None
+
+
+class TestAsymptoticsEig:
+    def test_round_trip_matches_the_solve(self, tmp_path, annulus_n3_solved):
+        csv, plain = annulus_n3_solved
+        code, rows = run_eig(tmp_path, csv)
+        assert code == 0
+        assert [r["boundary"] for r in rows] == ["left", "right"]
+        for row, ref in zip(rows, plain):
+            # the file's mesh rebuilds its left offset as r[0] - R1, which
+            # moves the window's ends in their last digits
+            assert row["window"] == pytest.approx(ref["window"], rel=1e-9, abs=0)
+            assert {**row, "window": None} == {**ref, "window": None}
+
+    def test_negative_u_in_the_left_window_is_an_error_row(self, tmp_path,
+                                                           annulus_n3_solved):
+        csv, plain = annulus_n3_solved
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+        rows[rows[:, 0] <= plain[0]["window"][1], 1] *= -1.0
+        negated = tmp_path / "negated.csv"
+        np.savetxt(negated, rows, delimiter=",", header="r,u,flux", comments="")
+        code, out = run_eig(tmp_path, negated)
+        assert code == 1
+        assert "zero inside the verification window" in out[0]["error"]
+        assert out[1]["pass"]
+
+    @pytest.mark.parametrize("body", [
+        "1.5,1.0,1.0\n",  # one row
+        "1.5,one,1.0\n1.6,1.0,1.0\n",  # not a number
+        "1.6,1.0,1.0\n1.5,1.0,1.0\n",  # r decreasing
+    ])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("r,u,flux\n" + body)
+        assert run_eig(tmp_path, bad)[0] == 2
+        assert "--eig" in capsys.readouterr().err
+        assert not (tmp_path / "asymptotics.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("degiorgi", "--sweep", "-5"),
+    ("degiorgi", "--sweep", "0"),
+    *[(*command, "--tol", tol) for command in
+      (("check-conditions", "--preset", "annulus-n3"), ("solve", "--preset", "annulus-n3"),
+       ("asymptotics", "--preset", "annulus-n3"), ("example", "annulus-n3"))
+      for tol in ("-1", "0", "nan", "inf")],
+    ("solve", "--preset", "ex62", "--rmax", "0.5"),
+    ("asymptotics", "--preset", "ex62", "--rmax", "0.5"),
+    # inf used to grow the automatic ladder until memory ran out
+    ("solve", "--preset", "ex62", "--rmax", "inf"),
+    ("solve", "--preset", "annulus-n3", "--method", "rayleigh", "--nodes", "0"),
+], ids=" ".join)
+def test_numbers_outside_their_domain_exit_2(tmp_path, capsys, argv):
+    """Each number is refused by name, before anything runs."""
+    assert run(*argv, "--out-dir", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "must be" in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("preset", PRESET_NAMES)
 def test_asymptotics_rows_match_example(tmp_path, preset):
     """Both commands run the same solve and the same sandwich loop."""

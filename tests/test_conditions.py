@@ -490,6 +490,58 @@ class TestW1W2:
         assert C.check_W1(build(-3.0)).verdict == C.FAILS
 
 
+def _with_w(w_pieces, N=3, v_pieces=(PowerLogPiece(1.0, INF, 1.0),)):
+    return exterior(v_pieces, w_pieces, N=N)
+
+
+#: w = (r-1)^-2.5 on (1, 2], continued by 16 r^-4: too heavy at R for
+#: both integrability pairs
+_HEAVY_AT_R = (PowerLogPiece(1.0, 2.0, 1.0, -2.5), PowerLogPiece(2.0, INF, 16.0, 0.0, -4.0))
+
+
+class TestFailingVerdictBranches:
+    """Each failing branch of the checks, on an exterior pair at p = 2 built
+    to reach it; the verdict and its note, not the witness values."""
+
+    @pytest.mark.parametrize("check, ps, note", [
+        # v = (r-1) r^-2 at N = 1: rho^(1-p') = (r-1)^-1 r^2 diverges at both ends
+        (C.check_A, _with_w([PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0)], N=1,
+                            v_pieces=[PowerLogPiece(1.0, INF, 1.0, 1.0, -2.0)]),
+         "(i) fails: both one-sided integrals of rho^(1-p') diverge"),
+        (C.check_W1, _with_w([PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0)],
+                             v_pieces=[PowerLogPiece(1.0, INF, 1.0, 0.0, -1.0)]),
+         "essinf of v near infinity is 0"),
+        (C.check_W1, _with_w(_HEAVY_AT_R), "diverges at R (exponent test)"),
+        (C.check_W2, _with_w(_HEAVY_AT_R), "∫_R^ξ (r-R)^(p-1) w dr diverges"),
+        # at N = 1, rho^(1-p') = 1 is not integrable at infinity
+        (C.check_W2, _with_w([PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0)], N=1),
+         "[r^(N-1) v]^(-1/(p-1)) not integrable at infinity"),
+        # sigma = 1 against the envelope r^-1: the integrand is r^-1
+        (C.check_W2, _with_w([PowerLogPiece(1.0, INF, 1.0, 0.0, -2.0)]),
+         "∫_ξ^∞ (∫_r^∞ ρ^(1-p'))^(p-1) σ dr diverges (exponent test)"),
+    ])
+    def test_fails_with_its_note(self, check, ps, note):
+        rep = check(ps)
+        assert rep.verdict == C.FAILS
+        assert note in rep.notes
+
+    def test_user_eps_outside_the_range(self):
+        ps = _with_w([PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0)])
+        rep = C.check_A_eps_L(ps, eps=5.0)
+        assert rep.verdict == C.FAILS
+        assert rep.notes == "ε=5.0 outside (0, p-1)"
+
+    def test_user_eps_without_an_admissible_one(self):
+        # sigma = r^0.5 far out: (∫_ξ^r σ)(∫_r^∞ ρ^(1-p'))^ε ~ r^(1.5-ε) for
+        # every ε in (0, 1), so a user ε has no exponent bound to meet
+        ps = _with_w([PowerLogPiece(1.0, 2.0, 1.0, -1.5),
+                      PowerLogPiece(2.0, INF, 2.0**1.5, 0.0, -1.5)])
+        rep = C.check_A_eps_R(ps, eps=0.5)
+        assert rep.verdict == C.FAILS
+        assert rep.witnesses["eps_infimum"] == INF
+        assert rep.notes == "probe sup grows without analytic bound"
+
+
 class TestInvariants:
     def test_P_unimodal_on_probe_grid(self):
         for ps in (const_problem(), make_ex61(), make_rmk23()):

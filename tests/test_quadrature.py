@@ -37,6 +37,11 @@ class TestIntegrate:
         assert res.verdict == DIVERGES
         assert res.value == INF
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_tol_outside_its_domain_raises(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            integrate(lambda r: r, 1.0, 2.0, tol=tol)
+
     def test_budget_reported(self):
         res = integrate(lambda r: (r - 1.0) ** -0.5, 1.0, 2.0, budget=30)
         assert res.verdict == "inconclusive"

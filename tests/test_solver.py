@@ -105,6 +105,20 @@ class TestFindLambda1:
             lam *= 1.0 - 8.0 * max(d["lambda_rtol"], 1e-12)
         assert lam == eig.lam
 
+    def test_no_positive_trace_after_the_nudges_raises(self, trivial_annulus):
+        # at 4 pi^2 the trace has an interior zero however far the eight
+        # nudges step lam down; it used to come back cut at that zero, with
+        # the last nudge's lam, which no shoot ran
+        mesh = S.make_mesh(trivial_annulus)
+        plan = S._Shooting(trivial_annulus, mesh.r_end, mesh.delta_left, mesh.nodes)
+        with pytest.raises(S.SolverError, match="not positive 8 nudges below"):
+            S._eigenpair_from_shoot(4.0 * PI2, mesh, plan, None, {"lambda_rtol": 1e-10})
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_tol_outside_its_domain_raises(self, trivial_annulus, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            S.find_lambda1(trivial_annulus, tol=tol, check=False)
+
     @pytest.mark.parametrize("preset,kwargs", [
         ("annulus-n3", dict(bc="matched")),
         ("annulus-n3", dict(ladder=[4.0])),
@@ -129,6 +143,12 @@ class TestFindLambda1:
     def test_invalid_ladder_raises(self, ex62, kwargs):
         with pytest.raises(ValueError, match="truncation ladder must be"):
             S.find_lambda1(ex62, check=False, **kwargs)
+
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan])
+    def test_non_finite_r_max_raises(self, ex62, r_max):
+        # r_max = inf used to grow the automatic ladder until memory ran out
+        with pytest.raises(ValueError, match="r_max must be finite"):
+            S.find_lambda1(ex62, check=False, r_max=r_max)
 
     def test_ladder_and_r_max_together_raise(self, ex62):
         with pytest.raises(ValueError, match="not both"):
