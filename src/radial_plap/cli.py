@@ -207,6 +207,11 @@ def _auto_rmax(ps):
 
 def cmd_check_conditions(args) -> int:
     ps = _load_spec(args)
+    if args.xi is not None and not ps.R1 < args.xi < ps.R2:
+        raise UsageError(f"--xi must be a finite radius inside (R1, R2) = "
+                         f"({ps.R1}, {ps.R2}), not {args.xi}")
+    if args.eps is not None and not math.isfinite(args.eps):
+        raise UsageError(f"--eps must be finite, not {args.eps}")
     reports = conditions.check_all(ps, xi=args.xi, eps=args.eps, tol=args.tol)
     if not _write_results(args, _out_dir(args), "check-conditions", ps,
                           "conditions.json", [r.to_dict() for r in reports], []):

@@ -110,18 +110,65 @@ def _p_sigma_converges(ps, end):
     return near_integral(psig, end) is not None
 
 
+#: the crossing locator: _CROSS_GRID nodes evenly spaced in s on
+#: [-_CROSS_S, _CROSS_S], then _CROSS_ROUNDS rounds of _CROSS_SPLIT nodes
+#: inside the bracket; 60 envelope points in all
+_CROSS_S, _CROSS_GRID, _CROSS_ROUNDS, _CROSS_SPLIT = 36.0, 32, 4, 7
+
+
+def _crossing(ps):
+    """The radius r* where Φ = Ψ, at which P kinks; None when either
+    envelope diverges (P is then one smooth envelope) or r* lies off the grid.
+
+    Φ - Ψ increases, so its sign change is bracketed on a grid of offsets
+    from R1, geometric in s = log((r - R1)/max(R1, 1)) on exterior domains
+    and in s = logit((r - R1)/(R2 - R1)) on annuli, so both ends are
+    resolved to e^-36 of the span.  Each round splits the bracket into
+    eight; the secant through the last bracket gives r*.  Every round is
+    one array query per envelope.
+    """
+    phi, psi = ps.phi_rho_conj, ps.psi_rho_conj
+    if phi.divergent or psi.divergent:
+        return None
+    if math.isfinite(ps.R2):
+        radius = lambda s: ps.R1 + (ps.R2 - ps.R1) / (1.0 + np.exp(-s))
+    else:
+        radius = lambda s: ps.R1 + max(ps.R1, 1.0) * np.exp(s)
+    s = np.linspace(-_CROSS_S, _CROSS_S, _CROSS_GRID)
+    r = radius(s)
+    h = phi(r) - psi(r)
+    k = int(np.argmax(h > 0.0))  # the first node past the crossing
+    if k == 0:
+        return None  # no node past it, or none before it
+    for _ in range(_CROSS_ROUNDS):
+        s_in = np.linspace(s[k - 1], s[k], _CROSS_SPLIT + 2)[1:-1]
+        r_in = radius(s_in)
+        s = np.concatenate([s[k - 1:k], s_in, s[k:k + 1]])
+        r = np.concatenate([r[k - 1:k], r_in, r[k:k + 1]])
+        h = np.concatenate([h[k - 1:k], phi(r_in) - psi(r_in), h[k:k + 1]])
+        k = int(np.argmax(h > 0.0))
+    return float(r[k - 1] + (r[k] - r[k - 1]) * h[k - 1] / (h[k - 1] - h[k]))
+
+
+def _junctions(ps):
+    """Radii where v or w jumps or kinks; the witness integrands of (A),
+    (W1) and (W2) kink or jump there too."""
+    return ps.v.breakpoints() + ps.w.breakpoints()
+
+
 def integral_P_sigma(ps: ProblemSpec, tol=1e-8):
     """Numeric value of ∫_{R1}^{R2} P σ dr, assuming convergence was certified.
 
     One :func:`~radial_plap.quadrature.integrate` call of ``capacity_P`` times
     σ over the whole interval: P is the pointwise min of the two envelopes,
-    so a divergent side (+inf) drops out by itself and the crossing radius
-    never has to be located.  The panel layout depends only on (R1, R2).
-    P's kink at the crossing can still fall between a GK21 panel's last node
-    and its edge, where the error estimate does not see it.
+    so a divergent side (+inf) drops out by itself.  The junctions of v and
+    w and the crossing r* (:func:`_crossing`) are the integral's breakpoints,
+    so every jump and kink of P σ sits on a panel edge.
     """
+    r_star = _crossing(ps)
     return quad.integrate(
-        lambda r: capacity_P(ps, r) * ps.sigma_model(r), ps.R1, ps.R2, tol=tol
+        lambda r: capacity_P(ps, r) * ps.sigma_model(r), ps.R1, ps.R2, tol=tol,
+        points=_junctions(ps) + ([] if r_star is None else [r_star]),
     )
 
 
@@ -397,7 +444,7 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
             "∫_R^ξ (∫_R^r v^(-1/(p-1)))^(p-1) w dr diverges at R (exponent test)",
         )
     f1 = lambda r: phi_vinv(r) ** (p - 1.0) * w(r)
-    res1 = quad.integrate(f1, R, xi, tol=1e-8)
+    res1 = quad.integrate(f1, R, xi, tol=1e-8, points=_junctions(ps))
     witnesses["I1"] = res1.value
     if p != N:
         tail_model = w.restricted(xi, INF).times(b=p - 1.0)
@@ -458,7 +505,7 @@ def check_W2(ps: ProblemSpec) -> ConditionReport:
     psi = ps.psi_rho_conj
     sig = ps.sigma_model
     f2 = lambda r: psi(r) ** (p - 1.0) * sig(r)
-    res2 = quad.integrate(f2, xi, INF, tol=1e-8)
+    res2 = quad.integrate(f2, xi, INF, tol=1e-8, points=_junctions(ps))
     witnesses["I2"] = res2.value
     notes = ""
     if res2.verdict == quad.INCONCLUSIVE:

@@ -159,6 +159,12 @@ def verify_bound(params: RecursionParams):
 
 #: log-space floor of the sweep; a draw that reaches it has decayed for good
 _LOG_CLAMP = -1e290
+#: the affine switch: once (d2 - d1) |L| reaches this many nats, the d2 term
+#: of logaddexp sits below half an ulp of the d1 term (e^-40 < 2^-53)
+_AFFINE_GAP = 40.0
+#: steps per closed-form block, at most _BLOCK and about _BLOCK_CELLS over
+#: the live draws: the block's two (draws x steps) arrays stay at 64 KB
+_BLOCK, _BLOCK_CELLS = 64, 8192
 
 
 def _draws(size, rng_key):
@@ -170,6 +176,22 @@ def _draws(size, rng_key):
     return K, eta, d[:, 0], d[:, 1]
 
 
+def _affine_block(L, n, k, logK, logeta, e1):
+    """log J at indices n+1..n+k, one row per draw, of the affine recursion
+    L_m = c_m + (1+d1) L_{m-1}, c_m = logK + (m-1) log(eta), from L = L_n:
+    with w_j = (1+d1)^-j, L_{n+j} = (L_n + sum_{i<=j} w_i c_{n+i}) / w_j.
+    Works in place on two (draws x k) arrays."""
+    j = np.arange(1, k + 1)
+    w = e1[:, None] ** -j
+    out = np.multiply(n + j - 1, logeta[:, None])
+    out += logK[:, None]
+    out *= w
+    np.cumsum(out, axis=1, out=out)
+    out += L[:, None]
+    out /= w
+    return out
+
+
 def _advance(K, eta, d1, d2, alternative, n_max, margin):
     """Run the equality recursion for every draw at once; returns (n0, first_bad).
 
@@ -179,6 +201,23 @@ def _advance(K, eta, d1, d2, alternative, n_max, margin):
     retired and they are compacted: few distinct array sizes keep numpy's
     per-size cache of small buffers, and so peak memory, as in a loop over
     fixed chunks.
+
+    The live draws take the exact step, one index at a time, until every
+    one of them has its n0 and, at the current index n, both
+    (d2 - d1) |L_n| >= ``_AFFINE_GAP`` and an affine decrement
+    D_n = c_{n+1} + d1 L_n <= -log(eta)/d1 - 1/2, where
+    c_m = logK + (m-1) log(eta).  From then on they advance a block of
+    indices at a time in closed form (:func:`_affine_block`), which is the
+    float recursion already: the decrements obey
+    D_{k+1} = (1+d1) D_k + log(eta), so D_k <= -log(eta)/d1 keeps them
+    negative and falling (the half nat keeps rounding from undoing that),
+    and L_k only decreases; then |L_k| >= |L_n|,
+    exp(-(d2-d1)|L_k|) < 2^-53, and logaddexp returns exactly (1+d1) L_k.
+    A draw at a deep bound qualifies: L_n <= bound_n =
+    min(0, log_b1 - n log(eta)/d1) < 0 gives D_n <= -log(eta)/d1 - log 2.
+    Every index of a block is still checked against the bound, and the
+    clamp and retirement rules are the exact step's.  Draws with d1 == d2
+    never switch.
     """
     logK, logeta = np.log(K), np.log(eta)
     log_b1 = -np.log(2.0 * K) / d1 - logeta / d1**2
@@ -194,26 +233,43 @@ def _advance(K, eta, d1, d2, alternative, n_max, margin):
     live = np.arange(K.size)  # draw indices still advancing
     m0 = n0.copy()  # n0 of the live draws
     e1, e2 = 1.0 + d1, 1.0 + d2
+    gap, falls = d2 - d1, -logeta / d1 - 0.5
+    n = 0
     with np.errstate(over="ignore"):
-        for n in range(1, n_max + 1):
-            if live.size == 0:
-                break
-            L = logK + (n - 1) * logeta + np.logaddexp(e1 * L, e2 * L)
-            L = np.maximum(L, _LOG_CLAMP)
-            viol = L > np.minimum(0.0, log_b1 - n * logeta / d1) + _SLACK
-            if m0.min() < 0:
-                m0 = np.where((m0 < 0) & (L <= 0.0), n, m0)
-                viol &= m0 >= 0
-            if viol.any():
-                first_bad[live[viol]] = n
-                L[viol] = _LOG_CLAMP  # its answer is final: park it at the clamp
+        while n < n_max and live.size:
+            found = m0.min() >= 0
+            if found and np.all((gap * L <= -_AFFINE_GAP)
+                                & (d1 * L + logK + n * logeta <= falls)):
+                k = min(max(_BLOCK_CELLS // live.size, 1), _BLOCK, n_max - n)
+                block = _affine_block(L, n, k, logK, logeta, e1)
+                np.maximum(block, _LOG_CLAMP, out=block)
+                bound = np.multiply(np.arange(n + 1, n + k + 1), logeta[:, None])
+                bound /= d1[:, None]
+                np.subtract(log_b1[:, None], bound, out=bound)
+                np.minimum(bound, 0.0, out=bound)
+                bound += _SLACK
+                viol = block > bound
+                bad = viol.any(axis=1)
+                first_bad[live[bad]] = n + 1 + viol[bad].argmax(axis=1)
+                L = block[:, -1].copy()
+                n += k
+            else:
+                n += 1
+                L = logK + (n - 1) * logeta + np.logaddexp(e1 * L, e2 * L)
+                L = np.maximum(L, _LOG_CLAMP)
+                bad = L > np.minimum(0.0, log_b1 - n * logeta / d1) + _SLACK
+                if not found:
+                    m0 = np.where((m0 < 0) & (L <= 0.0), n, m0)
+                    bad &= m0 >= 0
+                first_bad[live[bad]] = n
+            L[bad] = _LOG_CLAMP  # its answer is final: park it at the clamp
             stay = L > _LOG_CLAMP
             if 4 * (live.size - np.count_nonzero(stay)) < live.size:
                 continue
             n0[live[~stay]] = m0[~stay]
             live, L, m0 = live[stay], L[stay], m0[stay]
-            logK, logeta, d1 = logK[stay], logeta[stay], d1[stay]
-            log_b1, e1, e2 = log_b1[stay], e1[stay], e2[stay]
+            logK, logeta, d1, log_b1 = logK[stay], logeta[stay], d1[stay], log_b1[stay]
+            e1, e2, gap, falls = e1[stay], e2[stay], gap[stay], falls[stay]
     n0[live] = m0
     return n0, first_bad
 

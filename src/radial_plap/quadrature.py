@@ -11,9 +11,14 @@ Two routes are provided and kept deliberately independent:
   power-law endpoint are exactly geometric, so a ratio-extrapolated tail
   recovers the integral to near machine precision, while persistently
   non-decaying shells certify divergence (the shells of ``(r-a)**-1`` are
-  constant).  Verdicts are ``converged`` / ``diverges`` /
-  ``inconclusive``; the last is first-class because numerics cannot certify
-  divergence of arbitrary integrands at exponent boundaries.
+  constant).  As in QUADPACK's QAGP, ``points`` names interior radii where
+  the integrand may jump or kink (weight junctions, the kink of P at its
+  crossing): every panel starts from the subintervals between them, so no
+  such radius hides between a GK21 subinterval's last node and its edge,
+  and the shells toward an endpoint start below the point nearest to it.
+  Verdicts are ``converged`` / ``diverges`` / ``inconclusive``; the last is
+  first-class because numerics cannot certify divergence of arbitrary
+  integrands at exponent boundaries.
 
 * :func:`integrate_exact_powerlog` takes a piecewise power-log model, decides
   convergence from exponents alone (left endpoint needs power > -1; a tail
@@ -142,10 +147,12 @@ def _gk21(f, lo, hi):
     return resk * half, np.maximum(err, floor), floor
 
 
-def _panel(f, a, b, rtol):
+def _panel(f, a, b, rtol, points=()):
     """Adaptive GK21 on a finite interval without endpoint singularities.
 
-    Every round bisects, together, the largest-error subintervals until the
+    Starts from the subintervals between the sorted ``points`` inside
+    (a, b), so a jump or kink there sits on a subinterval edge.  Every round
+    bisects, together, the largest-error subintervals until the
     error left outside them would meet ``rtol * |value|``, and evaluates all
     of their children in one array call of ``f``.  A subinterval at its
     rounding floor or too narrow to halve is not split again.  Stops once
@@ -153,7 +160,8 @@ def _panel(f, a, b, rtol):
     subinterval cap is reached; the estimate then says so.
     """
     rtol = max(rtol, 5e-14)
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    edges = np.array([a, *(x for x in points if a < x < b), b], dtype=float)
+    lo, hi = edges[:-1], edges[1:]
     val, err, floor = _gk21(f, lo, hi)
     while True:
         target = rtol * abs(val.sum())
@@ -193,7 +201,7 @@ _ABS_FLOOR = 1e-280
 _DIVERGE_CAP = 1e12
 
 
-def _analyze_shells(shell_iter, f, rtol, scale, tol_goal):
+def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
     """Sum shell integrals with geometric tail extrapolation.
 
     ``shell_iter`` yields (x0, x1) pairs marching toward the singular
@@ -219,7 +227,7 @@ def _analyze_shells(shell_iter, f, rtol, scale, tol_goal):
     for k, (x0, x1) in enumerate(shell_iter):
         if x1 - x0 <= 64.0 * np.finfo(float).eps * max(1.0, abs(x1)):
             return finish()  # representability floor for the endpoint distance
-        s, e = _panel(f, x0, x1, rtol)
+        s, e = _panel(f, x0, x1, rtol, points)
         total += s
         err += e
         shells.append(s)
@@ -266,14 +274,18 @@ def _shells(end, d):
         yield (near, far) if d > 0.0 else (far, near)
 
 
-def integrate(f, a, b, tol=1e-10, budget=10**6):
+def integrate(f, a, b, tol=1e-10, budget=10**6, points=()):
     """Integrate ``f`` over (a, b) with endpoint singularities allowed.
 
     ``f`` maps a 1-D array of abscissae to the array of its values; it is
     called once per refinement level of each panel (array GK21 panels on
     the smooth core, then shell by shell), never point by point.
-    ``b`` may be ``math.inf``.  The result's verdict is ``converged`` only if
-    the combined error estimate meets ``tol * (1 + |value|)``; divergence is
+    ``b`` may be ``math.inf``.  ``points`` are radii where ``f`` may jump or
+    kink (QUADPACK's QAGP breakpoints); those outside (a, b) are ignored.
+    Every panel starts split at the ones inside it, and the shells toward
+    ``a`` (and toward a finite ``b``) start below the point nearest to that
+    end.  The result's verdict is ``converged`` only if the combined error
+    estimate meets ``tol * (1 + |value|)``; divergence is
     reported when shell sums exceed ``_DIVERGE_CAP`` or endpoint shells
     persistently fail to decay.  ``budget`` caps the points evaluated; a
     batch that would exceed it is not evaluated, and the result is
@@ -286,29 +298,47 @@ def integrate(f, a, b, tol=1e-10, budget=10**6):
         raise ValueError(f"tol must be finite and positive, not {tol}")
     cf = _Counted(f, budget)
     try:
-        value, err, verdict = _driver(cf, a, b, tol)
+        value, err, verdict = _driver(cf, a, b, tol, sorted({float(x) for x in points}))
     except BudgetExceeded:
         return IntegralResult(math.nan, INF, INCONCLUSIVE, cf.n)
     return IntegralResult(value, err, verdict, cf.n)
 
 
-def _driver(cf, a, b, tol):
+def _clear_of(points, end, d):
+    """|d| halved until no point lies strictly between ``end`` and
+    ``end + d``, so the shells toward ``end`` hold none.  Halving, rather
+    than starting at the point itself, keeps the shell edges at the same
+    binary fractions of ``d`` from ``end`` (exact offsets when ``end`` and
+    ``d`` are round): rounded shell widths would make the shell sums noisy
+    near the endpoint and stall the tail extrapolation."""
+    for x in points:
+        while min(end, end + d) < x < max(end, end + d):
+            d *= 0.5
+    return abs(d)
+
+
+def _driver(cf, a, b, tol, points):
     """The core panel, then the shells toward ``a``, then those toward a
-    finite ``b`` or the octaves out along an infinite one."""
+    finite ``b`` or the octaves out along an infinite one.  Each shell stack
+    starts at the distance ``d`` halved below the points (:func:`_clear_of`):
+    shells with a jump or a kink in them, such as P σ's kink at r* - R1 << d,
+    rise before the endpoint's power sets in and read as divergence."""
     rtol = tol * 1e-3
     if math.isfinite(b):
         d = (b - a) / 4.0
-        core_hi = b - d
-        far = _shells(b, -d)
+        d_b = _clear_of(points, b, -d)
+        far = _shells(b, -d_b)
+        core_hi = b - d_b
     else:
         d = max(1.0, 0.5 * max(a, 1.0))
         core_hi = 2.0 * (a + d)
         far = ((core_hi * 2.0**k, core_hi * 2.0 ** (k + 1)) for k in range(900))
-    value, err = _panel(cf, a + d, core_hi, rtol)
+    d_a = _clear_of(points, a, d)
+    value, err = _panel(cf, a + d_a, core_hi, rtol, points)
     scale = 1.0 + abs(value)
     converged = True
-    for shells in (_shells(a, d), far):
-        v, e, verdict = _analyze_shells(shells, cf, rtol, scale, tol)
+    for shells in (_shells(a, d_a), far):
+        v, e, verdict = _analyze_shells(shells, cf, rtol, scale, tol, points)
         if verdict == DIVERGES:
             return INF, INF, DIVERGES
         value += v

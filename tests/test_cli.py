@@ -260,6 +260,12 @@ class TestAsymptoticsEig:
     # inf used to grow the automatic ladder until memory ran out
     ("solve", "--preset", "ex62", "--rmax", "inf"),
     ("solve", "--preset", "annulus-n3", "--method", "rayleigh", "--nodes", "0"),
+    # nan used to report both (A_eps) checks as holding with xi = nan
+    *[("check-conditions", "--preset", preset, "--xi", xi) for preset, xi in
+      (("ex61", "nan"), ("ex61", "inf"), ("ex61", "1.0"),
+       ("ex61", "0.5"), ("annulus-n3", "2.0"), ("annulus-n3", "3.0"))],
+    *[("check-conditions", "--preset", "ex61", "--eps", eps)
+      for eps in ("nan", "inf")],
 ], ids=" ".join)
 def test_numbers_outside_their_domain_exit_2(tmp_path, capsys, argv):
     """Each number is refused by name, before anything runs."""

@@ -83,18 +83,34 @@ class TestCheckA:
         assert "witness integral failed" in rep.notes
 
     def test_failed_witness_is_left_out_when_A_holds(self):
-        # P σ grows toward the crossing radius, 3e-6 from R1, before its
-        # endpoint power sets in; the shell test reads the growth as
-        # divergence, while the exponent tests certify ∫ P σ < ∞
-        ps = make_rmk23(p=3.847990439463344, N=4, alpha=2.7004467256022076,
-                        beta=1.4495798815470673, alpha1=-1.0676886347791388,
-                        beta1=-3.957910166647802)
+        # P σ = (r-1)^(-1 + 1e-12) near R1: the exponent test certifies
+        # ∫ P σ < ∞, while shell sums that fall by 7e-13 a shell read as
+        # divergence to the numeric witness
+        ps = exterior(
+            [PowerLogPiece(1.0, INF, 1.0)],
+            [PowerLogPiece(1.0, 2.0, 1.0, -2.0 + 1e-12), PowerLogPiece(2.0, INF, 1.0, 0.0, -3.0)],
+            N=1, p=2.0,
+        )
         rep = C.check_A(ps)
         assert rep.holds
         for key in ("integral_P_sigma", "quadrature_error", "embedding_constant"):
             assert key not in rep.witnesses
         assert "exponent test" in rep.notes
         assert all(math.isfinite(v) for v in rep.witnesses.values())
+
+    def test_crossing_next_to_R1_keeps_its_witness(self):
+        """rmk23_draws(4)[6]: r* - 1 = 2.0e-3, deep inside the first shell
+        of the old layout, where P σ grew over six shells and read as
+        divergence.  The shells now start below r*.  The reference is
+        _mp_integral_P_sigma at depth 320 (47.3460035650 at depth 200: the
+        oracle creeps up toward the value as the split deepens)."""
+        ps = make_rmk23(p=1.9231501537872888, N=4, alpha=0.788095418494543,
+                        beta=0.9834505692249531, alpha1=-1.0437843041694048,
+                        beta1=-3.0113391380268055)
+        rep = C.check_A(ps)
+        assert rep.holds and rep.notes == ""
+        ref = 47.346003727872166
+        assert abs(rep.witnesses["integral_P_sigma"] - ref) <= 1e-8 * (1.0 + ref)
 
 
 def _mp_piece_integral(c, a, b, x0, x1):
@@ -148,8 +164,8 @@ def _rmk23_pieces(alpha, beta, alpha1, beta1, **_):
 
 
 #: a criterion-5 draw with the crossing r* = 1.74962 just below the weight
-#: jump at r = 2: a shell that starts at r* + 0.25 holds the jump 3.7e-4
-#: inside its edge, and the half-shell [1.5, 1.75] holds the kink of P there
+#: jump at r = 2: without breakpoints the half-shell [1.5, 1.75] held the kink
+#: of P 3.7e-4 inside its edge, behind its last GK21 node (6.1e-7 off)
 RMK23_JUMP_DRAW = dict(
     p=2.9399779268548976, N=4, alpha=0.19522526895434522, beta=1.0331563882499935,
     alpha1=-1.7093400964255991, beta1=-3.086136768460523,
@@ -170,10 +186,6 @@ class TestIntegralPSigmaOracle:
             make_rmk23(**RMK23_JUMP_DRAW),
             (RMK23_JUMP_DRAW["p"], RMK23_JUMP_DRAW["N"], *_rmk23_pieces(**RMK23_JUMP_DRAW)),
             id="rmk23-jump",
-            marks=pytest.mark.xfail(strict=True, reason=(
-                "P's kink at the crossing r* = 1.74962 lies 3.7e-4 below the "
-                "edge of the half-shell [1.5, 1.75], behind its last GK21 "
-                "node: both halves look smooth and 6.1e-7 goes unseen")),
         ),
     ])
     def test_matches_mpmath(self, ps, args):
@@ -181,6 +193,26 @@ class TestIntegralPSigmaOracle:
         ref = _mp_integral_P_sigma(*args)
         assert res.verdict == quad.CONVERGED
         assert abs(res.value - ref) <= 1e-8 * (1.0 + abs(ref))
+
+
+class TestCrossing:
+    def test_annulus_n3_closed_form(self):
+        # ρ' = r^-2 on (1, 2): Φ = 1 - 1/r and Ψ = 1/r - 1/2 meet at 4/3
+        r_star = C._crossing(get_preset("annulus-n3").problem)
+        assert r_star == pytest.approx(4.0 / 3.0, rel=1e-8)
+
+    def test_exterior_closed_form(self):
+        # N = 3, v = 1 on (1, inf): Φ = 1 - 1/r and Ψ = 1/r meet at 2
+        ps = exterior([PowerLogPiece(1.0, INF, 1.0)],
+                      [PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0)])
+        assert C._crossing(ps) == pytest.approx(2.0, rel=1e-8)
+
+    def test_divergent_side_has_no_crossing(self):
+        # v = 1 with N = 2: Ψ = ∫_r^∞ dr/r diverges, so P = Φ^(p-1) is smooth
+        ps = exterior([PowerLogPiece(1.0, INF, 1.0)],
+                      [PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0)], N=2)
+        assert ps.psi_rho_conj.divergent
+        assert C._crossing(ps) is None
 
 
 class TestAEpsLeft:

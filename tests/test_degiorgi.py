@@ -112,9 +112,29 @@ class TestVerifyBound:
         assert ok, (logK, eta, d1, d2, bad)
 
 
-def _reference_sweep(n_draws, seed, alternative, n_max, margin, slack=1e-9, chunk=250):
-    """The sweep as a plain loop: every chunk of draws steps all n_max times,
-    with no draw retired early."""
+def _stepwise(K, eta, d1, d2, alternative, n_max, margin, slack=1e-9):
+    """The sweep's recursion one index at a time over every draw, with no
+    draw retired early and no closed-form block; returns (n0, first_bad)."""
+    logK, logeta = np.log(K), np.log(eta)
+    log_b1 = -np.log(2.0 * K) / d1 - logeta / d1**2
+    log_b2 = -np.log(2.0 * K) / d2 - logeta * (1.0 / (d1 * d2) + (d2 - d1) / d2**2)
+    target = np.minimum(0.0, log_b1) if alternative == "a" else np.minimum(log_b1, log_b2)
+    L = math.log(margin) + target
+    n0 = np.where(L <= 0.0, 0, -1)
+    first_bad = np.full(K.size, -1)
+    with np.errstate(over="ignore"):
+        for n in range(1, n_max + 1):
+            L = logK + (n - 1) * logeta + np.logaddexp((1.0 + d1) * L, (1.0 + d2) * L)
+            L = np.maximum(L, -1e290)
+            n0 = np.where((n0 < 0) & (L <= 0.0), n, n0)
+            bound = np.minimum(0.0, log_b1 - n * logeta / d1)
+            viol = (n0 >= 0) & (L > bound + slack) & (first_bad < 0)
+            first_bad = np.where(viol, n, first_bad)
+    return n0, first_bad
+
+
+def _reference_sweep(n_draws, seed, alternative, n_max, margin, chunk=250):
+    """The sweep as a plain loop: every chunk of draws steps all n_max times."""
     details, counterexamples, max_n0, all_found = [], 0, 0, True
     for idx, start in enumerate(range(0, n_draws, chunk)):
         size = min(chunk, n_draws - start)
@@ -123,26 +143,7 @@ def _reference_sweep(n_draws, seed, alternative, n_max, margin, slack=1e-9, chun
         eta = rng.uniform(1.0 + 1e-9, 10.0, size=size)
         d = np.sort(rng.uniform(1e-6, 3.0, size=(size, 2)), axis=1)
         d1, d2 = d[:, 0], d[:, 1]
-        logK, logeta = np.log(K), np.log(eta)
-        log_b1 = -np.log(2.0 * K) / d1 - logeta / d1**2
-        if alternative == "a":
-            target = np.minimum(0.0, log_b1)
-        else:
-            log_b2 = -np.log(2.0 * K) / d2 - logeta * (1.0 / (d1 * d2)
-                                                       + (d2 - d1) / d2**2)
-            target = np.minimum(log_b1, log_b2)
-        L = math.log(margin) + target
-        n0 = np.where(L <= 0.0, 0, -1)
-        first_bad = np.full(size, -1)
-        with np.errstate(over="ignore"):
-            for n in range(1, n_max + 1):
-                L = logK + (n - 1) * logeta + np.logaddexp((1.0 + d1) * L,
-                                                           (1.0 + d2) * L)
-                L = np.maximum(L, -1e290)
-                n0 = np.where((n0 < 0) & (L <= 0.0), n, n0)
-                bound = np.minimum(0.0, log_b1 - n * logeta / d1)
-                viol = (n0 >= 0) & (L > bound + slack) & (first_bad < 0)
-                first_bad = np.where(viol, n, first_bad)
+        n0, first_bad = _stepwise(K, eta, d1, d2, alternative, n_max, margin)
         bad = np.nonzero(first_bad >= 0)[0]
         counterexamples += len(bad)
         details += [{"draw": int(i) + start, "K": float(K[i]), "eta": float(eta[i]),
@@ -153,6 +154,45 @@ def _reference_sweep(n_draws, seed, alternative, n_max, margin, slack=1e-9, chun
     return {"draws": n_draws, "alternative": alternative,
             "counterexamples": counterexamples, "details": details[:10],
             "max_n0": max_n0, "all_n0_found": all_found}
+
+
+class TestAffineBlocks:
+    """``_advance`` runs the affine tail in closed-form blocks; every case
+    must give the stepwise oracle's n0 and first_bad arrays exactly."""
+
+    @staticmethod
+    def assert_matches(draws, alternative, margin, n_max=10_000):
+        got = D._advance(*draws, alternative, n_max, margin)
+        want = _stepwise(*draws, alternative, n_max, margin)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        return want
+
+    @pytest.mark.parametrize("alternative", ["a", "b"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sweep_draws(self, seed, alternative):
+        self.assert_matches(D._draws(250, [seed, 0]), alternative, 0.99)
+
+    @pytest.mark.parametrize("margin", [1.5, 3.0])
+    def test_violations_inside_the_first_block(self, margin):
+        """Small d1 and a wide gap switch to blocks at n = 0.  At margin 3
+        every draw violates at n = 1, inside the first block; at 1.5 the
+        gap to the bound grows from the first step (log 2 > (1+d1) log 1.5),
+        so none does."""
+        rng = np.random.default_rng(17)
+        size = 64
+        d1 = rng.uniform(1e-3, 1e-2, size)
+        draws = (10.0 ** rng.uniform(0.0, 2.0, size), rng.uniform(1.5, 5.0, size),
+                 d1, d1 + rng.uniform(0.1, 2.0, size))
+        for alternative in "ab":
+            n0, first_bad = self.assert_matches(draws, alternative, margin, n_max=300)
+            assert np.all(n0 == 0)
+            assert np.all(first_bad == (1 if margin == 3.0 else -1))
+
+    def test_equal_deltas_stay_on_the_exact_step(self):
+        draws = tuple(np.array([x]) for x in (2.0, 1.5, 0.3, 0.3))
+        for margin in (0.99, 1.5):
+            self.assert_matches(draws, "a", margin, n_max=2000)
 
 
 class TestSweep:

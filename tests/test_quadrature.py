@@ -77,6 +77,47 @@ class TestIntegrate:
         assert sum(seen) <= 50 < res.evaluations
 
 
+#: on (1, 2) the core panel is [1.25, 1.75]: 1.5004 lies between its middle
+#: GK21 nodes, so the first estimate sees a jump or kink there, but after one
+#: bisection it sits 4e-4 inside [1.5, 1.75], whose first node is 5.4e-4 in
+SLIVER = 1.5004
+
+
+class TestPoints:
+    @pytest.mark.parametrize("f, exact", [
+        (lambda r: np.where(r < SLIVER, 1.0, 2.0), (SLIVER - 1.0) + 2.0 * (2.0 - SLIVER)),
+        (lambda r: np.maximum(r - SLIVER, 0.0), 0.5 * (2.0 - SLIVER) ** 2),
+    ], ids=["jump", "kink"])
+    def test_sliver_breakpoint(self, f, exact):
+        tol = 1e-10
+        blind = integrate(f, 1.0, 2.0, tol=tol)
+        split = integrate(f, 1.0, 2.0, tol=tol, points=[SLIVER])
+        # without the point both halves look smooth, and the error goes unseen
+        assert blind.verdict == CONVERGED
+        assert abs(blind.value - exact) > tol * (1.0 + exact)
+        assert split.verdict == CONVERGED
+        assert abs(split.value - exact) <= tol * (1.0 + exact)
+        assert split.evaluations < blind.evaluations
+
+    def test_points_outside_the_interval_are_ignored(self):
+        f = lambda r: np.cos(r)
+        res = integrate(f, 0.0, 1.0, points=[-1.0, 0.0, 1.0, 5.0, INF])
+        assert res == integrate(f, 0.0, 1.0)
+
+    @pytest.mark.parametrize("b", [2.0, INF])
+    def test_shells_start_clear_of_a_point_near_the_endpoint(self, b):
+        """A jump 3e-3 from a power endpoint sits inside the first shells;
+        they now start at the halving of d just below it."""
+        x = 1.003
+        f = lambda r: (r - 1.0) ** -0.5 * np.where(r < x, 1.0, 2.0) * r**-2.0
+        with mp.workdps(30):
+            g = lambda r: (r - 1) ** mp.mpf(-0.5) * r**-2
+            exact = float(mp.quad(g, [1, x]) + 2 * mp.quad(g, [x, 2, b]))
+        res = integrate(f, 1.0, b, points=[x])
+        assert res.verdict == CONVERGED
+        assert res.value == pytest.approx(exact, rel=1e-10)
+
+
 GAMMA_SWEEP = [-2.0, -1.5, -1.0, -0.999, -0.5, 0.0]
 
 
