@@ -32,8 +32,7 @@ def main():
         ref /= np.max(ref)
         print(f"  max |u - closed form| {np.max(np.abs(eig.u - ref)):.2e}")
 
-        mesh = solver.make_mesh(ps, n_core=2000, delta_left=1e-6,
-                                delta_right=1e-6)
+        mesh = solver.make_mesh(ps, n_core=2000)
         eig_r = solver.rayleigh_minimize(ps, mesh)
         lo, hi = eig_r.diagnostics["lambda_h_bounds"]
         print(f"  Rayleigh minimizer  {eig_r.lam:.8f} "

@@ -48,14 +48,12 @@ from .conditions import (  # noqa: F401
 from .solver import (  # noqa: F401
     Eigenpair,
     Mesh,
-    ShootResult,
     SolverError,
     find_lambda1,
     flux,
     make_mesh,
     rayleigh_minimize,
     rayleigh_quotient,
-    shoot,
 )
 from .asymptotics import (  # noqa: F401
     AsymptoticVerdict,

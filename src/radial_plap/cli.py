@@ -307,6 +307,8 @@ def cmd_asymptotics(args) -> int:
 
 
 def cmd_degiorgi(args) -> int:
+    if args.d1 is not None and args.d2 is not None and args.d1 > args.d2:
+        raise UsageError(f"--d1 must be at most --d2, not {args.d1} > {args.d2}")
     if args.sweep is not None:
         payload = {alt: degiorgi.sweep(args.sweep, seed=args.seed, alternative=alt)
                    for alt in ("a", "b")}
@@ -375,13 +377,14 @@ def cmd_example(args) -> int:
     return EXIT_OK if _rows_pass(rows) else EXIT_VERDICT
 
 
-def _positive(kind):
-    """argparse type: a finite ``kind`` number above 0 (exit 2 otherwise)."""
+def _in_domain(kind, low=0, closed=False):
+    """argparse type: a finite ``kind`` above (``closed``: at least) ``low``; else exit 2."""
+    domain = f"at least {low}" if closed else "positive" if low == 0 else f"above {low}"
 
     def parse(text):
         value = kind(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be finite and positive, not {text}")
+        if not (math.isfinite(value) and (value >= low if closed else value > low)):
+            raise argparse.ArgumentTypeError(f"must be finite and {domain}, not {text}")
         return value
     parse.__name__ = kind.__name__
     return parse
@@ -398,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_problem=True, with_tol=True):
         if with_tol:
-            p.add_argument("--tol", type=_positive(float), default=1e-8,
+            p.add_argument("--tol", type=_in_domain(float), default=1e-8,
                            help="tolerance for condition integrals / lambda")
         p.add_argument("--out-dir", default="runs", help="output directory")
         p.add_argument("--json", action="store_true",
@@ -418,13 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rmax", type=float, default=None,
                    help="truncation radius for exterior domains")
-    p.add_argument("--ladder", type=_positive(int), default=None,
+    p.add_argument("--ladder", type=_in_domain(int), default=None,
                    help="number of R1*2^k truncation rungs (k = 2..)")
     p.add_argument("--method", choices=["shoot", "rayleigh", "both"],
                    default="shoot")
     p.add_argument("--bc", choices=["dirichlet", "matched"],
                    default="dirichlet", help="truncation boundary condition")
-    p.add_argument("--nodes", type=_positive(int), default=2000,
+    p.add_argument("--nodes", type=_in_domain(int), default=2000,
                    help="core mesh nodes for the Rayleigh minimizer")
     p.add_argument("--no-check", action="store_true",
                    help="skip the condition-(A) gate")
@@ -441,13 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degiorgi", help="recursion decay lemma")
     common(p, with_problem=False, with_tol=False)
-    p.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
-    p.add_argument("--K", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--d1", type=float, default=None)
-    p.add_argument("--d2", type=float, default=None)
-    p.add_argument("--J0", type=float, default=None)
-    p.add_argument("--sweep", type=_positive(int), default=None,
+    p.add_argument("--seed", type=_in_domain(int, closed=True), default=0, help="sweep RNG seed")
+    p.add_argument("--K", type=_in_domain(float), default=None)
+    p.add_argument("--eta", type=_in_domain(float, low=1), default=None)
+    p.add_argument("--d1", type=_in_domain(float), default=None)
+    p.add_argument("--d2", type=_in_domain(float), default=None)
+    p.add_argument("--J0", type=_in_domain(float), default=None)
+    p.add_argument("--sweep", type=_in_domain(int), default=None,
                    help="run a randomized verification sweep of this size")
     p.set_defaults(func=cmd_degiorgi)
 

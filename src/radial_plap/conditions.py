@@ -150,12 +150,6 @@ def _crossing(ps):
     return float(r[k - 1] + (r[k] - r[k - 1]) * h[k - 1] / (h[k - 1] - h[k]))
 
 
-def _junctions(ps):
-    """Radii where v or w jumps or kinks; the witness integrands of (A),
-    (W1) and (W2) kink or jump there too."""
-    return ps.v.breakpoints() + ps.w.breakpoints()
-
-
 def integral_P_sigma(ps: ProblemSpec, tol=1e-8):
     """Numeric value of ∫_{R1}^{R2} P σ dr, assuming convergence was certified.
 
@@ -168,7 +162,7 @@ def integral_P_sigma(ps: ProblemSpec, tol=1e-8):
     r_star = _crossing(ps)
     return quad.integrate(
         lambda r: capacity_P(ps, r) * ps.sigma_model(r), ps.R1, ps.R2, tol=tol,
-        points=_junctions(ps) + ([] if r_star is None else [r_star]),
+        points=ps.junctions + (() if r_star is None else (r_star,)),
     )
 
 
@@ -444,7 +438,7 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
             "∫_R^ξ (∫_R^r v^(-1/(p-1)))^(p-1) w dr diverges at R (exponent test)",
         )
     f1 = lambda r: phi_vinv(r) ** (p - 1.0) * w(r)
-    res1 = quad.integrate(f1, R, xi, tol=1e-8, points=_junctions(ps))
+    res1 = quad.integrate(f1, R, xi, tol=1e-8, points=ps.junctions)
     witnesses["I1"] = res1.value
     if p != N:
         tail_model = w.restricted(xi, INF).times(b=p - 1.0)
@@ -505,7 +499,7 @@ def check_W2(ps: ProblemSpec) -> ConditionReport:
     psi = ps.psi_rho_conj
     sig = ps.sigma_model
     f2 = lambda r: psi(r) ** (p - 1.0) * sig(r)
-    res2 = quad.integrate(f2, xi, INF, tol=1e-8, points=_junctions(ps))
+    res2 = quad.integrate(f2, xi, INF, tol=1e-8, points=ps.junctions)
     witnesses["I2"] = res2.value
     notes = ""
     if res2.verdict == quad.INCONCLUSIVE:

@@ -44,14 +44,15 @@ class RecursionParams:
     log_J0: float | None = None  # overrides J0 when the value underflows
 
     def __post_init__(self):
-        if not self.K > 0:
-            raise ValueError("K must be positive")
-        if not self.eta > 1.0:
-            raise ValueError("eta must exceed 1")
-        if not 0.0 < self.delta1 <= self.delta2:
-            raise ValueError("need 0 < delta1 <= delta2")
-        if self.log_J0 is None and not self.J0 > 0:
-            raise ValueError("J0 must be positive")
+        if not 0.0 < self.K < math.inf:
+            raise ValueError("K must be finite and positive")
+        if not 1.0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and exceed 1")
+        if not 0.0 < self.delta1 <= self.delta2 < math.inf:
+            raise ValueError("need 0 < delta1 <= delta2 < inf")
+        if not (math.isfinite(self.J0) and (self.J0 > 0 or self.log_J0 is not None)
+                and math.isfinite(self.start_log)):
+            raise ValueError("J0 (or log_J0) must be finite and positive")
 
     @property
     def start_log(self):

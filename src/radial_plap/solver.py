@@ -26,16 +26,15 @@ margin monotone, so the root is the principal eigenvalue.  Exterior domains
 (R2 = inf) are handled by a Dirichlet truncation ladder R_max = R1 * 2^k,
 whose values decrease monotonically to lam_1 by domain inclusion.
 
-Each lam is integrated once.  The shoots of one root share a set-up
-(:class:`_Shooting`: the start, the tolerances, the segments and their
-weight pieces).  Every root, a finite annulus or a ladder rung, builds its
-mesh first, so each margin shoot keeps what the dense output at the mesh
-nodes needs (the stages of every step that holds a node), and the root
-holds the latest such shoot on each side of lam_1.  The eigenfunction comes
-from the one at brentq's lam (for a ladder, the last rung's), whose
-interpolants are built only then.  Only a nudge shoots afresh: when the
-trace at brentq's lam is not positive, lam steps down by 8 tol on the
-root's own set-up, at most eight times before SolverError (see
+Every root, a finite annulus or a ladder rung, builds its mesh first
+(:func:`make_mesh`), and the mesh alone fixes the root's set-up
+(:class:`_Shooting`): the start R1 + ``delta_left``, the end, the segments
+between the weight junctions and the nodes where each shoot keeps its dense
+output.  Each lam is integrated once, by :func:`shoot`, and the root holds
+the latest shoot on each side of lam_1; the eigenfunction comes from the
+one at brentq's lam (for a ladder, the last rung's).  Only a nudge shoots
+afresh: when that trace is not positive, lam steps down by 8 tol on the
+same set-up, at most eight times before SolverError (see
 :func:`_eigenpair_from_shoot`, which also shoots brentq's lam again in the
 unlikely case that its shoot was not held).
 
@@ -84,12 +83,12 @@ class Mesh:
         return len(self.nodes)
 
 
-def _default_delta_left(ps, r_end):
+def _default_delta_left(ps):
     """Offset where the left envelope is 1e-6 of its midpoint value."""
     phi = ps.phi_rho_conj
-    mid = 0.5 * (ps.R1 + r_end)
+    mid = 0.5 * (ps.R1 + ps.R2)
     target = 1e-6 * phi(mid)
-    lo, hi = 1e-13 * max(1.0, ps.R1), 0.25 * (r_end - ps.R1)
+    lo, hi = 1e-13 * max(1.0, ps.R1), 0.25 * (ps.R2 - ps.R1)
     if phi(ps.R1 + lo) >= target:
         return lo
     for _ in range(200):
@@ -107,26 +106,22 @@ def _default_delta_left(ps, r_end):
 _LAYER_FRAC = 0.02
 
 
-def make_mesh(ps: ProblemSpec, r_end=None, n_core=1200, per_decade=12,
-              delta_left=None, delta_right=None) -> Mesh:
-    """Graded mesh: narrow geometric boundary layers plus a dense core.
+def make_mesh(ps: ProblemSpec, n_core=1200, per_decade=12) -> Mesh:
+    """Graded mesh on a finite (R1, R2): narrow geometric boundary layers
+    plus a dense core; SolverError on an exterior problem.
 
-    The layers run from the offsets down at ``delta_left``/``delta_right`` out
-    to ``_LAYER_FRAC`` of the span, with ``per_decade`` nodes per decade of
-    boundary distance; keeping them narrow leaves the core (log-spaced when
-    the domain spans more than a decade in r, uniform otherwise) to resolve
-    the eigenfunction's bulk.  Weight junctions are inserted as nodes so
-    intervals never straddle a coefficient jump.
+    The problem fixes the offsets: ``delta_left`` where the left envelope is
+    1e-6 of its midpoint value, ``delta_right`` 1e-9 of the span.  The layers
+    run from them out to ``_LAYER_FRAC`` of the span, ``per_decade`` nodes
+    per decade of boundary distance, leaving the core (``n_core`` nodes,
+    log-spaced past a decade in r, else uniform) the eigenfunction's bulk.
+    The weight junctions are nodes, so no cell straddles a jump.
     """
-    if r_end is None:
-        if not math.isfinite(ps.R2):
-            raise SolverError("r_end required for exterior domains")
-        r_end = ps.R2
-    span = r_end - ps.R1
-    if delta_left is None:
-        delta_left = _default_delta_left(ps, r_end)
-    if delta_right is None:
-        delta_right = 1e-9 * span
+    if not math.isfinite(ps.R2):
+        raise SolverError("a mesh needs a finite R2; truncate the exterior problem first")
+    span = ps.R2 - ps.R1
+    delta_left = _default_delta_left(ps)
+    delta_right = 1e-9 * span
     layer_l = max(span * _LAYER_FRAC, 1e3 * delta_left)
     layer_r = max(span * _LAYER_FRAC, 1e3 * delta_right)
     k_left = max(2, int(math.ceil(per_decade * math.log10(layer_l / delta_left))))
@@ -134,21 +129,16 @@ def make_mesh(ps: ProblemSpec, r_end=None, n_core=1200, per_decade=12,
     k_right = max(2, int(math.ceil(per_decade * math.log10(layer_r / delta_right))))
     d_right = delta_right * (layer_r / delta_right) ** (np.arange(k_right + 1) / k_right)
     left_nodes = ps.R1 + d_left
-    right_nodes = r_end - d_right
-    a, b = ps.R1 + layer_l, r_end - layer_r
+    right_nodes = ps.R2 - d_right
+    a, b = ps.R1 + layer_l, ps.R2 - layer_r
     if (ps.R1 + span) / ps.R1 > 10.0:
         core = np.geomspace(a, b, n_core)
     else:
         core = np.linspace(a, b, n_core)
-    junctions = [
-        t for t in set(ps.v.breakpoints()) | set(ps.w.breakpoints())
-        if ps.R1 + delta_left < t < r_end - delta_right and math.isfinite(t)
-    ]
-    nodes = np.concatenate([left_nodes, core, right_nodes, np.array(junctions)])
-    nodes = np.unique(nodes)
-    nodes = nodes[(nodes >= ps.R1 + delta_left) & (nodes <= r_end - delta_right)]
+    nodes = np.unique(np.concatenate([left_nodes, core, right_nodes, ps.junctions]))
+    nodes = nodes[(nodes >= ps.R1 + delta_left) & (nodes <= ps.R2 - delta_right)]
     keep = np.concatenate([[True], np.diff(nodes) > 1e-15 * np.maximum(1.0, nodes[1:])])
-    return Mesh(nodes[keep], ps.R1, r_end, delta_left, delta_right)
+    return Mesh(nodes[keep], ps.R1, ps.R2, delta_left, delta_right)
 
 
 @dataclass
@@ -156,9 +146,9 @@ class ShootResult:
     first_zero: float | None
     terminal_u: float
     terminal_flux: float
-    # (mesh nodes, DenseNodes) per segment that holds one, kept by a shoot
-    # whose set-up has nodes; _trace builds the (r, u, g) trace from them
-    dense: list | None = None
+    # (mesh nodes, DenseNodes) per segment that holds one, up to the first
+    # zero; _trace builds the (r, u, g) trace from them
+    dense: list
 
 
 @dataclass
@@ -174,8 +164,7 @@ class Eigenpair:
 class _Segment:
     """One smooth segment [s0, s1] of a shoot: its integration variable
     (``fwd`` maps r to it, ``inv`` back, ``shift`` as in :func:`_segment_rhs`),
-    its weight pieces, and the mesh nodes it holds, in r and in x (None
-    without ``nodes``).
+    its rho and sigma pieces, and the mesh nodes it holds, in r and in x.
 
     Near the inner boundary the solution is only Holder-smooth in r (pure
     powers of r - R1), which starves a high-order RK; in x = log(r - R1) it
@@ -208,14 +197,10 @@ class _Segment:
                 return x
 
         self.s0, self.s1, self.fwd, self.inv = s0, s1, fwd, inv
-        nm1 = float(ps.N - 1)
-        vp = ps.v.pieces[ps.v.piece_index(s0)]
-        wp = ps.w.pieces[ps.w.piece_index(s0)]
-        self.pieces = (vp.c, vp.a, vp.b + nm1, vp.l, wp.c, wp.a, wp.b + nm1, wp.l)
-        self.r_nodes = self.x_nodes = None
-        if nodes is not None:
-            self.r_nodes = nodes[(nodes >= s0) & ((nodes <= s1) if last else (nodes < s1))]
-            self.x_nodes = [fwd(r) for r in self.r_nodes]
+        rp, sp = (m.pieces[m.piece_index(s0)] for m in (ps.rho_model, ps.sigma_model))
+        self.pieces = (rp.c, rp.a, rp.b, rp.l, sp.c, sp.a, sp.b, sp.l)
+        self.r_nodes = nodes[(nodes >= s0) & ((nodes <= s1) if last else (nodes < s1))]
+        self.x_nodes = [fwd(r) for r in self.r_nodes]
 
 
 def _segment_rhs(ps, lam, seg):
@@ -269,51 +254,43 @@ def _segment_rhs(ps, lam, seg):
 @np.errstate(over="raise", invalid="raise")
 def _integrate_segment(ps, lam, seg, y, atol):
     """Integrate one smooth segment from the state ``y`` up to u's first
-    zero, keeping the dense output at the segment's mesh nodes, if it has
-    any.  A state that overflows raises FloatingPointError (or
-    OverflowError) instead of turning to NaN."""
+    zero, keeping the dense output at its mesh nodes.  A state that
+    overflows raises FloatingPointError (or OverflowError), not NaN."""
     return solve_ivp(_segment_rhs(ps, lam, seg), (seg.fwd(seg.s0), seg.fwd(seg.s1)), y,
                      rtol=_RTOL, atol=atol, nodes=seg.x_nodes)
 
 
 class _Shooting:
-    """What every shoot of one root shares: the start on the left asymptote
-    (``u0`` at ``R1 + delta_left``), the tolerances (``atol`` on u tied to
-    the envelope's scale) and the smooth segments between the weights'
-    breakpoints, each with its weight pieces and the mesh nodes it holds.
-    Built once per root, so a shoot only integrates."""
+    """What every shoot of one root shares, read from its ``mesh``: the start
+    on the left asymptote at R1 + ``mesh.delta_left``, the end, the
+    tolerances (``atol`` on u tied to the envelope's scale) and the smooth
+    segments between the weight junctions, each with its weight pieces and
+    mesh nodes.  Built once per root, so a shoot only integrates."""
 
-    def __init__(self, ps, r_end, delta_left, nodes=None):
+    def __init__(self, ps, mesh):
         if ps.phi_rho_conj.divergent:
             raise SolverError("rho^(1-p') not integrable near R1; no shooting start")
-        if delta_left is None:
-            delta_left = _default_delta_left(ps, r_end)
-        self.ps, self.r_end = ps, r_end
-        r0 = ps.R1 + delta_left
+        self.ps, self.mesh = ps, mesh
+        r0 = ps.R1 + mesh.delta_left
         u0 = ps.phi_rho_conj(r0)
         self.y0 = (float(u0), 1.0)
-        cuts = sorted(
-            t for t in set(ps.v.breakpoints()) | set(ps.w.breakpoints())
-            if r0 < t < r_end and math.isfinite(t)
-        )
-        edges = [r0] + cuts + [r_end]
+        edges = [r0, *(t for t in ps.junctions if t > r0), mesh.r_end]
         # absolute tolerances tied to the natural scales (u ~ envelope, g ~ 1);
         # a tiny atol on u would stall the stepper at the u = 0 crossing, where
         # |u|^{p-2}u has a root-type kink for p < 2
-        u_ref = float(ps.phi_rho_conj(r_end))
+        u_ref = float(ps.phi_rho_conj(mesh.r_end))
         if not math.isfinite(u_ref):
             u_ref = float(u0) * 1e6
         self.atol_u = 1e-13 * max(u_ref, u0)
         self.segments = [
-            _Segment(ps, s0, s1, nodes, s1 == edges[-1])
+            _Segment(ps, s0, s1, mesh.nodes, s1 == edges[-1])
             for s0, s1 in zip(edges[:-1], edges[1:])
         ]
-        self.keeps_nodes = nodes is not None
 
     def __call__(self, lam) -> ShootResult:
         atol = [self.atol_u, 1e-12 * (1.0 + lam)]
         y = self.y0
-        dense = [] if self.keeps_nodes else None
+        dense = []
         first_zero = None
         for seg in self.segments:
             try:
@@ -326,7 +303,7 @@ class _Shooting:
                 raise SolverError(
                     f"integrator failed near r={float(seg.inv(sol.t[-1]))}: {sol.message}"
                 )
-            if dense is not None and len(sol.dense.x):
+            if len(sol.dense.x):
                 dense.append((seg.r_nodes[:len(sol.dense.x)], sol.dense))
             if sol.status == 1:  # event: u crossed zero
                 first_zero = float(seg.inv(sol.t_events[0][0]))
@@ -336,27 +313,14 @@ class _Shooting:
         return ShootResult(first_zero, y[0], y[1], dense=dense)
 
 
-def shoot(ps: ProblemSpec, lam, r_end=None, nodes=None, plan=None) -> ShootResult:
-    """Integrate the flux system from the left asymptote, at
-    :func:`make_mesh`'s default offset from R1, to ``r_end`` (default R2);
-    stop at the first interior zero of u if one occurs.  With ``nodes``,
-    increasing radii of that span (a mesh's nodes), the result keeps the
-    dense output there, from which :func:`_trace` builds (r, u, g) at the
-    nodes up to that zero.
-
-    ``plan``, a root's shared set-up (:class:`_Shooting`), replaces
-    ``r_end`` and ``nodes``.
-
-    Requires rho^{1-p'} integrable near R1 (the asymptote used for the start).
-    """
-    if lam <= 0:
-        raise SolverError("lam must be positive")
-    if plan is None:
-        if r_end is None:
-            if not math.isfinite(ps.R2):
-                raise SolverError("r_end required for exterior domains")
-            r_end = ps.R2
-        plan = _Shooting(ps, r_end, None, nodes)
+def shoot(plan: _Shooting, lam) -> ShootResult:
+    """The one entry point for shooting: integrate at ``lam`` > 0 on the
+    set-up ``plan`` from its mesh's first node to ``r_end``, or to u's first
+    interior zero, keeping the dense output at the mesh nodes on the way,
+    from which :func:`_trace` builds (r, u, g).  Callers look it up at call
+    time, so a tracer can wrap it."""
+    if not lam > 0:
+        raise SolverError(f"lam must be positive, not {lam}")
     return plan(lam)
 
 
@@ -383,9 +347,9 @@ def _margin(lam, plan, matcher=None):
     u'/u = envelope'/envelope at r_end.
     """
     ps = plan.ps
-    res = shoot(ps, lam, plan=plan)
+    res = shoot(plan, lam)
     if res.first_zero is not None:
-        return -(plan.r_end - res.first_zero), res
+        return -(plan.mesh.r_end - res.first_zero), res
     if matcher is None:
         return res.terminal_u, res
     psi_end, rho_end, rhoc_end = matcher
@@ -404,16 +368,15 @@ def _coarse_lambda_estimate(ps):
 
 def _lambda1_truncated(ps, tol, n_core, per_decade, bracket=None, matcher=None):
     """lam_1 of the finite problem ``ps`` (an annulus or a ladder rung), the
-    mesh built before the root, the root's set-up on it, and the shoot at
-    lam_1 that kept the dense output at the mesh nodes (None if that shoot
-    was not held).
+    root's set-up on the mesh built before the root, and the shoot at lam_1
+    that kept the dense output at the mesh nodes (None if that shoot was not
+    held).
 
     Only the latest shoot on each side of the root is held, counting memo
     hits in the order brentq asks for lam; brentq returns one of the two
     nearly always.
     """
-    mesh = make_mesh(ps, n_core=n_core, per_decade=per_decade)
-    plan = _Shooting(ps, mesh.r_end, mesh.delta_left, mesh.nodes)
+    plan = _Shooting(ps, make_mesh(ps, n_core=n_core, per_decade=per_decade))
     margins = {}
     latest = {}  # margin > 0 -> (lam, its shoot, or None after a memo hit)
 
@@ -449,26 +412,26 @@ def _lambda1_truncated(ps, tol, n_core, per_decade, bracket=None, matcher=None):
                 f"no upper bracket for lam_1 found up to {hi}; check the problem")
     lam = brentq(f, lo, hi, rtol=max(tol, 1e-14), xtol=1e-300)
     kept = next((res for at, res in latest.values() if at == lam), None)
-    return lam, mesh, plan, kept
+    return lam, plan, kept
 
 
-def _eigenpair_from_shoot(lam, mesh, plan, kept, diagnostics):
-    """Eigenfunction of the root ``lam`` found on ``mesh`` with the set-up
-    ``plan``: the root's own shoot ``kept`` at ``lam`` (shot afresh if it
-    was not held), stepped down by 8 * tol (at most eight times) on the same
-    set-up while the trace is not positive, and SolverError if it still is
-    not; ``diagnostics`` records the root as ``lambda_root`` and the steps
-    taken as ``lambda_nudges``."""
+def _eigenpair_from_shoot(lam, plan, kept, tol, diagnostics):
+    """Eigenfunction of the root ``lam`` found with the set-up ``plan``, on
+    its mesh: the root's own shoot ``kept`` at ``lam`` (shot afresh if it
+    was not held), stepped down by 8 * ``tol`` (at most eight times) on the
+    same set-up while the trace is not positive, and SolverError if it still
+    is not; ``diagnostics`` records the root as ``lambda_root`` and the
+    steps taken as ``lambda_nudges``."""
     ps = plan.ps
     lam_side = lam
     nudges = 0
     res = kept
     for i in range(8):
         if i or res is None:
-            res = shoot(ps, lam_side, plan=plan)
+            res = shoot(plan, lam_side)
         if res.first_zero is None and res.terminal_u >= 0.0:
             break
-        lam_side *= 1.0 - 8.0 * max(diagnostics.get("lambda_rtol", 1e-10), 1e-12)
+        lam_side *= 1.0 - 8.0 * max(tol, 1e-12)
         nudges += 1
     else:
         raise SolverError(f"trace still not positive {nudges} nudges below lam = {lam}")
@@ -483,8 +446,8 @@ def _eigenpair_from_shoot(lam, mesh, plan, kept, diagnostics):
     diagnostics["lambda_root"] = lam
     diagnostics["lambda_nudges"] = nudges
     diagnostics["terminal_u_over_max"] = res.terminal_u / scale
-    diagnostics["residual_norm"] = _discrete_residual(ps, mesh, u_n, g_n, lam_side)
-    return Eigenpair(lam_side, mesh, u_n, g_n, zero_count, diagnostics)
+    diagnostics["residual_norm"] = _discrete_residual(ps, plan.mesh, u_n, g_n, lam_side)
+    return Eigenpair(lam_side, plan.mesh, u_n, g_n, zero_count, diagnostics)
 
 
 def _discrete_residual(ps, mesh, u, g, lam):
@@ -565,7 +528,7 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
         lam, *root = _lambda1_truncated(ps, tol, n_core, per_decade)
         diagnostics["truncation_radius"] = ps.R2
         diagnostics["bisection_width"] = tol * lam
-        return _eigenpair_from_shoot(lam, *root, diagnostics)
+        return _eigenpair_from_shoot(lam, *root, tol, diagnostics)
 
     rungs = []
     lam_prev = None
@@ -607,7 +570,7 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
     diagnostics["truncation_radius"] = rungs[-1][0]
     diagnostics["lambda_dirichlet_last"] = lams[-1]
     diagnostics["bisection_width"] = tol * lams[-1]
-    eig = _eigenpair_from_shoot(lams[-1], *root, diagnostics)
+    eig = _eigenpair_from_shoot(lams[-1], *root, tol, diagnostics)
     eig.lam = lam_ext
     eig.diagnostics["lambda_extrapolated"] = lam_ext
     eig.diagnostics["richardson_applied"] = richardson

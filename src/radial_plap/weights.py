@@ -342,6 +342,12 @@ class ProblemSpec:
                 raise SpecError(f"{name} ends at {wm.r2}, not R2={self.R2}", name)
 
     @cached_property
+    def junctions(self):
+        """Sorted radii strictly inside (R1, R2) where v or w changes piece."""
+        breaks = self.v.breakpoints() + self.w.breakpoints()
+        return tuple(sorted({t for t in breaks if self.R1 < t < self.R2}))
+
+    @cached_property
     def rho_model(self):
         return self.v.times(b=self.N - 1)
 

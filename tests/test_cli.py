@@ -119,6 +119,21 @@ class TestSolve:
                    *flags, "--out-dir", str(tmp_path)) == 2
         assert not (tmp_path / "solve.json").exists()
 
+    def test_matched_solve_on_a_slow_tail_exits_0(self, tmp_path):
+        # rho^{1-p'} = (r-1)^-0.5 r^-0.51 decays at the rate 0.01: its right
+        # envelope needs more tail panels than the first-pass cap, and the
+        # matched condition used to end in brentq's NaN traceback
+        spec = tmp_path / "slow.json"
+        spec.write_text(json.dumps({
+            "N": 3, "p": 2.0, "R1": 1.0, "R2": "inf",
+            "v": [{"lo": 1.0, "hi": "inf", "a": 0.5, "b": -1.49}],
+            "w": [{"lo": 1.0, "hi": "inf", "b": -4.0}],
+        }))
+        out_dir = tmp_path / "out"
+        assert run("solve", "--problem", str(spec), "--bc", "matched", "--ladder", "2",
+                   "--out-dir", str(out_dir)) == 0
+        assert read_json(out_dir / "solve.json")["lambda1"] == pytest.approx(0.88198, rel=1e-5)
+
     def test_ladder_and_rmax_together_exit_2(self, tmp_path):
         assert run("solve", "--preset", "rmk22", "--no-check", "--ladder", "2",
                    "--rmax", "24", "--out-dir", str(tmp_path)) == 2
@@ -248,9 +263,25 @@ class TestAsymptoticsEig:
         assert not (tmp_path / "asymptotics.json").exists()
 
 
+def _recursion_argv(flag, bad):
+    """A degiorgi single run whose numbers lie in their domains, but for
+    ``flag`` set to ``bad``, last."""
+    good = {"--K": "1", "--eta": "2", "--d1": "1", "--d2": "1", "--J0": "0.25"}
+    others = [f for name, value in good.items() if name != flag for f in (name, value)]
+    return ("degiorgi", *others, flag, bad)
+
+
 @pytest.mark.parametrize("argv", [
     ("degiorgi", "--sweep", "-5"),
     ("degiorgi", "--sweep", "0"),
+    ("degiorgi", "--sweep", "10", "--seed", "-1"),
+    # K = inf used to exit 0 with J_head 1e304 and thresholds 0.0
+    *[_recursion_argv(flag, bad) for flag, bads in
+      (("--K", ("0", "-1", "nan", "inf")), ("--eta", ("1", "0.5", "nan", "inf")),
+       ("--d1", ("0", "nan", "inf")), ("--d2", ("0", "nan", "inf")),
+       ("--J0", ("0", "nan", "inf")))
+      for bad in bads],
+    ("degiorgi", "--K", "1", "--eta", "2", "--J0", "0.25", "--d2", "1", "--d1", "2"),
     *[(*command, "--tol", tol) for command in
       (("check-conditions", "--preset", "annulus-n3"), ("solve", "--preset", "annulus-n3"),
        ("asymptotics", "--preset", "annulus-n3"), ("example", "annulus-n3"))

@@ -70,8 +70,9 @@ class TestCheckA:
         assert rep.witnesses["integral_P_sigma"] == INF
 
     def test_tail_one_rounding_from_critical_reports_instead_of_raising(self):
-        # rho^{1-p'} = (r-1)^-0.25 r^(-0.75 - 2^-52): its tail panels would
-        # need about 1e17 nodes, so the witness is dropped, not allocated
+        # rho^{1-p'} = (r-1)^-0.25 r^(-0.75 - 2^-52): its tail panels start
+        # at the cap instead of being refused, so the witness is computed
+        # and Ψ(2) is the incomplete beta B(1/2; 2^-52, 3/4)
         ps = exterior(
             [PowerLogPiece(1.0, INF, 1.0, 0.25, 0.75 + 2.0**-52)],
             [PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0)],
@@ -79,8 +80,11 @@ class TestCheckA:
         )
         rep = C.check_A(ps)
         assert rep.holds
-        assert "integral_P_sigma" not in rep.witnesses
-        assert "witness integral failed" in rep.notes
+        assert math.isfinite(rep.witnesses["integral_P_sigma"])
+        assert rep.notes == ""
+        with mp.workdps(40):
+            ref = float(mp.betainc(mp.mpf(2) ** -52, 0.75, 0, 0.5))
+        assert ps.psi_rho_conj(2.0) == pytest.approx(ref, rel=1e-15)
 
     def test_failed_witness_is_left_out_when_A_holds(self):
         # P σ = (r-1)^(-1 + 1e-12) near R1: the exponent test certifies
@@ -344,9 +348,10 @@ class TestFailedWitnessProbes:
                            w=WeightModel.constant(1.0, 1.0, 3.5))
 
     @staticmethod
-    def _tail_one_rounding_from_critical():
-        # the rho^{1-p'} tail r^-(1 + 2^-52) is refused by the tail quadrature
-        v = WeightModel((PowerLogPiece(1.0, INF, 1.0, 0.25, 0.75 + 2.0**-52),), 1.0)
+    def _overflowing_tail():
+        # rho^{1-p'} = 1e294 r^-(1 + 2^-52): Ψ(r) is about 4.5e309 r^-(2^-52),
+        # finite but past the float range
+        v = WeightModel((PowerLogPiece(1.0, INF, 1e-294, 0.0, 1.0 + 2.0**-52),), 1.0)
         w = WeightModel((PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0),), 1.0)
         return ProblemSpec(N=1, p=2.0, R1=1.0, R2=INF, v=v, w=w)
 
@@ -367,19 +372,25 @@ class TestFailedWitnessProbes:
         assert rep.notes == ("neither product alternative tends to 0 at both ends; "
                              f"numeric witness alt1_probe_R1 {self.FAILED}")
 
-    def test_nan_eps_right_probe_is_noted(self):
-        rep = C.check_A_eps_R(self._tail_one_rounding_from_critical())
+    def test_overflowed_eps_right_probe_is_noted(self):
+        rep = C.check_A_eps_R(self._overflowing_tail())
         assert rep.verdict == C.HOLDS
-        assert math.isnan(rep.witnesses["sup_F"])
+        assert rep.witnesses["sup_F"] == INF
         assert rep.notes == f"numeric witness sup_F {self.FAILED}"
 
-    def test_nan_ok_probes_are_noted(self):
-        rep = C.check_OK(self._tail_one_rounding_from_critical())
+    def test_overflowed_tail_ok_probes_are_noted(self):
+        rep = C.check_OK(self._overflowing_tail())
         assert rep.verdict == C.HOLDS
-        assert math.isnan(rep.witnesses["alt1_probe_R1"])
-        assert math.isnan(rep.witnesses["alt1_probe_R2"])
+        assert rep.witnesses["alt1_probe_R1"] == INF
+        assert rep.witnesses["alt1_probe_R2"] == INF
         assert rep.notes == ("first alternative passes; numeric witness "
                              f"alt1_probe_R1, alt1_probe_R2 {self.FAILED}")
+
+    def test_overflowed_A_witness_is_left_out(self):
+        rep = C.check_A(self._overflowing_tail())
+        assert rep.holds
+        assert "integral_P_sigma" not in rep.witnesses
+        assert rep.notes == "numeric witness integral failed; (A) rests on the exponent test"
 
     @pytest.mark.parametrize("name", ["rmk22", "rmk23"])
     def test_divergent_factor_is_not_a_failed_probe(self, name):

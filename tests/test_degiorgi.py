@@ -256,3 +256,28 @@ class TestSharpnessProbe:
         growth = np.nonzero(np.diff(tr.log_J) > 0.0)[0]
         assert len(growth) > 0  # empirical failure margin exists
         assert tr.overflowed
+
+
+class TestRecursionParams:
+    GOOD = dict(K=1.0, eta=2.0, delta1=1.0, delta2=1.0, J0=0.25)
+
+    @pytest.mark.parametrize("name, value", [
+        *[(name, bad) for name in ("K", "delta1", "delta2", "J0")
+          for bad in (0.0, -1.0, math.nan, math.inf)],
+        *[("eta", bad) for bad in (1.0, 0.5, math.nan, math.inf)],
+        ("log_J0", math.nan), ("log_J0", math.inf),
+    ])
+    def test_numbers_outside_their_domain_raise(self, name, value):
+        kwargs = {**self.GOOD, name: value}
+        if name == "delta1" and value == math.inf:
+            kwargs["delta2"] = math.inf
+        with pytest.raises(ValueError):
+            D.RecursionParams(**kwargs)
+
+    def test_delta1_above_delta2_raises(self):
+        with pytest.raises(ValueError, match="delta1 <= delta2"):
+            D.RecursionParams(**{**self.GOOD, "delta1": 2.0})
+
+    def test_log_J0_overrides_an_underflowed_J0(self):
+        p = D.RecursionParams(**{**self.GOOD, "J0": 0.0, "log_J0": -800.0})
+        assert p.start_log == -800.0

@@ -11,7 +11,6 @@ from radial_plap import quadrature as quad
 from radial_plap.quadrature import (
     CONVERGED,
     DIVERGES,
-    INCONCLUSIVE,
     LeftCumulative,
     RightCumulative,
     integrate,
@@ -166,16 +165,40 @@ class TestExactPowerlog:
         res = integrate_exact_powerlog(m)
         assert (res.verdict == DIVERGES) == (gamma <= -1.0)
 
-    def test_tail_one_rounding_from_critical_is_inconclusive(self):
-        """A tail exponent one ulp below -1 would need about 1e17 panels; the
-        first pass is refused unevaluated instead of allocating them."""
+    def test_tail_one_rounding_from_critical_matches_closed_form(self):
+        """A tail exponent one ulp below -1 decays at the rate 2^-52: its
+        panels start at the cap of 4096, where they used to be refused
+        (value NaN), and land on the closed forms."""
         value, err, evaluations = quad._tail_gl(1.0, 0.0, -1.0 - 2.0**-52, 0.0, 2.0, 4.0)
-        assert math.isnan(value) and err == INF and evaluations == 0
-        # (r-1)^-0.25 r^-0.7500000000000002: the tail sums to -1 - 2^-52
+        assert value == pytest.approx(4.0 ** -2.0**-52 / 2.0**-52, rel=1e-15)
+        assert err < 1e-15 * value and evaluations > 0
+        # (r-1)^-0.25 r^-0.7500000000000002: the tail sums to -1 - 2^-52, and
+        # Ψ(r) is the incomplete beta B(1/r; 2^-52, 3/4)
         m = WeightModel((PowerLogPiece(1.0, INF, 1.0, -0.25, -0.75 - 2.0**-52),), 1.0)
+        kappa = mp.mpf(2) ** -52
+        with mp.workdps(40):
+            full = float(mp.beta(kappa, 0.75))
+            half = float(mp.betainc(kappa, 0.75, 0, 0.5))
         res = integrate_exact_powerlog(m)
-        assert res.verdict == INCONCLUSIVE
-        assert res.abs_error_estimate == INF
+        assert res.verdict == CONVERGED
+        assert res.value == pytest.approx(full, rel=1e-15)
+        assert RightCumulative(m)(2.0) == pytest.approx(half, rel=1e-15)
+
+    @pytest.mark.parametrize("kappa", [1e-2, 1e-3, 1e-4])
+    def test_slow_tail_matches_incomplete_beta(self, kappa):
+        """(r-1)^-0.5 r^(-0.5-kappa) on (1, inf), the ρ^{1-p'} of v = (r-1)^0.5
+        r^(kappa-1.5) with N = 3 and p = 2: a tail slower than about 0.022
+        asks for more first-pass panels than the cap, and used to give NaN.
+        Ψ(2) = B(1/2; kappa, 1/2)."""
+        m = WeightModel((PowerLogPiece(1.0, INF, 1.0, -0.5, -0.5 - kappa),), 1.0)
+        with mp.workdps(30):
+            ref = float(mp.betainc(kappa, 0.5, 0, 0.5))
+        res = integrate_exact_powerlog(m, a=2.0)
+        assert res.verdict == CONVERGED
+        assert res.value == pytest.approx(ref, rel=1e-10)
+        psi = RightCumulative(m)
+        assert psi(2.0) == pytest.approx(ref, rel=1e-10)
+        assert psi(np.array([2.0, 3.0]))[0] == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("x0, a, b, l", [(3.0, 0.5, -1.5, -2.0),
                                              (2.0, -0.5, -0.5, -1.5),

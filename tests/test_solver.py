@@ -34,23 +34,28 @@ DUAL = {
 }
 
 
+def _plan(ps, **mesh_kwargs):
+    """A root's shooting set-up on ``make_mesh``'s mesh of the finite ``ps``."""
+    return S._Shooting(ps, S.make_mesh(ps, **mesh_kwargs))
+
+
 class TestShoot:
     def test_eigenvalue_lands_zero_at_right_end(self, trivial_annulus):
-        res = S.shoot(trivial_annulus, PI2, r_end=2.0)
+        res = S.shoot(_plan(trivial_annulus), PI2)
         if res.first_zero is None:
             assert abs(res.terminal_u) <= 1e-8
         else:
             assert res.first_zero == pytest.approx(2.0, abs=1e-8)
 
     def test_low_lambda_stays_positive(self, trivial_annulus):
-        res = S.shoot(trivial_annulus, (math.pi / 2.0) ** 2, r_end=2.0)
+        res = S.shoot(_plan(trivial_annulus), (math.pi / 2.0) ** 2)
         assert res.first_zero is None
         # u ~ sin((pi/2)(r-1)) has terminal value sin(pi/2) times the scale
         assert res.terminal_u > 0.5
 
     def test_spherical_closed_form(self, annulus_n3):
         # u = sin(pi (r-1))/r solves -(r^2 u')' = pi^2 r^2 u
-        res = S.shoot(annulus_n3, PI2, r_end=2.0)
+        res = S.shoot(_plan(annulus_n3), PI2)
         if res.first_zero is None:
             assert abs(res.terminal_u) <= 1e-6
         else:
@@ -59,9 +64,16 @@ class TestShoot:
     def test_sturm_ordering(self, trivial_annulus):
         """First zero location is nonincreasing in lambda."""
         lams = PI2 * np.linspace(1.05, 8.0, 20)
-        zeros = [S.shoot(trivial_annulus, lam, r_end=2.0).first_zero for lam in lams]
+        plan = _plan(trivial_annulus)
+        zeros = [S.shoot(plan, lam).first_zero for lam in lams]
         assert all(z is not None for z in zeros)
         assert all(z2 <= z1 + 1e-10 for z1, z2 in zip(zeros, zeros[1:]))
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_lambda_outside_its_domain_raises(self, trivial_annulus, lam):
+        # a NaN lam used to pass the sign test and reach the integrator
+        with pytest.raises(S.SolverError, match="lam must be positive"):
+            S.shoot(_plan(trivial_annulus), lam)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_insane_lambda_raises(self, trivial_annulus, dual_instance):
@@ -69,9 +81,10 @@ class TestShoot:
         # never a NaN margin or a RuntimeWarning
         for ps in [trivial_annulus, dual_instance(*CRITERION3[1.5]),
                    dual_instance(*CRITERION3[3.0])]:
+            plan = _plan(ps)
             for lam in (1e290, 2e290):
                 with pytest.raises(S.SolverError):
-                    S.shoot(ps, lam)
+                    S.shoot(plan, lam)
 
 
 class TestFindLambda1:
@@ -91,7 +104,7 @@ class TestFindLambda1:
 
     def test_positivity_and_oscillation_proxy(self, trivial_annulus, trivial_eigenpair):
         assert np.all(trivial_eigenpair.u > 0.0)
-        res = S.shoot(trivial_annulus, 4.0 * trivial_eigenpair.lam, r_end=2.0)
+        res = S.shoot(_plan(trivial_annulus), 4.0 * trivial_eigenpair.lam)
         assert res.first_zero is not None and res.first_zero < 2.0
 
     @pytest.mark.parametrize("name,p,nudges", [("p=2 degenerate", 2.0, 0),
@@ -109,10 +122,8 @@ class TestFindLambda1:
         # at 4 pi^2 the trace has an interior zero however far the eight
         # nudges step lam down; it used to come back cut at that zero, with
         # the last nudge's lam, which no shoot ran
-        mesh = S.make_mesh(trivial_annulus)
-        plan = S._Shooting(trivial_annulus, mesh.r_end, mesh.delta_left, mesh.nodes)
         with pytest.raises(S.SolverError, match="not positive 8 nudges below"):
-            S._eigenpair_from_shoot(4.0 * PI2, mesh, plan, None, {"lambda_rtol": 1e-10})
+            S._eigenpair_from_shoot(4.0 * PI2, _plan(trivial_annulus), None, 1e-10, {})
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
     def test_tol_outside_its_domain_raises(self, trivial_annulus, tol):
@@ -219,9 +230,11 @@ class TestOneIntegrationPerLambda:
         return ps.truncated(cli._auto_rmax(ps)), dict(n_core=3000, per_decade=16)
 
     @staticmethod
-    def _assert_fresh_shoot(ps, eig):
+    def _assert_fresh_shoot(ps, eig, **mesh_kwargs):
         lam = _eigenfunction_lam(eig)
-        r, u, g = S._trace(S.shoot(ps, lam, nodes=eig.mesh.nodes))
+        plan = _plan(ps, **mesh_kwargs)
+        assert np.array_equal(plan.mesh.nodes, eig.mesh.nodes)
+        r, u, g = S._trace(S.shoot(plan, lam))
         scale = float(np.max(u))
         assert np.array_equal(r, eig.mesh.nodes)
         assert np.array_equal(u / scale, eig.u)
@@ -233,7 +246,7 @@ class TestOneIntegrationPerLambda:
         eig = S.find_lambda1(ps, check=False, **kwargs)
         # eig.lam is the root, or the nudged lam whose trace is positive
         assert eig.lam == _eigenfunction_lam(eig)
-        self._assert_fresh_shoot(ps, eig)
+        self._assert_fresh_shoot(ps, eig, **kwargs)
 
     @pytest.mark.parametrize("name", LADDERS)
     def test_ladder_trace_equals_a_fresh_shoot(self, name):
@@ -250,9 +263,9 @@ class TestOneIntegrationPerLambda:
         shoots, solves = [], []
         shoot, solve_ivp = S.shoot, S.solve_ivp
 
-        def logged_shoot(ps, lam, *args, **kwargs):
-            shoots.append((ps.R2, lam))
-            return shoot(ps, lam, *args, **kwargs)
+        def logged_shoot(plan, lam):
+            shoots.append((plan.ps.R2, lam))
+            return shoot(plan, lam)
 
         def logged_solve(*args, **kwargs):
             solves.append(shoots[-1] if shoots else None)
@@ -383,15 +396,12 @@ class TestDop853Driver:
         zeros = []
         # r2 = 8 integrates [2, 8] in r, r2 = 20 integrates [2, 20] in log r;
         # lam = 0.2 has no zero, 2 a zero past r = 2, 30 a zero before it
-        for r2, lam, dense in [(8.0, 0.2, False), (8.0, 2.0, True), (20.0, 0.2, True),
-                               (20.0, 2.0, False), (20.0, 30.0, True)]:
+        for r2, lam in [(8.0, 0.2), (8.0, 2.0), (20.0, 0.2), (20.0, 2.0), (20.0, 30.0)]:
             ps = dual_instance(*CRITERION3[p], r2=r2)
-            mesh = S.make_mesh(ps, n_core=100, per_decade=4)
-            res = S.shoot(ps, lam, nodes=mesh.nodes if dense else None)
+            res = S.shoot(_plan(ps, n_core=100, per_decade=4), lam)
             zeros.append(res.first_zero)
-            assert (res.dense is not None) == dense
-            if dense:
-                S._trace(res)  # evaluates the dense output, which the oracle checks
+            assert res.dense
+            S._trace(res)  # evaluates the dense output, which the oracle checks
         assert oracle.kinds == {"log(r - R1)", "r", "log r"}
         assert oracle.statuses == {0, 1}
         assert oracle.dense_points > 0
@@ -620,8 +630,7 @@ class TestRayleighQuotient:
 
 class TestRayleighMinimize:
     def test_trivial(self, trivial_annulus):
-        mesh = S.make_mesh(trivial_annulus, n_core=2000,
-                           delta_left=1e-6, delta_right=1e-6)
+        mesh = S.make_mesh(trivial_annulus, n_core=2000)
         eig = S.rayleigh_minimize(trivial_annulus, mesh)
         assert eig.lam == pytest.approx(PI2, rel=1e-3)
         assert eig.zero_count == 0
@@ -630,7 +639,7 @@ class TestRayleighMinimize:
     def test_p3_agreement(self, p):
         ps = make_annulus(N=1, p=p)
         eig_s = S.find_lambda1(ps, check=False)
-        mesh = S.make_mesh(ps, n_core=2000, delta_left=1e-6, delta_right=1e-6)
+        mesh = S.make_mesh(ps, n_core=2000)
         eig_r = S.rayleigh_minimize(ps, mesh)
         assert abs(eig_s.lam - eig_r.lam) / eig_s.lam < 1e-3
         assert not eig_r.diagnostics["stagnated"]
@@ -656,9 +665,7 @@ class TestRayleighMinimize:
 def _uniform_mesh(ps, n):
     """n equally spaced nodes on (R1, R2), plus the weight junctions."""
     h = (ps.R2 - ps.R1) / (n + 1)
-    cuts = [t for t in set(ps.v.breakpoints()) | set(ps.w.breakpoints())
-            if ps.R1 < t < ps.R2]
-    nodes = np.unique(np.concatenate([ps.R1 + h * np.arange(1, n + 1), cuts]))
+    nodes = np.unique(np.concatenate([ps.R1 + h * np.arange(1, n + 1), ps.junctions]))
     return S.Mesh(nodes, ps.R1, ps.R2, h, h)
 
 
@@ -834,3 +841,33 @@ class TestMesh:
     def test_junctions_are_nodes(self, ex61):
         mesh = S.make_mesh(ex61.truncated(8.0), n_core=300)
         assert np.any(np.isclose(mesh.nodes, 2.0, rtol=0, atol=1e-12))
+
+    def test_refuses_an_exterior_problem(self, ex62):
+        with pytest.raises(S.SolverError, match="finite R2"):
+            S.make_mesh(ex62)
+
+
+class TestShootingSetUp:
+    """A root's set-up is read from its mesh alone: the segments run from
+    the mesh's first node, R1 + delta_left, to its end, split at the weight
+    junctions, and between them hold every mesh node once."""
+
+    @pytest.fixture(params=["annulus-trivial", "ex61 R=8", "rmk23 R=8", "rmk23 R=2.5",
+                            "p=3 degenerate R=20"])
+    def problem(self, request, dual_instance):
+        name = request.param
+        if name.startswith("p=3"):
+            return dual_instance(*CRITERION3[3.0], r2=20.0)
+        preset, _, r = name.partition(" R=")
+        ps = get_preset(preset).problem
+        return ps.truncated(float(r)) if r else ps
+
+    def test_segments_span_the_mesh(self, problem):
+        plan = _plan(problem)
+        mesh, segs = plan.mesh, plan.segments
+        assert segs[0].s0 == mesh.nodes[0] == problem.R1 + mesh.delta_left
+        assert segs[-1].s1 == mesh.r_end == problem.R2
+        assert all(a.s1 == b.s0 for a, b in zip(segs, segs[1:]))
+        assert [seg.s0 for seg in segs[1:]] == list(problem.junctions)
+        assert np.array_equal(np.concatenate([seg.r_nodes for seg in segs]), mesh.nodes)
+        assert all(seg.x_nodes == [seg.fwd(r) for r in seg.r_nodes] for seg in segs)

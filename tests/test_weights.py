@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radial_plap.presets import PRESET_NAMES, get_preset
 from radial_plap.weights import (
     FINITE,
     INF,
@@ -287,3 +288,30 @@ class TestScaling:
         ps_t = ex61.truncated(8.0)
         assert ps_t.R2 == 8.0
         assert ps_t.rho_model(4.0) == pytest.approx(ex61.rho_model(4.0))
+
+
+class TestJunctions:
+    """``ProblemSpec.junctions``: the one list of radii inside (R1, R2) where
+    v or w changes piece, read by the mesh, the shoots and the witnesses."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_sorted_union_strictly_inside(self, name):
+        ps = get_preset(name).problem
+        got = ps.junctions
+        assert list(got) == sorted(set(got))
+        assert all(ps.R1 < t < ps.R2 for t in got)
+        union = set(ps.v.breakpoints()) | set(ps.w.breakpoints())
+        assert set(got) == {t for t in union if ps.R1 < t < ps.R2}
+
+    def test_truncation_drops_the_junctions_past_the_cut(self):
+        ps = get_preset("rmk23").problem
+        assert ps.junctions == (2.0, 3.0)
+        assert ps.truncated(2.5).junctions == (2.0,)
+        assert ps.truncated(8.0).junctions == (2.0, 3.0)
+
+    def test_v_and_w_junctions_merge(self):
+        v = WeightModel((PowerLogPiece(1.0, 1.5, 1.0), PowerLogPiece(1.5, 4.0, 2.0)), 1.0)
+        w = WeightModel((PowerLogPiece(1.0, 3.0, 1.0), PowerLogPiece(3.0, 4.0, 0.5)), 1.0)
+        ps = ProblemSpec(N=2, p=2.0, R1=1.0, R2=4.0, v=v, w=w)
+        assert ps.junctions == (1.5, 3.0)
+        assert ProblemSpec(N=2, p=2.0, R1=1.0, R2=4.0, v=v, w=v).junctions == (1.5,)
