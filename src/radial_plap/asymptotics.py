@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quadrature as quad
 from .weights import INFINITY, LEFT_R1, ProblemSpec, magnitude, near_integral, right_end
 from .solver import Eigenpair
 
@@ -26,6 +27,9 @@ RIGHT = "right"
 
 #: envelope level, as a share of max u, at the inner edge of a finite-end window
 _WINDOW_LEVEL = 1e-4
+#: the right window at infinity must end 6 times inside the truncation
+#: radius, and the default truncation puts it 8 times inside
+_WINDOW_REACH, _TRUNCATION_REACH = 6.0, 8.0
 #: largest passing spread ratio_max / ratio_min of u / envelope on a window
 _RATIO_CAP = 10.0
 #: largest passing gap between the fitted and the theoretical exponent
@@ -113,18 +117,15 @@ def fit_exponent(r, u, boundary=LEFT, anchor=None):
     return float(slope), float(np.sqrt(np.mean(resid**2)))
 
 
-def _solve_envelope_level(fun, lo, hi, target, increasing):
-    """Monotone bisection for fun(r) = target on (lo, hi)."""
-    for _ in range(200):
-        mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-        val = fun(mid)
-        if (val < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+def default_truncation(ps: ProblemSpec):
+    """Truncation radius of an exterior problem: 8 times the radius where the
+    right envelope drops to 1e-3, for a right window that needs 6 times it,
+    capped at 4096 max(R1, 1), past which that window is reported as
+    unattainable rather than solved at an astronomical radius."""
+    start = max(2.0 * ps.R1, ps.R1 + 1.0)
+    _, r = quad.level_bracket(ps.psi_rho_conj, 1e-3, start, start, rel=1e-12,
+                              increasing=False)
+    return min(_TRUNCATION_REACH * r, 4096.0 * max(ps.R1, 1.0))
 
 
 def default_window(ps: ProblemSpec, eig: Eigenpair, boundary):
@@ -135,39 +136,30 @@ def default_window(ps: ProblemSpec, eig: Eigenpair, boundary):
     one envelope decade between the radii where envelope_right equals 1e-2
     and 1e-3 of max u (the literal 1e-4 rule would need truncation radii far
     beyond what polynomial-tail contamination allows; the achieved window is
-    reported either way).
+    reported either way); WindowError, naming the truncation radius needed,
+    unless it ends ``_WINDOW_REACH`` times inside the one solved.
     """
     umax = float(np.max(eig.u))
     mesh = eig.mesh
+    span = mesh.r_end - ps.R1
     if boundary == LEFT or math.isfinite(ps.R2):
         # side: +1 when the window lies right of its end, -1 left of it
         end, side, env, eta_lo = (
             (ps.R1, 1.0, ps.phi_rho_conj, mesh.delta_left) if boundary == LEFT
             else (ps.R2, -1.0, ps.psi_rho_conj, mesh.delta_right))
-        eta = _solve_envelope_level(
-            lambda d: env(end + side * d), eta_lo, 0.25 * (mesh.r_end - ps.R1),
-            _WINDOW_LEVEL * umax, increasing=True,
-        )
+        # a level out of reach inside the domain puts the window past its far end
+        _, eta = quad.level_bracket(lambda d: env(end + side * d), _WINDOW_LEVEL * umax,
+                                    eta_lo, 0.25 * span, rel=1e-12, top=span)
         return tuple(sorted((end + side * eta, end + side * 10.0 * eta)))
     psi = ps.psi_rho_conj
-    r_in = _solve_envelope_level(
-        psi, ps.R1 + 0.5 * (mesh.r_end - ps.R1) * 1e-6, mesh.r_end,
-        1e-2 * umax, increasing=False,
-    )
-    r_out = _solve_envelope_level(
-        psi, r_in, mesh.r_end, 1e-3 * umax, increasing=False,
-    )
-    if r_out > mesh.r_end / 6.0:
-        # the bisection above stops at r_end: name the radius past the mesh
-        hi = mesh.r_end
-        while psi(hi) >= 1e-3 * umax:
-            hi *= 2.0
-        if hi > mesh.r_end:
-            r_out = _solve_envelope_level(psi, 0.5 * hi, hi, 1e-3 * umax,
-                                          increasing=False)
+    _, r_in = quad.level_bracket(psi, 1e-2 * umax, ps.R1 + 0.5 * span * 1e-6,
+                                 mesh.r_end, rel=1e-12, increasing=False)
+    _, r_out = quad.level_bracket(psi, 1e-3 * umax, r_in, mesh.r_end, rel=1e-12,
+                                  increasing=False)
+    if r_out > mesh.r_end / _WINDOW_REACH:
         raise WindowError(
             f"truncation radius {mesh.r_end} too small for the default right "
-            f"window (needs about {6.0 * r_out:.0f}); solve with a larger r_max"
+            f"window (needs about {_WINDOW_REACH * r_out:.0f}); solve with a larger r_max"
         )
     return (r_in, r_out)
 

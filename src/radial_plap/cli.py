@@ -131,9 +131,10 @@ def _gate(reports):
 
 def _solve(ps, args, ladder=False):
     """(eigenpair, problem it solves).  Exterior domains are truncated at
-    --rmax (default :func:`_auto_rmax`); with ``ladder`` they go through the
-    solver's truncation ladder instead (--ladder rungs, or rungs up to
-    --rmax), whose eigenvalue is the extrapolated exterior one."""
+    --rmax (default :func:`asymptotics.default_truncation`); with ``ladder``
+    they go through the solver's truncation ladder instead (--ladder rungs,
+    or rungs up to --rmax), whose eigenvalue is the extrapolated exterior
+    one."""
     # --tol governs witness integrals; the eigenvalue root keeps the solver
     # default unless the user asks for something tighter
     kwargs = dict(tol=min(args.tol, 1e-10), check=False, per_decade=16)
@@ -144,7 +145,7 @@ def _solve(ps, args, ladder=False):
                  else [ps.R1 * 2.0**k for k in range(2, args.ladder + 2)])
         return solver.find_lambda1(ps, r_max=args.rmax, ladder=rungs,
                                    bc=args.bc, **kwargs), ps
-    ps_solve = ps.truncated(args.rmax or _auto_rmax(ps))
+    ps_solve = ps.truncated(args.rmax or asymptotics.default_truncation(ps))
     return solver.find_lambda1(ps_solve, n_core=3000, **kwargs), ps_solve
 
 
@@ -182,27 +183,6 @@ def _rows_pass(rows) -> bool:
 
 def _eigen_csv(out: Path, name, eig) -> Path:
     return _write_csv(out / name, ["r", "u", "flux"], [eig.mesh.nodes, eig.u, eig.flux])
-
-
-def _auto_rmax(ps):
-    """Truncation radius large enough for the default right window: 6.5x the
-    radius where the right envelope has dropped to 1e-3."""
-    psi = ps.psi_rho_conj
-    lo = hi = max(2.0 * ps.R1, ps.R1 + 1.0)
-    for _ in range(200):
-        if psi(hi) < 1e-3:
-            break
-        lo = hi
-        hi *= 2.0
-    for _ in range(40):
-        mid = math.sqrt(lo * hi)
-        if psi(mid) < 1e-3:
-            hi = mid
-        else:
-            lo = mid
-    # slowly decaying envelopes would demand astronomical radii; beyond
-    # the cap the right window is reported as unattainable instead
-    return min(8.0 * hi, 4096.0 * max(ps.R1, 1.0))
 
 
 def cmd_check_conditions(args) -> int:
@@ -457,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="full pipeline on a named preset")
     common(p, with_problem=False)
     p.add_argument("name", choices=presets.PRESET_NAMES)
-    # example always truncates exterior presets at _auto_rmax
+    # example always truncates exterior presets at the default truncation
     p.set_defaults(func=cmd_example, rmax=None)
     return ap
 

@@ -35,7 +35,7 @@ Two routes are provided and kept deliberately independent:
 
 :class:`LeftCumulative` / :class:`RightCumulative` expose the one-sided
 integrals of a model as fast callables, two orientations of one body
-(:class:`_Cumulative`).
+(:class:`_Cumulative`); :func:`level_bracket` finds where one reaches a level.
 """
 
 from __future__ import annotations
@@ -780,6 +780,28 @@ class RightCumulative(_Cumulative):
     __init__ = partialmethod(_Cumulative.__init__, left=False)
     # bound here, not inherited: the bench tracer hooks a class's own __call__
     __call__ = _Cumulative._eval
+
+
+def level_bracket(env, level, lo, hi, rel, increasing=True, top=INF):
+    """(lo, hi) with hi/lo < 1 + rel around the x > 0 where the monotone
+    ``env`` reaches ``level``; short of it means below it if ``increasing``,
+    else at or above it.  ``hi`` doubles, ``lo`` following it, while short
+    of the level (at most 200 times, never past ``top``); then the bracket
+    is halved at its geometric mean.  A level reached at ``lo`` keeps ``lo``.
+    """
+    def short(x):
+        return (env(x) < level) == increasing
+
+    for _ in range(200):
+        if hi >= top or not short(hi):
+            break
+        lo, hi = hi, min(2.0 * hi, top)
+    for _ in range(200):
+        if hi / lo < 1.0 + rel:
+            break
+        mid = math.sqrt(lo * hi)
+        lo, hi = (mid, hi) if short(mid) else (lo, mid)
+    return lo, hi
 
 
 def interval_integrals(model: WeightModel, edges):

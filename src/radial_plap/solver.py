@@ -83,25 +83,6 @@ class Mesh:
         return len(self.nodes)
 
 
-def _default_delta_left(ps):
-    """Offset where the left envelope is 1e-6 of its midpoint value."""
-    phi = ps.phi_rho_conj
-    mid = 0.5 * (ps.R1 + ps.R2)
-    target = 1e-6 * phi(mid)
-    lo, hi = 1e-13 * max(1.0, ps.R1), 0.25 * (ps.R2 - ps.R1)
-    if phi(ps.R1 + lo) >= target:
-        return lo
-    for _ in range(200):
-        m = math.sqrt(lo * hi)
-        if phi(ps.R1 + m) < target:
-            lo = m
-        else:
-            hi = m
-        if hi / lo < 1.0001:
-            break
-    return lo
-
-
 #: share of the span each geometric boundary layer of the mesh reaches out to
 _LAYER_FRAC = 0.02
 
@@ -120,7 +101,10 @@ def make_mesh(ps: ProblemSpec, n_core=1200, per_decade=12) -> Mesh:
     if not math.isfinite(ps.R2):
         raise SolverError("a mesh needs a finite R2; truncate the exterior problem first")
     span = ps.R2 - ps.R1
-    delta_left = _default_delta_left(ps)
+    phi = ps.phi_rho_conj
+    delta_left, _ = quad.level_bracket(
+        lambda d: phi(ps.R1 + d), 1e-6 * phi(0.5 * (ps.R1 + ps.R2)),
+        1e-13 * max(1.0, ps.R1), 0.25 * span, rel=1e-4)
     delta_right = 1e-9 * span
     layer_l = max(span * _LAYER_FRAC, 1e3 * delta_left)
     layer_r = max(span * _LAYER_FRAC, 1e3 * delta_right)
@@ -363,7 +347,13 @@ def _coarse_lambda_estimate(ps):
     phi = ps.phi_rho_conj(mesh.nodes)
     hat = np.minimum(phi, phi[-1] - phi + phi[0] * 1e-6)
     hat = np.maximum(hat, 1e-12 * np.max(hat))
-    return rayleigh_quotient(ps, mesh, hat)
+    # an envelope near the float range overflows the quotient's p-th powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = rayleigh_quotient(ps, mesh, hat)
+    if not 0.0 < lam < math.inf:
+        raise SolverError(f"no starting estimate for lam_1: the Rayleigh quotient "
+                          f"of the envelope hat is {lam}")
+    return lam
 
 
 def _lambda1_truncated(ps, tol, n_core, per_decade, bracket=None, matcher=None):

@@ -165,6 +165,38 @@ class TestDefaultWindow:
         assert r_in == pytest.approx(level(1e-2), rel=1e-9)
         assert r_out == pytest.approx(level(1e-3), rel=1e-9)
 
+    def test_level_out_of_reach_puts_the_window_past_the_far_end(self, trivial_annulus):
+        """u = 1e6 (an --eig file scaled far above its envelopes): the level
+        1e-4 max u is out of the envelopes' reach on (1, 2), so a finite-end
+        window starts at the far end and is skipped for want of nodes."""
+        mesh = self._flat_eigenpair(2.0).mesh
+        eig = S.Eigenpair(1.0, mesh, np.full(mesh.n, 1e6), np.ones(mesh.n), 0, {})
+        assert A.default_window(trivial_annulus, eig, "left") == (2.0, 11.0)
+        assert A.default_window(trivial_annulus, eig, "right") == (-8.0, 1.0)
+        with pytest.raises(A.WindowError, match="need >= 8"):
+            A.sandwich_check(eig, trivial_annulus, "left")
+
+
+class TestDefaultTruncation:
+    @staticmethod
+    def _exterior(v_power):
+        """N = 3, p = 2 on (1, inf) with v = r^v_power, w = r^-4: the right
+        envelope is r^-(1 + v_power) / (1 + v_power)."""
+        v = WeightModel((PowerLogPiece(1.0, INF, 1.0, 0.0, v_power),), 1.0)
+        w = WeightModel((PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0),), 1.0)
+        return ProblemSpec(N=3, p=2.0, R1=1.0, R2=INF, v=v, w=w)
+
+    def test_cap(self):
+        # v = 1: the envelope 1/r drops to 1e-3 at r = 1000, and 8 x 1000
+        # lies past the cap 4096 max(R1, 1)
+        assert A.default_truncation(self._exterior(0.0)) == 4096.0
+
+    def test_eight_times_the_level(self):
+        # v = r^2: the envelope r^-3 / 3 drops to 1e-3 at (1000 / 3)^(1/3)
+        ps = self._exterior(2.0)
+        assert A.default_truncation(ps) == pytest.approx(8.0 * (1000.0 / 3.0) ** (1 / 3),
+                                                         rel=1e-11)
+
 
 class TestTheoretical:
     def test_exponents(self, ex61, ex62, trivial_annulus):

@@ -8,17 +8,23 @@ N = 1 on (1, 2) with v = (r-1)^α and w = (r-1)^β, so ρ = v and σ = w.
 * p-sine, v = w = 1: λ₁ = (p - 1) π_p^p with π_p = 2π/(p sin(π/p))
   (Lindqvist 1995; Drábek and Manásevich 1999).
 
+Kelvin, on the exterior: N = 3, p = 2, v = 1 and w = r^-4 on (1, ∞).  The
+substitution s = 1/r turns the radial equation into U'' + λU = 0 on
+(1/R, 1), so the Dirichlet rung at R has λ = π²/(1 - 1/R)² and the
+exterior λ₁ = π².
+
 Each solve runs at the default tol = 1e-10, so both the root of the
 shooting margin and the reported λ must lie within tol·λ of the oracle.
 """
 
 import functools
+import math
 
 import mpmath
 import pytest
 
 from radial_plap import solver as S
-from radial_plap.weights import PowerLogPiece, ProblemSpec, WeightModel
+from radial_plap.weights import INF, PowerLogPiece, ProblemSpec, WeightModel
 
 TOL = 1e-10
 
@@ -72,3 +78,25 @@ def test_root_matches_oracle(name):
 def test_reported_lambda_matches_oracle(name):
     lam = _solve(name).lam
     assert abs(lam - CASES[name][3]) <= TOL * CASES[name][3]
+
+
+KELVIN = ProblemSpec(
+    N=3, p=2.0, R1=1.0, R2=INF, v=WeightModel.constant(1.0, 1.0, INF),
+    w=WeightModel((PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0),), 1.0))
+
+
+@pytest.mark.parametrize("R", [2.0, 4.0, 8.0, 16.0, 32.0])
+def test_kelvin_rung_matches_oracle(R):
+    exact = math.pi**2 / (1.0 - 1.0 / R) ** 2
+    eig = S.find_lambda1(KELVIN.truncated(R), tol=TOL, check=False)
+    assert abs(eig.diagnostics["lambda_root"] - exact) <= TOL * exact
+    assert abs(eig.lam - exact) <= TOL * exact
+
+
+def test_kelvin_dirichlet_ladder_decreases_to_pi_squared():
+    eig = S.find_lambda1(KELVIN, ladder=[2.0, 4.0, 8.0, 16.0, 32.0],
+                         bc="dirichlet", check=False)
+    lams = [lam for _, lam in eig.diagnostics["ladder"]]
+    assert len(lams) == 5
+    assert all(b < a for a, b in zip(lams, lams[1:]))
+    assert lams[-1] >= math.pi**2

@@ -300,6 +300,37 @@ class TestCumulatives:
         assert np.sum(parts) == pytest.approx(total.value, rel=1e-10)
 
 
+class TestLevelBracket:
+    """v = 1, N = 3, p = 2 on (1, inf): rho^(1-p') = r^-2, so the right
+    envelope is 1/r, whose 1e-3 level lies at r = 1000."""
+
+    PSI = RightCumulative(WeightModel((PowerLogPiece(1.0, INF, 1.0, 0.0, -2.0),), 1.0))
+
+    @pytest.mark.parametrize("rel", [1e-4, 1e-12])
+    @pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (1.5, 3.0), (1.5, 5000.0), (2.0, 1e6)])
+    def test_holds_the_closed_form_level(self, lo, hi, rel):
+        lo, hi = quad.level_bracket(self.PSI, 1e-3, lo, hi, rel=rel, increasing=False)
+        assert lo <= 1000.0 <= hi
+        assert hi / lo < 1.0 + rel
+
+    def test_increasing_envelope(self):
+        phi = LeftCumulative(WeightModel((PowerLogPiece(1.0, INF, 1.0, 0.0, -2.0),), 1.0))
+        lo, hi = quad.level_bracket(phi, 1.0 - 1e-3, 2.0, 2.0, rel=1e-12)
+        assert lo <= 1000.0 <= hi < lo * (1.0 + 1e-12)
+
+    def test_level_reached_at_lo_keeps_lo(self):
+        lo, hi = quad.level_bracket(self.PSI, 1e-3, 2000.0, 4000.0, rel=1e-12,
+                                    increasing=False)
+        assert lo == 2000.0
+        assert hi / lo < 1.0 + 1e-12
+
+    def test_doubling_stops_at_top(self):
+        lo, hi = quad.level_bracket(self.PSI, 1e-3, 2.0, 3.0, rel=1e-12,
+                                    increasing=False, top=500.0)
+        assert hi == 500.0
+        assert hi / lo < 1.0 + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the offset-coordinate panel kernel behind the envelopes
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import scipy.integrate
 import scipy.optimize
 from scipy.integrate._ivp import dop853_coefficients
 
-from radial_plap import _dop853_tableau, cli
+from radial_plap import _dop853_tableau, asymptotics
 from radial_plap import solver as S
 from radial_plap.dop853 import brentq
 from radial_plap.presets import get_preset, make_annulus, make_ex61
@@ -191,6 +191,16 @@ class TestFindLambda1:
         lam_d = eig.diagnostics["lambda_dirichlet_last"]
         assert abs(lam_d - eig_r.lam) / lam_d < 1e-3
 
+    def test_overflowed_starting_estimate_raises(self):
+        """v = 1e-294 r^(1 + 2^-52): the left envelope's p-th powers overflow
+        the coarse Rayleigh estimate, which is refused before any shoot
+        (the suite turns a numpy RuntimeWarning into an error)."""
+        v = WeightModel((PowerLogPiece(1.0, INF, 1e-294, 0.0, 1.0 + 2.0**-52),), 1.0)
+        w = WeightModel((PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0),), 1.0)
+        ps = ProblemSpec(N=1, p=2.0, R1=1.0, R2=INF, v=v, w=w)
+        with pytest.raises(S.SolverError, match="no starting estimate"):
+            S.find_lambda1(ps, ladder=[4.0, 8.0], bc="matched", check=False)
+
 
 # the bench's exterior ladders: preset, truncation condition, rungs
 LADDERS = {
@@ -225,9 +235,9 @@ class TestOneIntegrationPerLambda:
     def _problem(name, dual_instance):
         if name in DUAL:
             return dual_instance(*DUAL[name]), {}
-        # what `radial-plap example ex62` solves: the truncation at _auto_rmax
+        # what `radial-plap example ex62` solves: its default truncation
         ps = get_preset(name).problem
-        return ps.truncated(cli._auto_rmax(ps)), dict(n_core=3000, per_decade=16)
+        return ps.truncated(asymptotics.default_truncation(ps)), dict(n_core=3000, per_decade=16)
 
     @staticmethod
     def _assert_fresh_shoot(ps, eig, **mesh_kwargs):
