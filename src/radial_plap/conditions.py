@@ -13,10 +13,11 @@ as a predicate over :class:`~radial_plap.weights.ProblemSpec` returning a
 
 Within the power-log family all endpoint behavior is a power (times a log
 power at infinity), so verdicts are decided in the endpoint-magnitude algebra
-of :mod:`radial_plap.weights` -- one-sided integrals, products, limits and ε
-infima of ``(power, log, loglog)`` triples -- and the numerics only supply
-witness values.  ``inconclusive`` remains a first-class verdict for the
-composite integrals whose convergence the generic quadrature cannot certify.
+of :mod:`radial_plap.weights` and the numerics only supply witness values.
+Near R1 these work in the offset t = r - R1: P, the integrals of P σ and
+W1's I1, the envelopes' crossing and the left probes.
+``inconclusive`` remains a first-class verdict for the composite integrals
+whose convergence the generic quadrature cannot certify.
 """
 
 from __future__ import annotations
@@ -73,14 +74,12 @@ class ConditionReport:
 _PROBE_DEPTH, _PROBE_RATIO = 60, 0.5
 
 
-def probe_grid(span, anchor=1.0):
-    """Distances accumulating geometrically at an endpoint (deepest last).
-
-    Distances are floored at a few ulps of the anchoring radius so that
-    ``anchor + d`` never rounds onto the endpoint itself.
-    """
+def probe_grid(span, anchor=0.0):
+    """Distances accumulating geometrically at an endpoint (deepest last),
+    floored at a few ulps of ``anchor`` so ``anchor - d`` never rounds onto
+    it; offsets from R1 (anchor 0) need no floor."""
     d = span * _PROBE_RATIO ** np.arange(1, _PROBE_DEPTH + 1)
-    floor = 64.0 * np.finfo(float).eps * max(1.0, abs(anchor))
+    floor = 64.0 * np.finfo(float).eps * abs(anchor)
     return np.unique(np.maximum(d, floor))[::-1]
 
 
@@ -90,15 +89,14 @@ def probe_grid(span, anchor=1.0):
 
 
 def capacity_P(ps: ProblemSpec, r):
-    """P(r): min of the two one-sided (p-1)-powers of ∫ ρ^{1-p'}.
+    """P(r) at the radii ``r``: :func:`_capacity_at` their offsets from R1."""
+    return _capacity_at(ps, np.subtract(r, ps.R1))
 
-    Returns +inf only where both one-sided integrals diverge.
-    """
-    il = ps.phi_rho_conj(r)
-    ir = ps.psi_rho_conj(r)
-    m = np.minimum(il, ir)
-    out = np.power(m, ps.p - 1.0, where=np.isfinite(m), out=np.asarray(m, dtype=float))
-    return float(out) if np.isscalar(r) else out
+
+def _capacity_at(ps, t):
+    """P at the offsets ``t = r - R1``: min of the two one-sided
+    (p-1)-powers of ∫ ρ^{1-p'}; +inf only where both diverge."""
+    return np.minimum(ps.phi_rho_conj.at(t), ps.psi_rho_conj.at(t)) ** (ps.p - 1.0)
 
 
 def _p_sigma_converges(ps, end):
@@ -110,59 +108,58 @@ def _p_sigma_converges(ps, end):
     return near_integral(psig, end) is not None
 
 
-#: the crossing locator: _CROSS_GRID nodes evenly spaced in s on
-#: [-_CROSS_S, _CROSS_S], then _CROSS_ROUNDS rounds of _CROSS_SPLIT nodes
-#: inside the bracket; 60 envelope points in all
-_CROSS_S, _CROSS_GRID, _CROSS_ROUNDS, _CROSS_SPLIT = 36.0, 32, 4, 7
+#: the crossing locator: _CROSS_GRID nodes on [_CROSS_S_MIN, _CROSS_S_MAX] in
+#: s, then _CROSS_ROUNDS rounds of _CROSS_SPLIT: 284 envelope points in all
+_CROSS_S_MIN, _CROSS_S_MAX, _CROSS_GRID, _CROSS_ROUNDS, _CROSS_SPLIT = -700.0, 36.0, 32, 4, 63
 
 
 def _crossing(ps):
-    """The radius r* where Φ = Ψ, at which P kinks; None when either
-    envelope diverges (P is then one smooth envelope) or r* lies off the grid.
+    """The offset t* = r* - R1 where Φ = Ψ, at which P kinks; None when
+    either envelope diverges (P is then one smooth envelope) or t* lies off
+    the grid.
 
-    Φ - Ψ increases, so its sign change is bracketed on a grid of offsets
-    from R1, geometric in s = log((r - R1)/max(R1, 1)) on exterior domains
-    and in s = logit((r - R1)/(R2 - R1)) on annuli, so both ends are
-    resolved to e^-36 of the span.  Each round splits the bracket into
-    eight; the secant through the last bracket gives r*.  Every round is
-    one array query per envelope.
+    Φ - Ψ increases, so its sign change is bracketed on a grid evenly spaced
+    in s = log(t/max(R1, 1)) (exterior) or logit(t/(R2 - R1)) (annuli), from
+    e^-700 of the span at R1, far below any radius, to e^-36 at R2.  Each
+    round, one array query per envelope, splits the bracket into 64; the
+    secant in s through the last one gives t*.
     """
     phi, psi = ps.phi_rho_conj, ps.psi_rho_conj
     if phi.divergent or psi.divergent:
         return None
     if math.isfinite(ps.R2):
-        radius = lambda s: ps.R1 + (ps.R2 - ps.R1) / (1.0 + np.exp(-s))
+        offset = lambda s: (ps.R2 - ps.R1) / (1.0 + np.exp(-s))
     else:
-        radius = lambda s: ps.R1 + max(ps.R1, 1.0) * np.exp(s)
-    s = np.linspace(-_CROSS_S, _CROSS_S, _CROSS_GRID)
-    r = radius(s)
-    h = phi(r) - psi(r)
+        offset = lambda s: max(ps.R1, 1.0) * np.exp(s)
+    s = np.linspace(_CROSS_S_MIN, _CROSS_S_MAX, _CROSS_GRID)
+    t = offset(s)
+    h = phi.at(t) - psi.at(t)
     k = int(np.argmax(h > 0.0))  # the first node past the crossing
     if k == 0:
         return None  # no node past it, or none before it
     for _ in range(_CROSS_ROUNDS):
         s_in = np.linspace(s[k - 1], s[k], _CROSS_SPLIT + 2)[1:-1]
-        r_in = radius(s_in)
+        t_in = offset(s_in)
         s = np.concatenate([s[k - 1:k], s_in, s[k:k + 1]])
-        r = np.concatenate([r[k - 1:k], r_in, r[k:k + 1]])
-        h = np.concatenate([h[k - 1:k], phi(r_in) - psi(r_in), h[k:k + 1]])
+        h = np.concatenate([h[k - 1:k], phi.at(t_in) - psi.at(t_in), h[k:k + 1]])
         k = int(np.argmax(h > 0.0))
-    return float(r[k - 1] + (r[k] - r[k - 1]) * h[k - 1] / (h[k - 1] - h[k]))
+    return float(offset(s[k - 1] + (s[k] - s[k - 1]) * h[k - 1] / (h[k - 1] - h[k])))
 
 
 def integral_P_sigma(ps: ProblemSpec, tol=1e-8):
     """Numeric value of ∫_{R1}^{R2} P σ dr, assuming convergence was certified.
 
-    One :func:`~radial_plap.quadrature.integrate` call of ``capacity_P`` times
-    σ over the whole interval: P is the pointwise min of the two envelopes,
-    so a divergent side (+inf) drops out by itself.  The junctions of v and
-    w and the crossing r* (:func:`_crossing`) are the integral's breakpoints,
-    so every jump and kink of P σ sits on a panel edge.
+    One :func:`~radial_plap.quadrature.integrate` call of P times σ over
+    the offsets t ∈ (0, R2 - R1), whose shells toward R1 are exact: P is the
+    pointwise min of the two envelopes, so a divergent side (+inf) drops out
+    by itself.  The junctions of v and w and the crossing t*
+    (:func:`_crossing`) are its breakpoints, so every jump and kink of P σ
+    sits on a panel edge.
     """
-    r_star = _crossing(ps)
+    t_star = _crossing(ps)
     return quad.integrate(
-        lambda r: capacity_P(ps, r) * ps.sigma_model(r), ps.R1, ps.R2, tol=tol,
-        points=ps.junctions + (() if r_star is None else (r_star,)),
+        lambda t: _capacity_at(ps, t) * ps.sigma_model.at(t), 0.0, ps.R2 - ps.R1, tol=tol,
+        points=[x - ps.R1 for x in ps.junctions] + ([] if t_star is None else [t_star]),
     )
 
 
@@ -277,18 +274,18 @@ def _check_A_eps(ps, end, xi, eps):
     witnesses["eps"] = eps
     if not (0.0 < eps < ps.p - 1.0):
         return ConditionReport(cid, FAILS, witnesses, f"ε={eps} outside (0, p-1)")
-    if left:
-        sig = quad.RightCumulative(ps.sigma_model.restricted(ps.R1, xi))
-        rhoc = ps.phi_rho_conj
-        rs = ps.R1 + probe_grid(xi - ps.R1, anchor=ps.R1)
+    if left:  # the probes x: offsets from R1 here, radii at the right end
+        x = probe_grid(xi - ps.R1)
+        sig = quad.RightCumulative(ps.sigma_model.restricted(ps.R1, xi)).at
+        rhoc = ps.phi_rho_conj.at
     else:
+        x = (ps.R2 - probe_grid(ps.R2 - xi, anchor=ps.R2) if end == RIGHT_R2
+             else xi * 2.0 ** np.arange(1, 40))
         sig = quad.LeftCumulative(ps.sigma_model.restricted(xi, ps.R2))
         rhoc = ps.psi_rho_conj
-        rs = (ps.R2 - probe_grid(ps.R2 - xi, anchor=ps.R2) if end == RIGHT_R2
-              else xi * 2.0 ** np.arange(1, 40))
-    F = sig(rs) * rhoc(rs) ** eps
+    F = sig(x) * rhoc(x) ** eps
     witnesses["sup_F"] = float(np.max(F))
-    witnesses["argmax_r"] = float(rs[int(np.argmax(F))])
+    witnesses["argmax_r"] = float(x[int(np.argmax(F))] + (ps.R1 if left else 0.0))
     if eps_inf is not None and eps >= eps_inf - 1e-12:
         verdict, notes = HOLDS, ""
     elif eps_inf is not None:
@@ -355,15 +352,14 @@ def _ok_probe_values(ps):
     their integrals diverges (an overflowed or refused quadrature)."""
     pm1 = ps.p - 1.0
     span = (ps.R2 - ps.R1) if math.isfinite(ps.R2) else max(ps.R1, 1.0)
-    r_lo = ps.R1 + span * 2.0**-30
-    r_hi = (ps.R2 - span * 2.0**-30) if math.isfinite(ps.R2) \
-        else max(ps.R1, 1.0) * 2.0**20
+    t_lo = span * 2.0**-30  # the probes, as offsets from R1
+    t_hi = span - t_lo if math.isfinite(ps.R2) else max(ps.R1, 1.0) * 2.0**20 - ps.R1
     alternatives = (("alt1", quad.LeftCumulative(ps.sigma_model), ps.psi_rho_conj),
                     ("alt2", quad.RightCumulative(ps.sigma_model), ps.phi_rho_conj))
     out, failed = {}, []
-    for tag, r in (("R1", r_lo), ("R2", r_hi)):
+    for tag, t in (("R1", t_lo), ("R2", t_hi)):
         for alt, sig, rhoc in alternatives:
-            value = float(sig(r)) * float(rhoc(r)) ** pm1
+            value = float(sig.at(t)) * float(rhoc.at(t)) ** pm1
             out[f"{alt}_probe_{tag}"] = value
             if math.isnan(value) or (math.isinf(value) and not
                                      (sig.divergent or rhoc.divergent)):
@@ -437,8 +433,9 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
             "W1", FAILS, witnesses,
             "∫_R^ξ (∫_R^r v^(-1/(p-1)))^(p-1) w dr diverges at R (exponent test)",
         )
-    f1 = lambda r: phi_vinv(r) ** (p - 1.0) * w(r)
-    res1 = quad.integrate(f1, R, xi, tol=1e-8, points=ps.junctions)
+    # over the offsets t = r - R, so the shells toward R are exact
+    f1 = lambda t: phi_vinv.at(t) ** (p - 1.0) * w.at(t)
+    res1 = quad.integrate(f1, 0.0, xi - R, tol=1e-8, points=[x - R for x in ps.junctions])
     witnesses["I1"] = res1.value
     if p != N:
         tail_model = w.restricted(xi, INF).times(b=p - 1.0)

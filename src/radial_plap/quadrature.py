@@ -1,41 +1,42 @@
 """Improper-integral quadrature with certificates.
 
-Two routes are provided and kept deliberately independent:
+Near R1 both routes work in the offset ``t = r - R1``, which keeps every
+digit of the distance to R1.  They are kept deliberately independent:
 
 * :func:`integrate` takes an opaque array integrand (an array of abscissae
-  in, an array of values out) and works numerically: array GK21 panels on
-  the smooth core plus geometric "shells" toward each endpoint.  A panel is
-  QUADPACK's adaptive 21-point Gauss-Kronrod rule with its error estimate,
-  evaluated a refinement level at a time: every node of every subinterval
-  being split goes to the integrand in one call.  Shell sums of a
-  power-law endpoint are exactly geometric, so a ratio-extrapolated tail
-  recovers the integral to near machine precision, while persistently
-  non-decaying shells certify divergence (the shells of ``(r-a)**-1`` are
-  constant).  As in QUADPACK's QAGP, ``points`` names interior radii where
-  the integrand may jump or kink (weight junctions, the kink of P at its
-  crossing): every panel starts from the subintervals between them, so no
-  such radius hides between a GK21 subinterval's last node and its edge,
-  and the shells toward an endpoint start below the point nearest to it.
-  Verdicts are ``converged`` / ``diverges`` / ``inconclusive``; the last is
-  first-class because numerics cannot certify divergence of arbitrary
-  integrands at exponent boundaries.
+  in, an array of values out; the witnesses pass offsets) and works
+  numerically: array GK21 panels on the smooth core plus geometric
+  "shells" toward each endpoint.  A panel is QUADPACK's adaptive 21-point
+  Gauss-Kronrod rule with its error estimate, evaluated a refinement level
+  at a time.  Shell sums of a power-law endpoint are exactly geometric, so
+  a ratio-extrapolated tail recovers the integral to near machine
+  precision, while persistently non-decaying shells certify divergence
+  (the shells of ``t**-1`` are constant).  As in QUADPACK's QAGP,
+  ``points`` names interior abscissae where the integrand may jump or kink
+  (weight junctions, the kink of P at its crossing): every panel starts
+  from the subintervals between them, and the shells toward an endpoint
+  start below the point nearest to it.  Verdicts are ``converged`` /
+  ``diverges`` / ``inconclusive``; the last is first-class because
+  numerics cannot certify divergence of arbitrary integrands at exponent
+  boundaries.
 
 * :func:`integrate_exact_powerlog` takes a piecewise power-log model, decides
   convergence from exponents alone (left endpoint needs power > -1; a tail
   needs power < -1, or == -1 with log power < -1), and evaluates by closed
   form where the antiderivative is elementary, else numerically.  Finite
-  spans go through one panel kernel that works in the offset coordinate
-  ``t = r - R1``, so cells next to R1 keep every digit of their width: each
-  cell is split geometrically until a panel spans a ratio of at most 2 in
-  the distance to its nearest singular factor, and fixed 32-point
+  spans go through one panel kernel over offset cells, which evaluates the
+  pieces with :meth:`~radial_plap.weights.PowerLogPiece.value`: each cell
+  is split geometrically until a panel spans a ratio of at most 2 in the
+  distance to its nearest singular factor, and fixed 32-point
   Gauss-Legendre panels then sit at rounding level.  At the singular origin
   either ``t = y**m`` makes the integrand smooth or two Taylor terms
   integrate exactly against ``t**A`` on a tiny first stretch; tails use
   ``r = e**s``, which turns them into exponentially decaying integrands.
 
 :class:`LeftCumulative` / :class:`RightCumulative` expose the one-sided
-integrals of a model as fast callables, two orientations of one body
-(:class:`_Cumulative`); :func:`level_bracket` finds where one reaches a level.
+integrals of a model as fast callables (``at`` offsets, or radii), two
+orientations of one body (:class:`_Cumulative`); :func:`level_bracket`
+finds where one reaches a level.
 """
 
 from __future__ import annotations
@@ -207,26 +208,19 @@ def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
     ``shell_iter`` yields (x0, x1) pairs marching toward the singular
     endpoint (or out along the tail).  Shell sums of a power endpoint are
     exactly geometric, so the ratio-extrapolated tail is exact there; the
-    ratio drift bounds the extrapolation error for everything nearby.  Near
-    representability (where evaluating r - a loses the endpoint distance)
-    the best candidate seen is returned rather than a silently truncated
-    sum.  Returns (value, err, verdict).
+    ratio drift bounds the extrapolation error for everything nearby.  A
+    drift like 2^-k (a smooth factor, or octaves of offsets about R1 on a
+    tail that is a power of r) is removed by one more Δ² step over the
+    extrapolations.  A shell a few ulps of its edges wide (toward a nonzero
+    endpoint; never toward 0) ends the march with the best candidate seen,
+    not a silently truncated sum.  Returns (value, err, verdict).
     """
-    total = 0.0
-    err = 0.0
-    shells = []
+    total = err = 0.0
+    shells, cands, accs = [], [], []
     best = None  # (value, err) of the most trusted extrapolation so far
-
-    def finish():
-        if best is not None:
-            value, tail_err = best
-            ok = tail_err <= 0.5 * tol_goal * (1.0 + abs(value))
-            return value, tail_err, CONVERGED if ok else INCONCLUSIVE
-        return total, err, INCONCLUSIVE
-
     for k, (x0, x1) in enumerate(shell_iter):
-        if x1 - x0 <= 64.0 * np.finfo(float).eps * max(1.0, abs(x1)):
-            return finish()  # representability floor for the endpoint distance
+        if x1 - x0 <= 64.0 * _EPMACH * max(abs(x0), abs(x1)):
+            break  # representability floor for the endpoint distance
         s, e = _panel(f, x0, x1, rtol, points)
         total += s
         err += e
@@ -235,35 +229,41 @@ def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
             return INF, INF, DIVERGES
         if k < 3:
             continue
-        if abs(shells[-1]) < _ABS_FLOOR and abs(shells[-2]) < _ABS_FLOOR:
+        if abs(s) < _ABS_FLOOR and abs(shells[-2]) < _ABS_FLOOR:
             return total, err, CONVERGED
-        tail_ratios = []
-        for i in range(max(1, len(shells) - 6), len(shells)):
-            prev = shells[i - 1]
-            tail_ratios.append(shells[i] / prev if prev != 0.0 else 0.0)
-        recent = tail_ratios[-3:]
-        same_sign = all(s_ * shells[-1] > 0.0 for s_ in shells[-6:])
-        if (
-            k >= 8
-            and same_sign
-            and len(tail_ratios) >= 6
-            and min(tail_ratios[-6:]) >= 1.0 - _DIVERGE_RATIO_SLACK
-        ):
+        ratios = [b / a if a != 0.0 else 0.0 for a, b in zip(shells[:-1][-6:], shells[1:][-6:])]
+        if (k >= 8 and all(x * s > 0.0 for x in shells[-6:])
+                and min(ratios) >= 1.0 - _DIVERGE_RATIO_SLACK):
             return INF, INF, DIVERGES
-        if all(0.0 < r_ < 0.9995 for r_ in recent):
-            rbar = recent[-1]
-            drift = max(recent) - min(recent)
-            tail = shells[-1] * rbar / (1.0 - rbar)
-            tail_err = (
-                abs(shells[-1]) * drift / (1.0 - rbar) ** 2
-                + abs(tail) * 1e-12
-                + e / (1.0 - rbar)
-            )
-            if best is None or tail_err < best[1]:
-                best = (total + tail, err + tail_err)
-            if tail_err <= 0.25 * tol_goal * (scale + abs(total + tail)):
-                return total + tail, err + tail_err, CONVERGED
-    return finish()
+        recent = ratios[-3:]
+        if not all(0.0 < r_ < 0.9995 for r_ in recent):
+            cands, accs = [], []
+            continue
+        rbar = recent[-1]
+        tail = s * rbar / (1.0 - rbar)
+        floor = abs(tail) * 1e-12 + e / (1.0 - rbar)
+        value = total + tail
+        tail_err = abs(s) * (max(recent) - min(recent)) / (1.0 - rbar) ** 2 + floor
+        # the Δ² step over the last three extrapolations, whose changes must
+        # shrink by a steady q (logarithmic tails, q -> 1, are left alone),
+        # trusted once two in a row agree better than the drift bound
+        cands = cands[-2:] + [value]
+        d1, d2 = (cands[1] - cands[0], cands[2] - cands[1]) if len(cands) == 3 else (0.0, 0.0)
+        q = d2 / d1 if d1 != 0.0 else 0.0
+        accs = accs[-1:] + [value + d2 * q / (1.0 - q) if 0.0 < q < 0.75 else None]
+        if len(accs) == 2 and None not in accs:
+            acc_err = abs(accs[1] - accs[0]) + floor
+            if acc_err < tail_err:
+                value, tail_err = accs[1], acc_err
+        if best is None or tail_err < best[1]:
+            best = (value, err + tail_err)
+        if tail_err <= 0.25 * tol_goal * (scale + abs(value)):
+            return value, err + tail_err, CONVERGED
+    if best is None:
+        return total, err, INCONCLUSIVE
+    value, tail_err = best
+    ok = tail_err <= 0.5 * tol_goal * (1.0 + abs(value))
+    return value, tail_err, CONVERGED if ok else INCONCLUSIVE
 
 
 def _shells(end, d):
@@ -321,7 +321,7 @@ def _driver(cf, a, b, tol, points):
     """The core panel, then the shells toward ``a``, then those toward a
     finite ``b`` or the octaves out along an infinite one.  Each shell stack
     starts at the distance ``d`` halved below the points (:func:`_clear_of`):
-    shells with a jump or a kink in them, such as P σ's kink at r* - R1 << d,
+    shells with a jump or a kink in them, such as P σ's kink at t* << d,
     rise before the endpoint's power sets in and read as divergence."""
     rtol = tol * 1e-3
     if math.isfinite(b):
@@ -426,34 +426,22 @@ def _power_int(base, gap, e):
         return math.inf
 
 
-def _closed_form(c, A, B, L, r1, x0, x1):
-    """Elementary antiderivative cases; returns value or None."""
-    gap = x1 - x0
+def _closed_form(c, A, B, L, r1, t0, t1):
+    """Elementary antiderivative cases over the offsets (t0, t1), or None."""
+    gap = t1 - t0
     val = None
     if A == 0.0 and L == 0.0:
-        val = _power_int(x0, gap, B)
+        val = _power_int(r1 + t0, gap, B)
     elif B == 0.0 and L == 0.0:
-        val = _power_int(x0 - r1, gap, A)
+        val = _power_int(t0, gap, A)
     elif A == 0.0 and B == -1.0:
         # s = log r: ∫ s^L ds
-        val = _power_int(math.log1p(x0 - 1.0), math.log1p(gap / x0), L)
+        val = _power_int(math.log1p((r1 - 1.0) + t0), math.log1p(gap / (r1 + t0)), L)
     return None if val is None else c * val
 
 
-def _integrand(c, A, B, L, r1, t):
-    """c t^A (r1+t)^B log(r1+t)^L at offsets ``t = r - r1``."""
-    out = np.full(t.shape, c)
-    if A != 0.0:
-        out = out * np.power(t, A)
-    if B != 0.0:
-        out = out * np.power(r1 + t, B)
-    if L != 0.0:
-        out = out * np.power(np.log1p((r1 - 1.0) + t), L)
-    return out
-
-
-def _offset_cells(c, A, B, L, r1, t0, t1):
-    """∫ c t^A (r1+t)^B log(r1+t)^L dt over each cell [t0[k], t1[k]].
+def _offset_cells(piece, r1, t0, t1):
+    """∫ of one piece over each offset cell [t0[k], t1[k]].
 
     The cells are given in offset coordinates ``t = r - r1``, so cells next
     to the origin keep every digit of their width.  Each cell is split
@@ -462,11 +450,12 @@ def _offset_cells(c, A, B, L, r1, t0, t1):
     for the log, r1 for r^B), so every factor is analytic on a Bernstein
     ellipse of parameter >= 3 + 2*sqrt(2) around each panel and the fixed
     32-point rule sits at rounding level.  Needs finite t1 >= t0 >= 0, with
-    t0 > 0 where A != 0.  Returns (cell integrals, integrand evaluations).
+    t0 > 0 where the piece has a t power.  Returns (cell integrals,
+    integrand evaluations).
     """
     t0 = np.asarray(t0, dtype=float)
     t1 = np.asarray(t1, dtype=float)
-    shifts = [s for s, on in ((0.0, A != 0.0), (r1 - 1.0, L != 0.0), (r1, B != 0.0)) if on]
+    shifts = [s for s, e in ((0.0, piece.a), (r1 - 1.0, piece.l), (r1, piece.b)) if e != 0.0]
     if shifts:
         shift = min(shifts)
         ratio = (t1 + shift) / (t0 + shift)
@@ -490,42 +479,41 @@ def _offset_cells(c, A, B, L, r1, t0, t1):
         a, b = lo[s:s + _BLOCK_PANELS], hi[s:s + _BLOCK_PANELS]
         half = 0.5 * (b - a)
         nodes = (a + half)[:, None] + half[:, None] * _GL_X
-        vals[s:s + _BLOCK_PANELS] = _integrand(c, A, B, L, r1, nodes) @ _GL_W * half
+        vals[s:s + _BLOCK_PANELS] = piece.value(nodes, r1) @ _GL_W * half
     if start is not None:
         vals = np.add.reduceat(vals, start)
     return vals, n_pan * _GL_N
 
 
-def _piece_partial(piece, r1, x0, x1):
-    """∫_{x0}^{x1} of one power-log piece, assuming convergence.
+def _piece_partial(piece, r1, t0, t1):
+    """∫ of one power-log piece over the offsets (t0, t1), if convergent.
 
-    ``x0`` may sit on the singular origin (x0 == r1) and ``x1`` may be inf;
+    ``t0`` may sit on the singular origin (t0 == 0) and ``t1`` may be inf;
     returns (value, err, evaluations).  The tails and the spectral singular
     start stop at ``_EXACT_RTOL``; the rest are fixed rules.
     """
     c, A, B, L = piece.c, piece.a, piece.b, piece.l
-    closed = _closed_form(c, A, B, L, r1, x0, x1)
+    closed = _closed_form(c, A, B, L, r1, t0, t1)
     if closed is not None:
         return closed, abs(closed) * 1e-15, 0
 
-    if not math.isfinite(x1):
+    if not math.isfinite(t1):
         # the tail in s = log r starts where (1 - r1/r)^A and log(r)^L are
-        # smooth on its panels; the offset panels take what lies before
-        mid = max(x0, 2.0 * r1, math.e if L != 0.0 else 0.0)
-        if x0 <= r1:
-            mid = max(mid, r1 + 1.0)
-        v, e, n = _tail_gl(c, A, B, L, r1, mid)
-        if mid > x0:
-            hv, he, hn = _piece_partial(piece, r1, x0, mid)
+        # smooth on its panels (r >= 2 r1, r >= e); the offset panels take
+        # what lies before
+        mid = max(t0, r1, math.e - r1 if L != 0.0 else 0.0, 1.0 if t0 <= 0.0 else 0.0)
+        v, e, n = _tail_gl(c, A, B, L, r1, r1 + mid)
+        if mid > t0:
+            hv, he, hn = _piece_partial(piece, r1, t0, mid)
             v, e, n = v + hv, e + he, n + hn
         return v, e, n
-    if x0 <= r1:
-        return _left_singular(c, A, B, L, r1, x1 - r1)
-    v, n = _offset_cells(c, A, B, L, r1, [x0 - r1], [x1 - r1])
+    if t0 <= 0.0:
+        return _left_singular(piece, r1, t1)
+    v, n = _offset_cells(piece, r1, [t0], [t1])
     return float(v[0]), abs(float(v[0])) * _PANEL_RTOL, n
 
 
-def _left_singular(c, A, B, L, r1, d):
+def _left_singular(piece, r1, d):
     """∫_0^d c t^A (r1+t)^B log(r1+t)^L dt (needs A > -1).
 
     With t = y**m, m = ceil(3/(1+A)) for A < 0, the integrand becomes
@@ -540,6 +528,7 @@ def _left_singular(c, A, B, L, r1, d):
     [eps, d].  Either way Φ is accurate relative to its value, however
     small.
     """
+    c, A, B, L = piece.c, piece.a, piece.b, piece.l
     if A <= -1.0:
         raise ValueError("divergent left endpoint reached the numeric path")
     m = 1.0 if A >= 0.0 else float(math.ceil(3.0 / (1.0 + A)))
@@ -568,7 +557,7 @@ def _left_singular(c, A, B, L, r1, d):
     v = g0 * eps ** (A + 1.0) * (1.0 / (A + 1.0) + dlog * eps / (A + 2.0))
     n = 0
     if d > eps:
-        rest, n = _offset_cells(c, A, B, L, r1, [eps], [d])
+        rest, n = _offset_cells(piece, r1, [eps], [d])
         v += float(rest[0])
     return v, abs(v) * _PANEL_RTOL, n
 
@@ -659,8 +648,8 @@ def integrate_exact_powerlog(model: WeightModel, a=None, b=None):
         lo, hi = max(piece.lo, a), min(piece.hi, b)
         if not lo < hi:
             continue
-        x0 = model.r1 if (touches_left and lo <= model.r1) else lo
-        v, e, n = _piece_partial(piece, model.r1, x0, hi)
+        t0 = 0.0 if (touches_left and lo <= model.r1) else lo - model.r1
+        v, e, n = _piece_partial(piece, model.r1, t0, hi - model.r1)
         total += v
         err += e
         nev += n
@@ -673,40 +662,41 @@ def integrate_exact_powerlog(model: WeightModel, a=None, b=None):
 # ---------------------------------------------------------------------------
 
 
-def _piece_cells(piece, r1, a, b):
-    """∫ of one piece over each [a[k], b[k]] (radii), via the offset kernel.
+def _piece_cells(piece, r1, t0, t1):
+    """∫ of one piece over each offset cell [t0[k], t1[k]] (the kernel).
 
-    Cells touching the origin (a <= r1) or reaching infinity are rare and
+    Cells touching the origin (t0 <= 0) or reaching infinity are rare and
     take the scalar :func:`_piece_partial` route on Python floats, so a
     value past the float range is inf, as in a scalar query.
     """
-    odd = (a <= r1) | ~np.isfinite(b)
-    cab = piece.c, piece.a, piece.b, piece.l
+    odd = (t0 <= 0.0) | ~np.isfinite(t1)
     if not odd.any():
-        return _offset_cells(*cab, r1, a - r1, b - r1)[0]
-    out = np.empty(a.shape)
+        return _offset_cells(piece, r1, t0, t1)[0]
+    out = np.empty(t0.shape)
     reg = ~odd
-    out[reg] = _offset_cells(*cab, r1, a[reg] - r1, b[reg] - r1)[0]
+    out[reg] = _offset_cells(piece, r1, t0[reg], t1[reg])[0]
     for k in np.flatnonzero(odd):
-        live = b[k] > max(a[k], r1)
-        out[k] = _piece_partial(piece, r1, float(a[k]), float(b[k]))[0] if live else 0.0
+        live = t1[k] > max(t0[k], 0.0)
+        out[k] = _piece_partial(piece, r1, float(t0[k]), float(t1[k]))[0] if live else 0.0
     return out
 
 
 class _Cumulative:
     """Φ(r) = ∫_{R1}^{r} (``left``) or Ψ(r) = ∫_{r}^{R2} of a power-log
-    model; +inf everywhere if divergent.  A query in a piece is its base (the
-    total of the whole pieces between it and the end Φ or Ψ starts from) plus
-    the integral from its edge (:meth:`_edge`: R1 or its left end for Φ, its
-    right end for Ψ) to r: no total reaches the other end, which may diverge,
-    and no near-equal totals are subtracted.  A single query adds one
+    model; +inf everywhere if divergent.  :meth:`at` takes offsets
+    ``t = r - R1`` (a call takes radii and converts them).  A query in a
+    piece is its base (the total of the whole pieces between it and the end
+    Φ or Ψ starts from) plus the integral from its edge (:meth:`_edge`: R1
+    or its left end for Φ, its right end for Ψ) to t: no total reaches the
+    other end, which may diverge, and no near-equal totals are subtracted.
+    A single query adds one
     :func:`_piece_partial` call.  An array query is sorted once and grouped
     by piece; the cells between the edge and consecutive queries go to
     :func:`_piece_cells` in ascending order (the offset panel kernel, or
     :func:`_piece_partial` for a cell touching R1 or infinity), and a running
     sum from the edge gives the envelope.
 
-    So a value depends on the other radii in its query, at about 1e-15
+    So a value depends on the other offsets in its query, at about 1e-15
     relative: on 200 radii per preset the paths differ on up to 181, by up
     to 1e-15.  One path would move ``example rmk23``'s λ by 3e-11 to 5e-11,
     which already sits 5.3e-11 from the benchmark reference's 1e-10 bound,
@@ -720,35 +710,38 @@ class _Cumulative:
         if not self.divergent:
             for i in range(1, n) if left else range(n - 2, -1, -1):
                 j = i - 1 if left else i + 1
-                piece = model.pieces[j]
-                base[i] = base[j] + self._partial(piece, piece.hi if left else piece.lo)
+                pc = model.pieces[j]
+                base[i] = base[j] + self._partial(pc, (pc.hi if left else pc.lo) - model.r1)
         self._base = base
 
     def _edge(self, piece):
-        return max(piece.lo, self.model.r1) if self.left else piece.hi
+        """The offset the piece's integral starts from."""
+        edge = max(piece.lo, self.model.r1) if self.left else piece.hi
+        return edge - self.model.r1
 
-    def _partial(self, piece, r):
-        """∫ of ``piece`` between its edge and ``r``."""
-        span = (self._edge(piece), r) if self.left else (r, self._edge(piece))
+    def _partial(self, piece, t):
+        """∫ of ``piece`` between its edge and the offset ``t``."""
+        span = (self._edge(piece), t) if self.left else (t, self._edge(piece))
         return _piece_partial(piece, self.model.r1, *span)[0]
 
-    def _eval(self, r):
-        scalar = np.isscalar(r)
-        rs = np.atleast_1d(np.asarray(r, dtype=float))
+    def at(self, t):
+        """Φ or Ψ at the offsets ``t = r - R1``."""
+        scalar = np.isscalar(t)
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
         if self.divergent:
-            return INF if scalar else np.full(rs.shape, INF)
+            return INF if scalar else np.full(ts.shape, INF)
         model, left = self.model, self.left
-        if rs.size == 1:
-            rj = float(rs.flat[0])
-            i = model.piece_index(rj)
+        if ts.size == 1:
+            tj = float(ts.flat[0])
+            i = model.piece_index(tj)
             edge, v = self._edge(model.pieces[i]), self._base[i]
-            if rj > edge if left else rj < edge:
-                v += self._partial(model.pieces[i], rj)
-            return v if scalar else np.full(rs.shape, v)
-        flat = rs.ravel()
+            if tj > edge if left else tj < edge:
+                v += self._partial(model.pieces[i], tj)
+            return v if scalar else np.full(ts.shape, v)
+        flat = ts.ravel()
         order = np.argsort(flat, kind="stable")
         q = flat[order]
-        idx = np.maximum(np.searchsorted(model._los, q, side="right") - 1, 0)
+        idx = model.piece_index(q)
         starts = np.flatnonzero(np.diff(idx, prepend=-1))
         vals = np.empty(q.shape)
         step = 1 if left else -1
@@ -763,7 +756,11 @@ class _Cumulative:
             run[live] += np.cumsum(gaps[::step])[::step]
         out = np.empty(flat.shape)
         out[order] = vals
-        return out.reshape(rs.shape)
+        return out.reshape(ts.shape)
+
+    def _at_radii(self, r):
+        """Φ or Ψ at the radii ``r``: :meth:`at` their offsets from R1."""
+        return self.at(np.subtract(r, self.model.r1))
 
 
 class LeftCumulative(_Cumulative):
@@ -771,7 +768,7 @@ class LeftCumulative(_Cumulative):
 
     __init__ = partialmethod(_Cumulative.__init__, left=True)
     # bound here, not inherited: the bench tracer hooks a class's own __call__
-    __call__ = _Cumulative._eval
+    __call__ = _Cumulative._at_radii
 
 
 class RightCumulative(_Cumulative):
@@ -779,7 +776,7 @@ class RightCumulative(_Cumulative):
 
     __init__ = partialmethod(_Cumulative.__init__, left=False)
     # bound here, not inherited: the bench tracer hooks a class's own __call__
-    __call__ = _Cumulative._eval
+    __call__ = _Cumulative._at_radii
 
 
 def level_bracket(env, level, lo, hi, rel, increasing=True, top=INF):
@@ -805,18 +802,19 @@ def level_bracket(env, level, lo, hi, rel, increasing=True, top=INF):
 
 
 def interval_integrals(model: WeightModel, edges):
-    """∫ of the model over each [edges[i], edges[i+1]], vectorized.
+    """∫ of the model over each [edges[i], edges[i+1]] (radii), vectorized.
 
-    Cells crossing piece junctions are split there and summed.  Every
-    sub-cell goes through the offset-coordinate panel kernel except one that
-    starts at R1, which takes the singular :func:`_piece_partial` route.
+    The edges become offsets from R1, and cells crossing piece junctions are
+    split there and summed.  Every sub-cell goes through the offset panel
+    kernel except one that starts at R1, which takes the singular
+    :func:`_piece_partial` route.
     """
-    edges = np.asarray(edges, dtype=float)
+    edges = np.subtract(edges, model.r1, dtype=float)
     n = len(edges) - 1
     if n < 1:
         return np.zeros(0)
-    cuts = np.array([b for b in model.breakpoints() if edges[0] < b < edges[-1]])
-    cuts = cuts[~np.isin(cuts, edges)]
+    cuts = model._t_los[1:]
+    cuts = cuts[(edges[0] < cuts) & (cuts < edges[-1]) & ~np.isin(cuts, edges)]
     lo = np.concatenate([edges[:-1], cuts])
     cell = np.concatenate([np.arange(n), np.searchsorted(edges, cuts, side="right") - 1])
     order = np.lexsort((lo, cell))
@@ -825,7 +823,7 @@ def interval_integrals(model: WeightModel, edges):
     hi[:-1] = lo[1:]
     last = np.append(cell[1:] != cell[:-1], True)
     hi[last] = edges[cell[last] + 1]
-    idx = np.maximum(np.searchsorted(model._los, lo, side="right") - 1, 0)
+    idx = model.piece_index(lo)
     vals = np.empty(lo.shape)
     for i in np.unique(idx):
         m = idx == i

@@ -181,7 +181,7 @@ class _Segment:
                 return x
 
         self.s0, self.s1, self.fwd, self.inv = s0, s1, fwd, inv
-        rp, sp = (m.pieces[m.piece_index(s0)] for m in (ps.rho_model, ps.sigma_model))
+        rp, sp = (m.pieces[m.piece_index(s0 - r1)] for m in (ps.rho_model, ps.sigma_model))
         self.pieces = (rp.c, rp.a, rp.b, rp.l, sp.c, sp.a, sp.b, sp.l)
         self.r_nodes = nodes[(nodes >= s0) & ((nodes <= s1) if last else (nodes < s1))]
         self.x_nodes = [fwd(r) for r in self.r_nodes]
@@ -600,7 +600,7 @@ def _assemble(ps, mesh):
         h0 = n0 - mesh.r1
         p0 = ps.sigma_model.pieces[0]
         ramp = replace(p0, a=p0.a + ps.p)
-        v_ramp, _, _ = quad._piece_partial(ramp, ps.R1, ps.R1, n0)
+        v_ramp, _, _ = quad._piece_partial(ramp, ps.R1, 0.0, h0)
         first = v_ramp / h0**ps.p + quad.interval_integrals(
             ps.sigma_model, np.array([n0, dual[1]])
         )[0]

@@ -1,11 +1,13 @@
 """Piecewise power-log radial weights and the radial eigenproblem data.
 
 A weight on the annulus (R1, R2), 0 < R1 < R2 <= inf, is represented
-piecewise as ``c * (r-R1)**a * r**b * (log r)**l``.  The family is closed
-under multiplication by one such factor (:meth:`WeightModel.times`) and under
-the conjugate power (:meth:`WeightModel.conj`), so every integrability
-question that matters here -- at R1, at a finite R2, at infinity -- is
-decided by exponent arithmetic alone.  Log factors are only allowed on
+piecewise as ``c * (r-R1)**a * r**b * (log r)**l`` and evaluated at the
+offset ``t = r - R1`` (:meth:`WeightModel.at`; a call converts radii),
+which keeps every digit of the distance to R1.  The family is closed under
+multiplication by one such factor (:meth:`WeightModel.times`) and under the
+conjugate power (:meth:`WeightModel.conj`), so every integrability question
+that matters here -- at R1, at a finite R2, at infinity -- is decided by
+exponent arithmetic alone.  Log factors are only allowed on
 pieces with ``lo > 1``, which keeps ``log r`` positive and bounded away from
 zero on the piece; log-type behavior can then only occur at infinity.
 
@@ -77,16 +79,17 @@ class PowerLogPiece:
                 f"log exponent l={self.l} requires lo > 1, got lo={self.lo}"
             )
 
-    def value(self, r, r1):
-        """Pointwise value; vectorized over ``r``. No domain checking here."""
-        r = np.asarray(r, dtype=float)
-        out = np.full(r.shape, self.c)
+    def value(self, t, r1):
+        """``c t**a (r1+t)**b log(r1+t)**l`` at the offsets ``t = r - r1``,
+        the log as ``log1p((r1-1) + t)``; vectorized, no domain checking."""
+        t = np.asarray(t, dtype=float)
+        out = np.full(t.shape, self.c)
         if self.a != 0.0:
-            out = out * np.power(r - r1, self.a)
+            out = out * np.power(t, self.a)
         if self.b != 0.0:
-            out = out * np.power(r, self.b)
+            out = out * np.power(r1 + t, self.b)
         if self.l != 0.0:
-            out = out * np.power(np.log(r), self.l)
+            out = out * np.power(np.log1p((r1 - 1.0) + t), self.l)
         return out
 
 
@@ -141,34 +144,35 @@ class WeightModel:
         return self.lo_domain <= self.r1 + _JUNCTION_RTOL * max(1.0, self.r1)
 
     @cached_property
-    def _los(self):
-        return np.array([p.lo for p in self.pieces])
+    def _t_los(self):
+        return np.array([p.lo - self.r1 for p in self.pieces])
 
     def breakpoints(self):
         return [p.lo for p in self.pieces] + [self.pieces[-1].hi]
 
-    def piece_index(self, r):
-        """Index of the piece owning ``r`` (right-limit at junctions)."""
-        idx = int(np.searchsorted(self._los, r, side="right")) - 1
-        return max(idx, 0)
+    def piece_index(self, t):
+        """Index of the piece owning each offset ``t`` (right-limit at junctions)."""
+        return np.maximum(np.searchsorted(self._t_los, t, side="right") - 1, 0)
 
     # -- evaluation -------------------------------------------------------
 
-    def __call__(self, r):
-        scalar = np.isscalar(r)
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        lo = self.lo_domain
-        if np.any(r <= lo) or np.any(r >= self.r2):
-            bad = r[(r <= lo) | (r >= self.r2)][0]
-            raise DomainError(
-                f"r={bad} outside the open interval ({lo}, {self.r2})"
-            )
-        idx = np.searchsorted(self._los, r, side="right") - 1
-        out = np.empty_like(r)
+    def at(self, t):
+        """Value at the offsets ``t = r - r1``; DomainError outside the domain."""
+        scalar = np.isscalar(t)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        bad = t[(t <= self._t_los[0]) | (t >= self.r2 - self.r1)]
+        if bad.size:
+            raise DomainError(f"r = {self.r1} + {bad[0]} outside ({self.lo_domain}, {self.r2})")
+        idx = self.piece_index(t)
+        out = np.empty_like(t)
         for i in np.unique(idx):
             m = idx == i
-            out[m] = self.pieces[i].value(r[m], self.r1)
+            out[m] = self.pieces[i].value(t[m], self.r1)
         return float(out[0]) if scalar else out
+
+    def __call__(self, r):
+        """Value at the radii ``r``: :meth:`at` their offsets from ``r1``."""
+        return self.at(np.subtract(r, self.r1))
 
     # -- algebra (closed in the power-log family) --------------------------
 

@@ -105,9 +105,9 @@ class TestCheckA:
     def test_crossing_next_to_R1_keeps_its_witness(self):
         """rmk23_draws(4)[6]: r* - 1 = 2.0e-3, deep inside the first shell
         of the old layout, where P σ grew over six shells and read as
-        divergence.  The shells now start below r*.  The reference is
-        _mp_integral_P_sigma at depth 320 (47.3460035650 at depth 200: the
-        oracle creeps up toward the value as the split deepens)."""
+        divergence.  The shells now start below r*.  The reference is the
+        unheaded oracle at depth 320; with its closed-form head,
+        _mp_integral_P_sigma reads 47.34600372795 at depths 40 and 80."""
         ps = make_rmk23(p=1.9231501537872888, N=4, alpha=0.788095418494543,
                         beta=0.9834505692249531, alpha1=-1.0437843041694048,
                         beta1=-3.0113391380268055)
@@ -126,15 +126,20 @@ def _mp_piece_integral(c, a, b, x0, x1):
     return c * (F(x1) - F(x0))
 
 
-def _mp_integral_P_sigma(p, N, v, w, depth=10):
+def _mp_integral_P_sigma(p, N, v, w, depth=40):
     """∫ min(Φ, Ψ)^(p-1) σ dr at 30 digits, with Φ = ∫_1^r ρ', Ψ = ∫_r^{R2} ρ'.
 
     ``v`` and ``w`` are pieces (lo, hi, c, a, b), c (r-1)^a r^b on (lo, hi)
     with R1 = 1 and a == 0 off the first piece, so ρ' = ρ^(1-p') and σ are
     pieces of the same form and Φ, Ψ are closed forms.  Works in x = r - 1,
     which keeps the distance to R1 exact.  Independent of the package:
-    ``mp.quad`` is split at 2^-k, the crossing, the piece edges and, on
-    exterior domains, 2^k.
+    the head [0, x_h], x_h = min(2^-(depth-1), x*/4), is the closed form of
+    the leading power of Φ^(p-1) σ there, C x^E with E = (a'+1)(p-1) + a_σ
+    from the first pieces, whose relative error is O(x_h); ``mp.quad``
+    takes the rest, split at 2^-k, the crossing x*, the piece edges and, on
+    exterior domains, 2^k.  Without the head, a near-critical E leaves
+    mass next to x = 0 that ``mp.quad`` truncates, and the value creeps
+    with the depth.
     """
     with mp.workdps(30):
         q = -1 / (mp.mpf(p) - 1)
@@ -156,7 +161,11 @@ def _mp_integral_P_sigma(p, N, v, w, depth=10):
         i = next(i for i in range(1, len(pts)) if h(pts[i]) > 0)
         x_star = mp.findroot(h, (pts[i - 1], pts[i]), solver="anderson")
         f = lambda x: min(phi(x), psi(x)) ** (p - 1) * sigma(x)
-        return float(mp.quad(f, sorted(pts + [x_star])))
+        x_h = min(mp.mpf(2) ** -(depth - 1), x_star / 4)
+        (_, _, c1, a1, _), (_, _, cs, a_s, _) = rhoc[0], sig[0]
+        E = (a1 + 1) * (p - 1) + a_s
+        head = (c1 / (a1 + 1)) ** (p - 1) * cs * x_h ** (E + 1) / (E + 1)
+        return float(head + mp.quad(f, sorted({x_h, x_star, *(x for x in pts if x > x_h)})))
 
 
 def _rmk23_pieces(alpha, beta, alpha1, beta1, **_):
@@ -176,6 +185,26 @@ RMK23_JUMP_DRAW = dict(
 )
 
 
+#: criterion-5 draws (``rmk23_draws(seed)[i]`` of the benchmark) with P σ
+#: near-critical at R1: the (A) witness evaluated at radii ended
+#: inconclusive on the first three after about 126,000 points, and read
+#: ``diverges`` on the last, whose crossing lies about 2^-137 past R1
+NEAR_CRITICAL_DRAWS = {
+    "(20)[1]": dict(p=1.368243348891504, N=3, alpha=0.3494815077982205,
+                    beta=1.3881357647151733, alpha1=-1.010343068189897,
+                    beta1=-1.955387874875054),
+    "(5)[2]": dict(p=2.8093059432330256, N=5, alpha=1.73678608835259,
+                   beta=1.7953552162170976, alpha1=-1.0112961867785277,
+                   beta1=-4.140361826398826),
+    "(1)[4]": dict(p=3.847990439463344, N=4, alpha=2.7004467256022076,
+                   beta=1.4495798815470673, alpha1=-1.0676886347791388,
+                   beta1=-3.957910166647802),
+    "(17)[2]": dict(p=1.4260890756552866, N=4, alpha=0.422898887686183,
+                    beta=1.6646922490014078, alpha1=-1.0030718980624957,
+                    beta1=-2.5392036424764743),
+}
+
+
 class TestIntegralPSigmaOracle:
     """The GK21-panel witness of (A) against a closed-envelope mpmath
     reference, ρ' = ρ^(1-p') = [r^(N-1) v]^(-1/(p-1)) and σ = r^(N-1) w."""
@@ -191,25 +220,64 @@ class TestIntegralPSigmaOracle:
             (RMK23_JUMP_DRAW["p"], RMK23_JUMP_DRAW["N"], *_rmk23_pieces(**RMK23_JUMP_DRAW)),
             id="rmk23-jump",
         ),
+    ] + [
+        pytest.param(make_rmk23(**d), (d["p"], d["N"], *_rmk23_pieces(**d)), id=f"rmk23 {name}")
+        for name, d in NEAR_CRITICAL_DRAWS.items() if name != "(17)[2]"
     ])
     def test_matches_mpmath(self, ps, args):
         res = C.integral_P_sigma(ps)
         ref = _mp_integral_P_sigma(*args)
         assert res.verdict == quad.CONVERGED
         assert abs(res.value - ref) <= 1e-8 * (1.0 + abs(ref))
+        assert res.evaluations < 20_000
+
+
+class TestCrossingBelowEveryRadius:
+    """rmk23_draws(17)[2]: Φ = Ψ about 5e-42 past R1, where R1 + t rounds
+    to R1; the crossing and the witnesses work in the offset t itself."""
+
+    def test_crossing_is_an_offset(self):
+        ps = make_rmk23(**NEAR_CRITICAL_DRAWS["(17)[2]"])
+        t_star = C._crossing(ps)
+        assert t_star is not None and 0.0 < t_star < 1e-30
+        phi, psi = ps.phi_rho_conj.at(t_star), ps.psi_rho_conj.at(t_star)
+        assert phi == pytest.approx(psi, rel=1e-10)
+
+    def test_A_witness_does_not_read_divergence(self):
+        # its P σ is about t^-0.99988 at R1, too close to critical for the
+        # shell extrapolation to certify; the verdict rests on the exponents
+        ps = make_rmk23(**NEAR_CRITICAL_DRAWS["(17)[2]"])
+        res = C.integral_P_sigma(ps)
+        assert res.verdict != quad.DIVERGES and math.isfinite(res.value)
+        assert C.check_A(ps).holds
+
+    def test_W1_witness_ends_early(self):
+        calls, integrate = [], quad.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(integrate(*args, **kwargs))
+            return calls[-1]
+
+        ps = make_rmk23(**NEAR_CRITICAL_DRAWS["(17)[2]"])
+        with pytest.MonkeyPatch.context() as mp_:
+            mp_.setattr(quad, "integrate", counted)
+            assert C.check_W1(ps).holds
+        assert len(calls) == 1 and calls[0].evaluations < 20_000
 
 
 class TestCrossing:
     def test_annulus_n3_closed_form(self):
-        # ρ' = r^-2 on (1, 2): Φ = 1 - 1/r and Ψ = 1/r - 1/2 meet at 4/3
-        r_star = C._crossing(get_preset("annulus-n3").problem)
-        assert r_star == pytest.approx(4.0 / 3.0, rel=1e-8)
+        # ρ' = r^-2 on (1, 2): Φ = 1 - 1/r and Ψ = 1/r - 1/2 meet at 4/3,
+        # the offset 1/3 from R1
+        t_star = C._crossing(get_preset("annulus-n3").problem)
+        assert t_star == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_exterior_closed_form(self):
-        # N = 3, v = 1 on (1, inf): Φ = 1 - 1/r and Ψ = 1/r meet at 2
+        # N = 3, v = 1 on (1, inf): Φ = 1 - 1/r and Ψ = 1/r meet at 2, the
+        # offset 1 from R1
         ps = exterior([PowerLogPiece(1.0, INF, 1.0)],
                       [PowerLogPiece(1.0, INF, 1.0, 0.0, -4.0)])
-        assert C._crossing(ps) == pytest.approx(2.0, rel=1e-8)
+        assert C._crossing(ps) == pytest.approx(1.0, rel=1e-12)
 
     def test_divergent_side_has_no_crossing(self):
         # v = 1 with N = 2: Ψ = ∫_r^∞ dr/r diverges, so P = Φ^(p-1) is smooth

@@ -31,6 +31,16 @@ class TestIntegrate:
         assert res.verdict == CONVERGED
         assert res.value == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("e, exact", [(-1.1, 10.0), (-1.01, 100.0)])
+    def test_offset_octaves_on_a_radius_power_tail(self, e, exact):
+        """(1 + t)^e over the offsets t from R1 = 1: octaves of t drift like
+        2^-k on a power of r, and the second Δ² step takes their limit
+        (about 1,000 points without it)."""
+        res = integrate(lambda t: (1.0 + t) ** e, 0.0, INF, tol=1e-8)
+        assert res.verdict == CONVERGED
+        assert res.value == pytest.approx(exact, rel=1e-9)
+        assert res.evaluations < 800
+
     def test_log_endpoint_diverges(self):
         res = integrate(lambda r: (r - 1.0) ** -1, 1.0, 2.0)
         assert res.verdict == DIVERGES

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,12 +53,30 @@ class TestEvalWeight:
         wm = model(PowerLogPiece(1.0, 2.0, 1.0), PowerLogPiece(2.0, 3.0, 7.0))
         assert wm(2.0) == 7.0
 
+    @pytest.mark.parametrize("k", [1, 30, 60, 200, 1000])
+    def test_piece_at_offsets_far_below_every_radius(self, k):
+        # at t = 2^-k, R1 + t rounds to R1 = 1 for k > 52; the offset itself
+        # keeps every digit, so the value is c t^a (1+t)^b to rounding
+        piece = PowerLogPiece(1.0, INF, 0.7, -0.75, 2.5)
+        t = 2.0**-k
+        with mp.workdps(30):
+            ref = 0.7 * mp.mpf(t) ** -0.75 * (1 + mp.mpf(t)) ** 2.5
+        assert float(piece.value(t, 1.0)) == pytest.approx(float(ref), rel=1e-15)
+        assert model(piece).at(t) == float(piece.value(t, 1.0))
+
+    def test_call_at_radii_is_at_offsets(self):
+        wm = model(PowerLogPiece(1.0, 2.0, 1.3, 0.5, -1.0), PowerLogPiece(2.0, 3.0, 2.0))
+        r = np.array([1.25, 1.5, 2.0, 2.75])
+        assert np.array_equal(wm(r), wm.at(r - 1.0))
+
     def test_domain_error(self):
         wm = model(PowerLogPiece(1.0, 2.0, 1.0))
         with pytest.raises(DomainError):
             wm(1.0)
         with pytest.raises(DomainError):
             wm(2.5)
+        with pytest.raises(DomainError):
+            wm.at(0.0)
 
 
 class TestRhoSigma:
