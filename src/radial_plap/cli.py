@@ -1,9 +1,9 @@
 """Command-line entry point: check-conditions, solve, asymptotics, degiorgi,
 example.
 
-``example``, ``asymptotics`` and ``solve`` share one pipeline: a gate on
-condition (A) of the untruncated problem, one solve, and (not for ``solve``)
-one sandwich check per boundary.
+``example``, ``asymptotics`` and ``solve`` share one pipeline on one
+problem, as given: a gate on condition (A), one solve (which truncates an
+exterior problem), and (not for ``solve``) one sandwich check per boundary.
 
 Scalar results and verdicts go to JSON, mesh functions to CSV; result files
 carry no timestamps so reruns with an identical problem and version are
@@ -130,37 +130,36 @@ def _gate(reports):
 
 
 def _solve(ps, args, ladder=False):
-    """(eigenpair, problem it solves).  Exterior domains are truncated at
-    --rmax (default :func:`asymptotics.default_truncation`); with ``ladder``
-    they go through the solver's truncation ladder instead (--ladder rungs,
-    or rungs up to --rmax), whose eigenvalue is the extrapolated exterior
-    one."""
+    """The eigenpair of ``ps``.  Exterior domains are solved truncated at
+    --rmax (default :func:`asymptotics.default_truncation`), on a mesh that
+    ends there; with ``ladder`` they go through the solver's truncation
+    ladder instead (--ladder rungs, or rungs up to --rmax), whose eigenvalue
+    is the extrapolated exterior one."""
     # --tol governs witness integrals; the eigenvalue root keeps the solver
     # default unless the user asks for something tighter
     kwargs = dict(tol=min(args.tol, 1e-10), check=False, per_decade=16)
     if math.isfinite(ps.R2):
-        return solver.find_lambda1(ps, **kwargs), ps
+        return solver.find_lambda1(ps, **kwargs)
     if ladder:
         rungs = (None if args.ladder is None
                  else [ps.R1 * 2.0**k for k in range(2, args.ladder + 2)])
         return solver.find_lambda1(ps, r_max=args.rmax, ladder=rungs,
-                                   bc=args.bc, **kwargs), ps
-    ps_solve = ps.truncated(args.rmax or asymptotics.default_truncation(ps))
-    return solver.find_lambda1(ps_solve, n_core=3000, **kwargs), ps_solve
+                                   bc=args.bc, **kwargs)
+    r_max = args.rmax or asymptotics.default_truncation(ps)
+    return solver.find_lambda1(ps.truncated(r_max), n_core=3000, **kwargs)
 
 
-def _verify(eig, ps, ps_solve, boundaries, csv_dir=None):
-    """One sandwich row per boundary: the verdict, a ``skipped`` row when the
-    window is unattainable at this truncation, or an ``error`` row.  With
-    ``csv_dir``, each verdict's window is written to asymptotics_<b>.csv.
-    Returns the rows and the CSV paths."""
+def _verify(eig, ps, boundaries, csv_dir=None):
+    """One sandwich row per boundary of ``ps`` as given, exterior or not (below
+    the truncation, a truncated problem's left envelope is the exterior one's):
+    the verdict, a ``skipped`` row when the window is unattainable on
+    ``eig``'s mesh, or an ``error`` row.  With ``csv_dir``, each verdict's
+    window is written to asymptotics_<b>.csv.  Returns the rows and the CSV
+    paths."""
     rows, files = [], []
     for b in boundaries:
-        # left windows read the truncated envelope; right-at-infinity windows
-        # must use the exterior envelope
-        ps_env = ps_solve if b == "left" else ps
         try:
-            v = asymptotics.sandwich_check(eig, ps_env, b)
+            v = asymptotics.sandwich_check(eig, ps, b)
         except asymptotics.WindowError as exc:
             rows.append({"boundary": b, "skipped": str(exc)})
             continue
@@ -214,11 +213,11 @@ def cmd_solve(args) -> int:
     out = _out_dir(args)
     files, results = [], {}
     # Rayleigh alone runs on the top rung that --ladder or --rmax asks for
-    r_end = args.rmax or ps.R1 * 2.0**7
+    r_end = args.rmax or ps.R1 * solver.LADDER_TOP
     if args.ladder is not None:
         r_end = ps.R1 * 2.0 ** (args.ladder + 1)
     if args.method in ("shoot", "both"):
-        eig, _ = _solve(ps, args, ladder=True)
+        eig = _solve(ps, args, ladder=True)
         results["lambda1"] = eig.lam
         results["zero_count"] = eig.zero_count
         results["diagnostics"] = eig.diagnostics
@@ -263,13 +262,9 @@ def cmd_asymptotics(args) -> int:
     if not args.no_check:
         _gate([conditions.check_A(ps, tol=args.tol)])
     out = _out_dir(args)
-    if args.eig:
-        eig = _read_eigen_csv(args.eig, ps, r_end)
-        ps_solve = ps if math.isfinite(ps.R2) else ps.truncated(r_end)
-    else:
-        eig, ps_solve = _solve(ps, args)
+    eig = _read_eigen_csv(args.eig, ps, r_end) if args.eig else _solve(ps, args)
     boundaries = ["left", "right"] if args.boundary == "both" else [args.boundary]
-    rows, files = _verify(eig, ps, ps_solve, boundaries, csv_dir=out)
+    rows, files = _verify(eig, ps, boundaries, csv_dir=out)
     printed = _write_results(args, out, "asymptotics", ps, "asymptotics.json",
                              rows, files)
     for row in rows:
@@ -332,9 +327,9 @@ def cmd_example(args) -> int:
     files = [_write_json(out / "problem.json", problem_to_dict(ps)),
              _write_json(out / "conditions.json", [r.to_dict() for r in reports])]
     _gate(reports)
-    eig, ps_solve = _solve(ps, args)
+    eig = _solve(ps, args)
     files.append(_eigen_csv(out, "eigenfunction.csv", eig))
-    rows, _ = _verify(eig, ps, ps_solve, ("left", "right"))
+    rows, _ = _verify(eig, ps, ("left", "right"))
     summary = {
         "preset": preset.name,
         "description": preset.description,

@@ -16,8 +16,9 @@ power at infinity), so verdicts are decided in the endpoint-magnitude algebra
 of :mod:`radial_plap.weights` and the numerics only supply witness values.
 Near R1 these work in the offset t = r - R1: P, the integrals of P σ and
 W1's I1, the envelopes' crossing and the left probes.
-``inconclusive`` remains a first-class verdict for the composite integrals
-whose convergence the generic quadrature cannot certify.
+Every verdict is ``holds`` or ``fails``.  A witness integral whose
+quadrature did not converge is left out of ``witnesses`` and named in the
+notes instead, like a probe that overflowed.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .weights import (
     ProblemSpec,
     eps_infimum,
     far_integral,
+    integrable,
     limit,
     magnitude,
     mul,
@@ -167,12 +169,13 @@ def check_A(ps: ProblemSpec, tol=1e-8) -> ConditionReport:
     """Condition (A): P < ∞ on (R1, R2) and ∫ P σ dr < ∞.
 
     The witness ``integral_P_sigma`` is the p-th power of the embedding
-    constant; ``embedding_constant`` is reported alongside.  Both are left
-    out when the holding verdict rests on the exponent tests alone.
+    constant; ``embedding_constant`` and ``quadrature_error`` are reported
+    alongside.  All three are left out, and the notes name the witness, when
+    its quadrature did not converge: the verdict rests on the exponent tests.
     """
     rhoc = ps.rho_conj_model
-    li = quad.left_integrable(rhoc)
-    ti = quad.tail_integrable(rhoc)  # always at a finite R2
+    li = integrable(rhoc, LEFT_R1)
+    ti = integrable(rhoc, right_end(ps.R2))  # always at a finite R2
     witnesses = {
         "rho_conj_left_integrable": float(li),
         "rho_conj_right_integrable": float(ti),
@@ -193,23 +196,13 @@ def check_A(ps: ProblemSpec, tol=1e-8) -> ConditionReport:
             "A", FAILS, witnesses,
             f"(ii) fails: ∫ P σ diverges at the {side} end (exponent test)",
         )
+    # the exponent tests above certify ∫ P σ < ∞; the integral is a witness
     res = integral_P_sigma(ps, tol=tol)
-    if not math.isfinite(res.value):
-        # pre-asymptotic growth of P σ can read as divergence to the shell
-        # test; the exponent tests above still certify ∫ P σ < ∞
-        return ConditionReport(
-            "A", HOLDS, witnesses,
-            "numeric witness integral failed; (A) rests on the exponent test",
-        )
-    witnesses["integral_P_sigma"] = res.value
-    witnesses["quadrature_error"] = res.abs_error_estimate
-    witnesses["embedding_constant"] = res.value ** (1.0 / ps.p)
-    notes = ""
-    if res.verdict != quad.CONVERGED:
-        # convergence is already certified by the exponent tests; only the
-        # witness value's accuracy is degraded (near-critical endpoint)
-        notes = "witness integral not certified at the requested tolerance"
-    return ConditionReport("A", HOLDS, witnesses, notes)
+    failed = _witness(witnesses, "integral_P_sigma", res)
+    if not failed:
+        witnesses["quadrature_error"] = res.abs_error_estimate
+        witnesses["embedding_constant"] = res.value ** (1.0 / ps.p)
+    return ConditionReport("A", HOLDS, witnesses, _failed_probes("", failed))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +233,15 @@ def _search_eps(ps, end):
     return eps_infimum(grow, decay, ps.p - 1.0)
 
 
+def _witness(witnesses, name, res):
+    """Record the integral ``res`` as the witness ``name`` if it converged;
+    return the failed names for :func:`_failed_probes`: ``[name]`` or ``[]``."""
+    if res.converged:
+        witnesses[name] = res.value
+        return []
+    return [name]
+
+
 def _failed_probes(notes, failed):
     """``notes``, plus a note naming the ``failed`` numeric witnesses."""
     if not failed:
@@ -256,7 +258,7 @@ def _check_A_eps(ps, end, xi, eps):
     cid = "A_eps_L" if left else "A_eps_R"
     xi = _default_xi(ps, end) if xi is None else xi
     witnesses = {"xi": xi}
-    if near_integral(magnitude(ps.rho_conj_model, end), end) is None:
+    if not integrable(ps.rho_conj_model, end):
         return ConditionReport(
             cid, FAILS, witnesses,
             f"precondition fails: rho^(1-p') not integrable near {'R1' if left else 'R2'}",
@@ -326,7 +328,7 @@ def _one_sided(model, start, end):
     """Magnitude at ``end`` of the integral of ``model`` from ``start`` to r."""
     if start == end:
         return near_integral(magnitude(model, end), end)
-    if near_integral(magnitude(model, start), start) is None:
+    if not integrable(model, start):
         return None
     return far_integral(magnitude(model, end), end)
 
@@ -436,7 +438,7 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
     # over the offsets t = r - R, so the shells toward R are exact
     f1 = lambda t: phi_vinv.at(t) ** (p - 1.0) * w.at(t)
     res1 = quad.integrate(f1, 0.0, xi - R, tol=1e-8, points=[x - R for x in ps.junctions])
-    witnesses["I1"] = res1.value
+    failed = _witness(witnesses, "I1", res1)
     if p != N:
         tail_model = w.restricted(xi, INF).times(b=p - 1.0)
         label = "∫_ξ^∞ r^(p-1) w dr"
@@ -446,19 +448,15 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
     res2 = quad.integrate_exact_powerlog(tail_model, a=xi)
     witnesses["I2"] = res2.value
     if res2.diverges:
-        return ConditionReport("W1", FAILS, witnesses, f"{label} diverges")
+        return ConditionReport("W1", FAILS, witnesses, _failed_probes(f"{label} diverges", failed))
     notes = ""
     if all(pc.a == 0 and pc.b == 0 and pc.l == 0 for pc in v.pieces) and \
-            not quad.left_integrable(w):
+            not integrable(w, LEFT_R1):
         notes = (
             "constant v with heavy w near R: the global r^(p-1)-weighted "
             "integrability of the ADS-type special case fails, while (W1) holds"
         )
-    if res1.verdict == quad.INCONCLUSIVE:
-        # the exponent test above already certified I1 < inf
-        notes = (notes + "; " if notes else "") + \
-            "I1 witness not certified at the requested tolerance"
-    return ConditionReport("W1", HOLDS, witnesses, notes)
+    return ConditionReport("W1", HOLDS, witnesses, _failed_probes(notes, failed))
 
 
 def check_W2(ps: ProblemSpec) -> ConditionReport:
@@ -474,8 +472,7 @@ def check_W2(ps: ProblemSpec) -> ConditionReport:
         return ConditionReport(
             "W2", FAILS, witnesses, f"v vanishes at R (exponent {v_at_R[0]} > 0)"
         )
-    rhoc = ps.rho_conj_model
-    if not quad.tail_integrable(rhoc):
+    if not integrable(ps.rho_conj_model, INFINITY):
         return ConditionReport(
             "W2", FAILS, witnesses, "[r^(N-1) v]^(-1/(p-1)) not integrable at infinity"
         )
@@ -497,11 +494,8 @@ def check_W2(ps: ProblemSpec) -> ConditionReport:
     sig = ps.sigma_model
     f2 = lambda r: psi(r) ** (p - 1.0) * sig(r)
     res2 = quad.integrate(f2, xi, INF, tol=1e-8, points=ps.junctions)
-    witnesses["I2"] = res2.value
-    notes = ""
-    if res2.verdict == quad.INCONCLUSIVE:
-        notes = "I2 witness not certified at the requested tolerance"
-    return ConditionReport("W2", HOLDS, witnesses, notes)
+    failed = _witness(witnesses, "I2", res2)
+    return ConditionReport("W2", HOLDS, witnesses, _failed_probes("", failed))
 
 
 def check_all(ps: ProblemSpec, xi=None, eps=None, tol=1e-8):

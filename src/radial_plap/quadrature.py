@@ -47,7 +47,7 @@ from functools import partialmethod
 
 import numpy as np
 
-from .weights import LEFT_R1, WeightModel, magnitude, near_integral, right_end
+from .weights import INFINITY, LEFT_R1, WeightModel, integrable, right_end
 
 INF = math.inf
 
@@ -259,8 +259,8 @@ def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
             best = (value, err + tail_err)
         if tail_err <= 0.25 * tol_goal * (scale + abs(value)):
             return value, err + tail_err, CONVERGED
-    if best is None:
-        return total, err, INCONCLUSIVE
+    if best is None:  # no trusted extrapolation bounds the missing tail
+        return total, INF, INCONCLUSIVE
     value, tail_err = best
     ok = tail_err <= 0.5 * tol_goal * (1.0 + abs(value))
     return value, tail_err, CONVERGED if ok else INCONCLUSIVE
@@ -605,20 +605,8 @@ def _tail_gl(c, A, B, L, r1, x0):
 
 
 # ---------------------------------------------------------------------------
-# exponent tests and the exact power-log route
+# the exact power-log route
 # ---------------------------------------------------------------------------
-
-
-def left_integrable(model: WeightModel):
-    """Convergence of ∫ near the domain's left end, from the adjacent exponent."""
-    return near_integral(magnitude(model, LEFT_R1), LEFT_R1) is not None
-
-
-def tail_integrable(model: WeightModel):
-    """Convergence of ∫ near the right end: power < -1, or == -1 with log < -1
-    at infinity; always at a finite R2."""
-    end = right_end(model.r2)
-    return near_integral(magnitude(model, end), end) is not None
 
 
 def integrate_exact_powerlog(model: WeightModel, a=None, b=None):
@@ -636,9 +624,9 @@ def integrate_exact_powerlog(model: WeightModel, a=None, b=None):
     touches_left = model.left_singular and (
         a <= model.r1 or math.isclose(a, model.r1, rel_tol=1e-12)
     )
-    if touches_left and not left_integrable(model):
+    if touches_left and not integrable(model, LEFT_R1):
         return IntegralResult(INF, INF, DIVERGES, 0)
-    if not math.isfinite(b) and not tail_integrable(model):
+    if not math.isfinite(b) and not integrable(model, INFINITY):
         return IntegralResult(INF, INF, DIVERGES, 0)
 
     total = 0.0
@@ -704,7 +692,7 @@ class _Cumulative:
 
     def __init__(self, model: WeightModel, left):
         self.model, self.left = model, left
-        self.divergent = not (left_integrable(model) if left else tail_integrable(model))
+        self.divergent = not integrable(model, LEFT_R1 if left else right_end(model.r2))
         n = len(model.pieces)
         base = [0.0] * n
         if not self.divergent:

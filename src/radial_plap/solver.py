@@ -46,13 +46,13 @@ whose load-to-response ratios enclose the discrete eigenvalue from both sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quadrature as quad
 from .dop853 import brentq, solve_ivp
-from .weights import ProblemSpec
+from .weights import LEFT_R1, ProblemSpec, integrable
 
 
 class SolverError(RuntimeError):
@@ -60,6 +60,8 @@ class SolverError(RuntimeError):
 
 
 _RTOL = 1e-11  # relative tolerance of every shoot
+#: top rung of the default truncation ladder, as a multiple of R1
+LADDER_TOP = 2.0**7
 
 
 @dataclass
@@ -146,45 +148,33 @@ class Eigenpair:
 
 
 class _Segment:
-    """One smooth segment [s0, s1] of a shoot: its integration variable
-    (``fwd`` maps r to it, ``inv`` back, ``shift`` as in :func:`_segment_rhs`),
-    its rho and sigma pieces, and the mesh nodes it holds, in r and in x.
+    """One smooth segment [s0, s1] of a shoot: its integration variable x,
+    fixed by ``shift`` (:meth:`fwd` maps r to x = log(r - shift), or to r
+    itself when ``shift`` is None, and :meth:`inv` back), its rho and sigma
+    pieces, and the mesh nodes it holds, in r and in x.
 
     Near the inner boundary the solution is only Holder-smooth in r (pure
     powers of r - R1), which starves a high-order RK; in x = log(r - R1) it
-    is exponential-smooth.  Long multiplicative spans similarly integrate in
-    log r.  A node on s1 belongs to the next segment, except on the last.
+    is exponential-smooth (shift R1).  Long multiplicative spans similarly
+    integrate in log r (shift 0).  A node on s1 belongs to the next segment,
+    except on the last.
     """
 
     def __init__(self, ps, s0, s1, nodes, last):
         r1 = ps.R1
-        if s0 - r1 < 0.05 * (s1 - r1):
-            self.shift = r1
-
-            def fwd(r):
-                return math.log(r - r1)
-
-            def inv(x):
-                return r1 + np.exp(x)
-
-        elif s0 > 0 and s1 / s0 > 8.0:
-            self.shift = 0.0
-            fwd = math.log
-            inv = np.exp
-        else:
-            self.shift = None
-
-            def fwd(r):
-                return r
-
-            def inv(x):
-                return x
-
-        self.s0, self.s1, self.fwd, self.inv = s0, s1, fwd, inv
+        self.shift = (r1 if s0 - r1 < 0.05 * (s1 - r1)
+                      else 0.0 if s0 > 0 and s1 / s0 > 8.0 else None)
+        self.s0, self.s1 = s0, s1
         rp, sp = (m.pieces[m.piece_index(s0 - r1)] for m in (ps.rho_model, ps.sigma_model))
         self.pieces = (rp.c, rp.a, rp.b, rp.l, sp.c, sp.a, sp.b, sp.l)
         self.r_nodes = nodes[(nodes >= s0) & ((nodes <= s1) if last else (nodes < s1))]
-        self.x_nodes = [fwd(r) for r in self.r_nodes]
+        self.x_nodes = [self.fwd(r) for r in self.r_nodes]
+
+    def fwd(self, r):
+        return r if self.shift is None else math.log(r - self.shift)
+
+    def inv(self, x):
+        return x if self.shift is None else self.shift + np.exp(x)
 
 
 def _segment_rhs(ps, lam, seg):
@@ -490,7 +480,7 @@ def find_lambda1(ps: ProblemSpec, r_max=None, ladder=None, tol=1e-10,
                          f"domains only; this one ends at R2 = {ps.R2}")
     auto_ladder = ladder is None
     if not finite and auto_ladder:
-        top = r_max if r_max is not None else ps.R1 * 2.0**7
+        top = r_max if r_max is not None else ps.R1 * LADDER_TOP
         ladder = []
         rk = ps.R1 * 4.0
         while rk <= top * (1 + 1e-12):
@@ -593,14 +583,12 @@ def _assemble(ps, mesh):
     kappa = capm ** (1.0 - ps.p)
     mids = 0.5 * (mesh.nodes[1:] + mesh.nodes[:-1])
     dual = np.concatenate([[mesh.r1], mids, [mesh.r_end]])
-    if quad.left_integrable(ps.sigma_model):
+    if integrable(ps.sigma_model, LEFT_R1):
         dmass = quad.interval_integrals(ps.sigma_model, dual)
     else:
         n0 = mesh.nodes[0]
         h0 = n0 - mesh.r1
-        p0 = ps.sigma_model.pieces[0]
-        ramp = replace(p0, a=p0.a + ps.p)
-        v_ramp, _, _ = quad._piece_partial(ramp, ps.R1, 0.0, h0)
+        v_ramp = quad.interval_integrals(ps.sigma_model.times(a=ps.p), [ps.R1, n0])[0]
         first = v_ramp / h0**ps.p + quad.interval_integrals(
             ps.sigma_model, np.array([n0, dual[1]])
         )[0]

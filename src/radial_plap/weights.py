@@ -277,6 +277,11 @@ def far_integral(m, end):
     return (0.0, 0.0, loglog + 1.0)
 
 
+def integrable(wm: WeightModel, end):
+    """Whether the integral of the model converges next to ``end``."""
+    return near_integral(magnitude(wm, end), end) is not None
+
+
 def mul(m1, m2, q=1.0):
     """Magnitude of m1 * m2**q."""
     if m1 is None or m2 is None:

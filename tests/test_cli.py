@@ -238,6 +238,21 @@ class TestAsymptoticsEig:
             assert row["window"] == pytest.approx(ref["window"], rel=1e-9, abs=0)
             assert {**row, "window": None} == {**ref, "window": None}
 
+    def test_exterior_round_trip_matches_the_example(self, tmp_path):
+        # rmk23's eigenfunction read back at the example's truncation: both
+        # windows are read on the exterior problem, as the example reads them
+        assert run("example", "rmk23", "--out-dir", str(tmp_path / "ex")) == 0
+        summary = read_json(tmp_path / "ex" / "summary.json")
+        r_max = repr(summary["solver_diagnostics"]["truncation_radius"])
+        assert run("asymptotics", "--preset", "rmk23", "--rmax", r_max,
+                   "--eig", str(tmp_path / "ex" / "eigenfunction.csv"),
+                   "--out-dir", str(tmp_path / "asy")) == 0
+        rows = read_json(tmp_path / "asy" / "asymptotics.json")
+        assert [r["boundary"] for r in rows] == ["left", "right"]
+        for row, ref in zip(rows, summary["asymptotics"]):
+            assert row["window"] == pytest.approx(ref["window"], rel=1e-9, abs=0)
+            assert {**row, "window": None} == {**ref, "window": None}
+
     def test_negative_u_in_the_left_window_is_an_error_row(self, tmp_path,
                                                            annulus_n3_solved):
         csv, plain = annulus_n3_solved

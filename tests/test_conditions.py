@@ -99,7 +99,8 @@ class TestCheckA:
         assert rep.holds
         for key in ("integral_P_sigma", "quadrature_error", "embedding_constant"):
             assert key not in rep.witnesses
-        assert "exponent test" in rep.notes
+        assert rep.notes == ("numeric witness integral_P_sigma failed; verdict from "
+                             "the exponent certificate")
         assert all(math.isfinite(v) for v in rep.witnesses.values())
 
     def test_crossing_next_to_R1_keeps_its_witness(self):
@@ -245,11 +246,26 @@ class TestCrossingBelowEveryRadius:
 
     def test_A_witness_does_not_read_divergence(self):
         # its P σ is about t^-0.99988 at R1, too close to critical for the
-        # shell extrapolation to certify; the verdict rests on the exponents
+        # shell extrapolation to certify, so nothing bounds the mass below
+        # the last shell: inconclusive, with an infinite error
         ps = make_rmk23(**NEAR_CRITICAL_DRAWS["(17)[2]"])
         res = C.integral_P_sigma(ps)
-        assert res.verdict != quad.DIVERGES and math.isfinite(res.value)
-        assert C.check_A(ps).holds
+        assert res.verdict == quad.INCONCLUSIVE and math.isfinite(res.value)
+        assert res.abs_error_estimate == INF
+
+    def test_unresolved_witnesses_are_left_out(self):
+        # the verdicts rest on the exponents; the shells of P σ and of W1's
+        # integrand miss most of the mass (an mpmath I1 with a closed-form
+        # head reads about 68,045, where the shells summed to 2,200)
+        ps = make_rmk23(**NEAR_CRITICAL_DRAWS["(17)[2]"])
+        rep_A, rep_W1 = C.check_A(ps), C.check_W1(ps)
+        assert rep_A.holds and rep_W1.holds
+        for key in ("integral_P_sigma", "quadrature_error", "embedding_constant"):
+            assert key not in rep_A.witnesses
+        assert "I1" not in rep_W1.witnesses
+        failed = TestFailedWitnessProbes.FAILED
+        assert rep_A.notes == f"numeric witness integral_P_sigma {failed}"
+        assert rep_W1.notes == f"numeric witness I1 {failed}"
 
     def test_W1_witness_ends_early(self):
         calls, integrate = [], quad.integrate
@@ -458,7 +474,7 @@ class TestFailedWitnessProbes:
         rep = C.check_A(self._overflowing_tail())
         assert rep.holds
         assert "integral_P_sigma" not in rep.witnesses
-        assert rep.notes == "numeric witness integral failed; (A) rests on the exponent test"
+        assert rep.notes == f"numeric witness integral_P_sigma {self.FAILED}"
 
     @pytest.mark.parametrize("name", ["rmk22", "rmk23"])
     def test_divergent_factor_is_not_a_failed_probe(self, name):
@@ -579,6 +595,22 @@ class TestW1W2:
             )
             rep = C.check_W1(ps)
             assert rep.verdict == C.FAILS
+
+    @pytest.mark.parametrize("verdict", [quad.INCONCLUSIVE, quad.DIVERGES])
+    @pytest.mark.parametrize("check, name", [(C.check_W1, "I1"), (C.check_W2, "I2")])
+    def test_unconverged_witness_is_left_out(self, monkeypatch, check, name, verdict):
+        # both hold on rmk22 from exponents alone; a numeric witness that
+        # does not converge keeps the verdict and the other witnesses
+        ps = get_preset("rmk22").problem
+        ref = check(ps)
+        value = INF if verdict == quad.DIVERGES else 1.0
+        monkeypatch.setattr(quad, "integrate",
+                            lambda *args, **kwargs: quad.IntegralResult(value, INF, verdict, 1))
+        rep = check(ps)
+        assert ref.holds and rep.holds
+        assert rep.witnesses == {k: v for k, v in ref.witnesses.items() if k != name}
+        note = f"numeric witness {name} {TestFailedWitnessProbes.FAILED}"
+        assert rep.notes == (f"{ref.notes}; {note}" if ref.notes else note)
 
     def test_requires_exterior_domain(self):
         with pytest.raises(ValueError):

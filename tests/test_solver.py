@@ -357,8 +357,8 @@ class _ScipyOracle:
             return ours
 
         def integrate_segment(ps, lam, seg, *args):
-            self.kinds.add("r" if seg.fwd(seg.s0) == seg.s0 else "log r"
-                           if seg.fwd is math.log else "log(r - R1)")
+            self.kinds.add("r" if seg.shift is None else "log r"
+                           if seg.shift == 0.0 else "log(r - R1)")
             return integrate(ps, lam, seg, *args)
 
         monkeypatch.setattr(S, "solve_ivp", both)
