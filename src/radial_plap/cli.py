@@ -129,6 +129,11 @@ def _gate(reports):
             raise solver.SolverError(f"condition (A) fails ({r.notes})")
 
 
+def _rungs(ps, args):
+    """The --ladder truncation radii R1 * 2^k, k = 2 .., or None without it."""
+    return None if args.ladder is None else [ps.R1 * 2.0**k for k in range(2, args.ladder + 2)]
+
+
 def _solve(ps, args, ladder=False):
     """The eigenpair of ``ps``.  Exterior domains are solved truncated at
     --rmax (default :func:`asymptotics.default_truncation`), on a mesh that
@@ -141,9 +146,7 @@ def _solve(ps, args, ladder=False):
     if math.isfinite(ps.R2):
         return solver.find_lambda1(ps, **kwargs)
     if ladder:
-        rungs = (None if args.ladder is None
-                 else [ps.R1 * 2.0**k for k in range(2, args.ladder + 2)])
-        return solver.find_lambda1(ps, r_max=args.rmax, ladder=rungs,
+        return solver.find_lambda1(ps, r_max=args.rmax, ladder=_rungs(ps, args),
                                    bc=args.bc, **kwargs)
     r_max = args.rmax or asymptotics.default_truncation(ps)
     return solver.find_lambda1(ps.truncated(r_max), n_core=3000, **kwargs)
@@ -213,9 +216,7 @@ def cmd_solve(args) -> int:
     out = _out_dir(args)
     files, results = [], {}
     # Rayleigh alone runs on the top rung that --ladder or --rmax asks for
-    r_end = args.rmax or ps.R1 * solver.LADDER_TOP
-    if args.ladder is not None:
-        r_end = ps.R1 * 2.0 ** (args.ladder + 1)
+    r_end = (_rungs(ps, args) or [args.rmax or ps.R1 * solver.LADDER_TOP])[-1]
     if args.method in ("shoot", "both"):
         eig = _solve(ps, args, ladder=True)
         results["lambda1"] = eig.lam

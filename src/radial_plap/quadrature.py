@@ -208,16 +208,18 @@ def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
     ``shell_iter`` yields (x0, x1) pairs marching toward the singular
     endpoint (or out along the tail).  Shell sums of a power endpoint are
     exactly geometric, so the ratio-extrapolated tail is exact there; the
-    ratio drift bounds the extrapolation error for everything nearby.  A
-    drift like 2^-k (a smooth factor, or octaves of offsets about R1 on a
-    tail that is a power of r) is removed by one more Δ² step over the
-    extrapolations.  A shell a few ulps of its edges wide (toward a nonzero
-    endpoint; never toward 0) ends the march with the best candidate seen,
-    not a silently truncated sum.  Returns (value, err, verdict).
+    ratio drift bounds the extrapolation error for everything nearby while
+    its changes shrink.  On a log tail they do not, and the latest
+    extrapolation stands with an infinite error.  A drift like 2^-k (a
+    smooth factor, or octaves of offsets about R1 on a tail that is a power
+    of r) is removed by one more Δ² step over the extrapolations.  A shell
+    a few ulps of its edges wide (toward a nonzero endpoint; never toward 0)
+    ends the march with the best candidate seen, not a silently truncated
+    sum.  Returns (value, err, verdict).
     """
     total = err = 0.0
     shells, cands, accs = [], [], []
-    best = None  # (value, err) of the most trusted extrapolation so far
+    best = None  # (value, err): the most trusted extrapolation, or the latest unbounded one
     for k, (x0, x1) in enumerate(shell_iter):
         if x1 - x0 <= 64.0 * _EPMACH * max(abs(x0), abs(x1)):
             break  # representability floor for the endpoint distance
@@ -244,6 +246,10 @@ def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
         floor = abs(tail) * 1e-12 + e / (1.0 - rbar)
         value = total + tail
         tail_err = abs(s) * (max(recent) - min(recent)) / (1.0 - rbar) ** 2 + floor
+        # no bound unless the ratio changes shrink (or sit at the shells'
+        # rounding); on a log tail the ratios creep to 1 like 1 - m/k
+        if abs(recent[2] - recent[1]) > max(0.75 * abs(recent[1] - recent[0]), 4.0 * e / abs(s)):
+            tail_err = INF
         # the Δ² step over the last three extrapolations, whose changes must
         # shrink by a steady q (logarithmic tails, q -> 1, are left alone),
         # trusted once two in a row agree better than the drift bound
@@ -255,7 +261,7 @@ def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
             acc_err = abs(accs[1] - accs[0]) + floor
             if acc_err < tail_err:
                 value, tail_err = accs[1], acc_err
-        if best is None or tail_err < best[1]:
+        if best is None or tail_err < best[1] or tail_err == INF:
             best = (value, err + tail_err)
         if tail_err <= 0.25 * tol_goal * (scale + abs(value)):
             return value, err + tail_err, CONVERGED
@@ -685,10 +691,8 @@ class _Cumulative:
     sum from the edge gives the envelope.
 
     So a value depends on the other offsets in its query, at about 1e-15
-    relative: on 200 radii per preset the paths differ on up to 181, by up
-    to 1e-15.  One path would move ``example rmk23``'s λ by 3e-11 to 5e-11,
-    which already sits 5.3e-11 from the benchmark reference's 1e-10 bound,
-    so both stay until that reference is re-recorded."""
+    relative.  The single-query path is there for speed: through the array
+    path a lone query takes up to about twice as long."""
 
     def __init__(self, model: WeightModel, left):
         self.model, self.left = model, left

@@ -12,9 +12,9 @@ boundary asymptote: at r0 = R1 + delta_left the exact solution satisfies
 u ~ g^{1/(p-1)} * ∫_{R1}^{r0} rho^{1-p'}, so the initial data u(r0) =
 ∫_{R1}^{r0} rho^{1-p'}, g(r0) = 1 removes the singular-endpoint error.
 
-Each smooth segment is integrated by the package's own DOP853 driver
-(:func:`radial_plap.dop853.solve_ivp`), bit-identical to scipy's
-``solve_ivp(method="DOP853")`` without scipy's per-stage wrapping; its
+Each smooth segment is integrated in x = log(r - R1) by the package's own
+DOP853 driver (:func:`radial_plap.dop853.solve_ivp`), bit-identical to
+scipy's ``solve_ivp(method="DOP853")`` without its per-stage wrapping; its
 tableau is vendored from scipy (BSD-3).  The root in lam is found by
 :func:`radial_plap.dop853.brentq`, a port of scipy's ``brentq.c`` with
 bit-identical iterates, so no scipy module is imported at run time.
@@ -148,22 +148,16 @@ class Eigenpair:
 
 
 class _Segment:
-    """One smooth segment [s0, s1] of a shoot: its integration variable x,
-    fixed by ``shift`` (:meth:`fwd` maps r to x = log(r - shift), or to r
-    itself when ``shift`` is None, and :meth:`inv` back), its rho and sigma
-    pieces, and the mesh nodes it holds, in r and in x.
-
-    Near the inner boundary the solution is only Holder-smooth in r (pure
-    powers of r - R1), which starves a high-order RK; in x = log(r - R1) it
-    is exponential-smooth (shift R1).  Long multiplicative spans similarly
-    integrate in log r (shift 0).  A node on s1 belongs to the next segment,
-    except on the last.
+    """One smooth segment [s0, s1] of a shoot: its rho and sigma pieces and
+    the mesh nodes it holds, in r and in x = log(r - R1) (:meth:`fwd` maps r
+    to x, :meth:`inv` back).  Every segment integrates in x: near R1 the
+    solution is only Holder-smooth in r (pure powers of r - R1), which
+    starves a high-order RK, and in x it is exponential-smooth.  A node on
+    s1 belongs to the next segment, except on the last.
     """
 
     def __init__(self, ps, s0, s1, nodes, last):
-        r1 = ps.R1
-        self.shift = (r1 if s0 - r1 < 0.05 * (s1 - r1)
-                      else 0.0 if s0 > 0 and s1 / s0 > 8.0 else None)
+        self.r1 = r1 = ps.R1
         self.s0, self.s1 = s0, s1
         rp, sp = (m.pieces[m.piece_index(s0 - r1)] for m in (ps.rho_model, ps.sigma_model))
         self.pieces = (rp.c, rp.a, rp.b, rp.l, sp.c, sp.a, sp.b, sp.l)
@@ -171,34 +165,28 @@ class _Segment:
         self.x_nodes = [self.fwd(r) for r in self.r_nodes]
 
     def fwd(self, r):
-        return r if self.shift is None else math.log(r - self.shift)
+        return math.log(r - self.r1)
 
     def inv(self, x):
-        return x if self.shift is None else self.shift + np.exp(x)
+        return self.r1 + np.exp(x)
 
 
 def _segment_rhs(ps, lam, seg):
     """RHS closure specialized to the weight pieces of the segment ``seg``.
 
-    The closure takes the integration variable x: r itself when ``shift``
-    is None, else x = log(r - shift), whose chain-rule factor dr/dx = e^x
-    it applies.
+    The closure takes x = log(r - R1) and applies the chain-rule factor
+    dr/dx = e^x; the offset t = r - R1 is formed from r = R1 + e^x.
     """
     r1 = ps.R1
     expo = 1.0 / (ps.p - 1.0)
     pm1 = ps.p - 1.0
     minus_lam = -lam
     cv, av, bv, lv, cw, aw, bw, lw = seg.pieces
-    shift = seg.shift
-    log_var = shift is not None
 
     def rhs(x, y):
         u, g = y
-        if log_var:
-            ex = math.exp(x)
-            r = shift + ex
-        else:
-            r = x
+        ex = math.exp(x)
+        r = r1 + ex
         t = r - r1
         rho = cv
         if av != 0.0:
@@ -218,9 +206,7 @@ def _segment_rhs(ps, lam, seg):
         # calling abs and copysign; a NaN takes the last branch and stays NaN
         du = (g / rho) ** expo if g > 0.0 else 0.0 if g == 0.0 else -((-g / rho) ** expo)
         dg = minus_lam * sig * (u**pm1 if u > 0.0 else 0.0 if u == 0.0 else -((-u) ** pm1))
-        if log_var:
-            return (du * ex, dg * ex)
-        return (du, dg)
+        return (du * ex, dg * ex)
 
     return rhs
 
@@ -378,14 +364,14 @@ def _lambda1_truncated(ps, tol, n_core, per_decade, bracket=None, matcher=None):
         lo, hi = bracket
     n_expand = 0
     while f(lo) <= 0.0:
-        lo *= 0.5
+        hi, lo = lo, lo * 0.5
         n_expand += 1
         if n_expand > 80:
             raise SolverError(
                 f"no lower bracket for lam_1 found down to {lo}; check the problem")
     n_expand = 0
     while f(hi) > 0.0:
-        hi *= 2.0
+        lo, hi = hi, hi * 2.0
         n_expand += 1
         if n_expand > 80:
             raise SolverError(

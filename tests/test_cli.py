@@ -157,7 +157,9 @@ class TestSolveRayleighExterior:
 
     @pytest.mark.parametrize("flags, radius", [
         ((), 128.0),
+        (("--ladder", "1"), 4.0),
         (("--ladder", "3"), 16.0),
+        (("--ladder", "5"), 64.0),
         (("--rmax", "24"), 24.0),
     ])
     def test_rayleigh_alone_takes_the_top_rung(self, tmp_path, flags, radius):

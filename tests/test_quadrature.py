@@ -11,6 +11,7 @@ from radial_plap import quadrature as quad
 from radial_plap.quadrature import (
     CONVERGED,
     DIVERGES,
+    INCONCLUSIVE,
     LeftCumulative,
     RightCumulative,
     integrate,
@@ -40,6 +41,26 @@ class TestIntegrate:
         assert res.verdict == CONVERGED
         assert res.value == pytest.approx(exact, rel=1e-9)
         assert res.evaluations < 800
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("m, a, b", [(3, 2.0, INF), (4, 2.0, INF), (6, 2.0, INF),
+                                         (3, 0.0, 0.5), (4, 0.0, 0.5)])
+    def test_log_tail_is_never_certified_beyond_tol(self, m, a, b, tol):
+        """1/(x |log x|^m) toward infinity or 0, whose shell ratios creep to 1
+        like 1 - m/k, so the ratio drift bounds nothing: a result is
+        converged only within tol of the closed form 1/((m - 1) log(2)^(m - 1)),
+        and an inconclusive one keeps its extrapolated tail, with an error
+        estimate that covers its error (a drift bound trusted here read m = 3
+        on (2, inf) converged at tol 1e-8, 6.2e-7 off, estimating 4.7e-9)."""
+        exact = 1.0 / ((m - 1) * math.log(2.0) ** (m - 1))
+        res = integrate(lambda x: 1.0 / (x * np.abs(np.log(x)) ** m), a, b, tol=tol)
+        err = abs(res.value - exact)
+        if res.converged:
+            assert err <= tol * (1.0 + exact)
+        else:
+            assert res.verdict == INCONCLUSIVE
+            assert err <= res.abs_error_estimate
+            assert err <= 1e-5 * exact
 
     def test_log_endpoint_diverges(self):
         res = integrate(lambda r: (r - 1.0) ** -1, 1.0, 2.0)

@@ -357,8 +357,8 @@ class _ScipyOracle:
             return ours
 
         def integrate_segment(ps, lam, seg, *args):
-            self.kinds.add("r" if seg.shift is None else "log r"
-                           if seg.shift == 0.0 else "log(r - R1)")
+            in_log_offset = all(seg.fwd(r) == math.log(r - ps.R1) for r in (seg.s0, seg.s1))
+            self.kinds.add("log(r - R1)" if in_log_offset else "other")
             return integrate(ps, lam, seg, *args)
 
         monkeypatch.setattr(S, "solve_ivp", both)
@@ -404,7 +404,7 @@ class TestDop853Driver:
     def test_shoots_bit_identical_to_scipy(self, p, dual_instance, monkeypatch):
         oracle = _ScipyOracle(monkeypatch)
         zeros = []
-        # r2 = 8 integrates [2, 8] in r, r2 = 20 integrates [2, 20] in log r;
+        # every segment, [2, 8] and [2, 20] included, integrates in log(r - R1);
         # lam = 0.2 has no zero, 2 a zero past r = 2, 30 a zero before it
         for r2, lam in [(8.0, 0.2), (8.0, 2.0), (20.0, 0.2), (20.0, 2.0), (20.0, 30.0)]:
             ps = dual_instance(*CRITERION3[p], r2=r2)
@@ -412,7 +412,7 @@ class TestDop853Driver:
             zeros.append(res.first_zero)
             assert res.dense
             S._trace(res)  # evaluates the dense output, which the oracle checks
-        assert oracle.kinds == {"log(r - R1)", "r", "log r"}
+        assert oracle.kinds == {"log(r - R1)"}
         assert oracle.statuses == {0, 1}
         assert oracle.dense_points > 0
         assert zeros[0] is None and zeros[1] > 2.0 and zeros[4] < 2.0
