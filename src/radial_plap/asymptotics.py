@@ -90,13 +90,13 @@ def theoretical_exponent(ps: ProblemSpec, boundary):
     return -m[0] if end == INFINITY else m[0]
 
 
-def fit_exponent(r, u, boundary=LEFT, anchor=None):
+def fit_exponent(r, u, boundary, anchor):
     """Log-log least-squares slope of u against the boundary distance.
 
-    Left: x = log(r - anchor) with anchor = R1.  Right: x = log(anchor - r)
-    for a finite anchor radius, or x = log r when the boundary is infinity
-    (anchor None).  Returns (exponent, rms_residual).  All samples must be
-    positive and at least 8 are required.
+    Left: x = log(r - anchor) with anchor = R1, never None.  Right:
+    x = log(anchor - r) for a finite anchor radius, or x = log r when the
+    boundary is infinity (anchor None).  Returns (exponent, rms_residual).
+    All samples must be positive and at least 8 are required.
     """
     r = np.asarray(r, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -105,7 +105,8 @@ def fit_exponent(r, u, boundary=LEFT, anchor=None):
     if np.any(u <= 0.0):
         raise ValueError("nonpositive samples cannot be fitted in log-log")
     if boundary == LEFT:
-        anchor = 0.0 if anchor is None else anchor
+        if anchor is None:
+            raise ValueError("a left fit needs its anchor R1")
         x = np.log(r - anchor)
     elif anchor is not None and math.isfinite(anchor):
         x = np.log(anchor - r)

@@ -297,23 +297,15 @@ def cmd_degiorgi(args) -> int:
             K=args.K, eta=args.eta, delta1=args.d1, delta2=args.d2, J0=args.J0
         )
         thr_a, thr_b = degiorgi.threshold(params)
-        trace = degiorgi.simulate(params)
-        payload = {
-            "threshold_a": thr_a,
-            "threshold_b": thr_b,
-            "n0": trace.n0,
-            "overflowed": trace.overflowed,
-            "J_head": [float(j) for j in trace.J[:20]],
-        }
-        bad = 0
+        payload = {"threshold_a": thr_a, "threshold_b": thr_b}
         try:
-            ok, first_bad, _ = degiorgi.verify_bound(params)
-            payload["bound_verified"] = ok
-            payload["first_violation"] = first_bad
-            bad = 0 if ok else 1
-        except ValueError as exc:
-            payload["bound_verified"] = None
+            ok, payload["first_violation"], trace = degiorgi.verify_bound(params)
+        except ValueError as exc:  # outside both thresholds: the trace alone
+            ok, trace = None, degiorgi.simulate(params)
             payload["note"] = str(exc)
+        payload.update(bound_verified=ok, n0=trace.n0, overflowed=trace.overflowed,
+                       J_head=[float(j) for j in trace.J[:20]])
+        bad = int(ok is False)
     if not _write_results(args, _out_dir(args), "degiorgi", None, "degiorgi.json",
                           payload, []):
         print(json.dumps(_sanitize(payload), sort_keys=True))

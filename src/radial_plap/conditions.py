@@ -410,8 +410,7 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
     _require_exterior(ps)
     R, p, N = ps.R1, ps.p, ps.N
     v, w = ps.v, ps.w
-    lo_last = v.pieces[-1].lo
-    xi = max(lo_last + 1.0, R + 1.0, 1.25)
+    xi = _default_xi(ps, INFINITY)
     witnesses = {"xi": xi}
     if limit(magnitude(v, INFINITY)) == ZERO:
         return ConditionReport(

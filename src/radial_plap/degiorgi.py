@@ -15,6 +15,8 @@ The *equality* recursion is the worst case consistent with the inequality;
 it is simulated here both in plain floats (exact for power-of-two data) and
 in log-space (thresholds like eta^{-1/d1^2} underflow long before the lemma
 stops being checkable), and the displayed bound is verified index by index.
+:func:`verify_bound` and :func:`sweep` share :func:`_thresholds` and
+:func:`_log_bound`, which take floats or arrays.
 """
 
 from __future__ import annotations
@@ -67,14 +69,24 @@ class RecursionTrace:
     overflowed: bool = False
 
 
+def _thresholds(K, eta, d1, d2):
+    """log b1 = log((2K)^{-1/d1} eta^{-1/d1^2}) and the logs of the two
+    thresholds, min(0, log b1) and min(log b1, log b2): safe against underflow."""
+    log_2K, logeta = np.log(2.0 * K), np.log(eta)
+    log_b1 = -log_2K / d1 - logeta / d1**2
+    log_b2 = -log_2K / d2 - logeta * (1.0 / (d1 * d2) + (d2 - d1) / d2**2)
+    return log_b1, np.minimum(0.0, log_b1), np.minimum(log_b1, log_b2)
+
+
+def _log_bound(log_b1, n, logeta, d1):
+    """log of the displayed bound min(1, b1 eta^{-n/d1}) at the indices n."""
+    return np.minimum(0.0, log_b1 - n * logeta / d1)
+
+
 def threshold_log(params: RecursionParams):
     """Logs of the two threshold alternatives (safe against underflow)."""
-    K, eta, d1, d2 = params.K, params.eta, params.delta1, params.delta2
-    log_b1 = -math.log(2.0 * K) / d1 - math.log(eta) / d1**2
-    log_b2 = -math.log(2.0 * K) / d2 - math.log(eta) * (
-        1.0 / (d1 * d2) + (d2 - d1) / d2**2
-    )
-    return min(0.0, log_b1), min(log_b1, log_b2)
+    _, la, lb = _thresholds(params.K, params.eta, params.delta1, params.delta2)
+    return float(la), float(lb)
 
 
 def threshold(params: RecursionParams):
@@ -140,21 +152,18 @@ def verify_bound(params: RecursionParams):
     Requires J_0 to satisfy one of the two threshold alternatives.  Returns
     (ok, first_violation_index_or_None, trace).
     """
-    la, lb = threshold_log(params)
+    log_b1, la, lb = _thresholds(params.K, params.eta, params.delta1, params.delta2)
     L0 = params.start_log
     if not (L0 <= la + 1e-12 or L0 <= lb + 1e-12):
         raise ValueError("J0 satisfies neither threshold alternative")
     trace = simulate(params)
     if trace.n0 is None:
         return False, 0, trace
-    K, eta, d1 = params.K, params.eta, params.delta1
-    log_b1 = -math.log(2.0 * K) / d1 - math.log(eta) / d1**2
-    n = np.arange(len(trace.log_J))
-    log_bound = np.minimum(0.0, log_b1 - n * math.log(eta) / d1)
-    sel = n >= trace.n0
-    bad = np.nonzero(trace.log_J[sel] > log_bound[sel] + _SLACK)[0]
+    n = np.arange(trace.n0, len(trace.log_J))
+    log_bound = _log_bound(log_b1, n, np.log(params.eta), params.delta1)
+    bad = np.nonzero(trace.log_J[trace.n0:] > log_bound + _SLACK)[0]
     if len(bad):
-        return False, int(n[sel][bad[0]]), trace
+        return False, int(n[bad[0]]), trace
     return True, None, trace
 
 
@@ -164,8 +173,10 @@ _LOG_CLAMP = -1e290
 #: of logaddexp sits below half an ulp of the d1 term (e^-40 < 2^-53)
 _AFFINE_GAP = 40.0
 #: steps per closed-form block, at most _BLOCK and about _BLOCK_CELLS over
-#: the live draws: the block's two (draws x steps) arrays stay at 64 KB
+#: the live draws: the block's (draws x steps) arrays stay at 64 KB each
 _BLOCK, _BLOCK_CELLS = 64, 8192
+#: draws per seeded chunk of samples
+_CHUNK = 250
 
 
 def _draws(size, rng_key):
@@ -215,22 +226,18 @@ def _advance(K, eta, d1, d2, alternative, n_max, margin):
     and L_k only decreases; then |L_k| >= |L_n|,
     exp(-(d2-d1)|L_k|) < 2^-53, and logaddexp returns exactly (1+d1) L_k.
     A draw at a deep bound qualifies: L_n <= bound_n =
-    min(0, log_b1 - n log(eta)/d1) < 0 gives D_n <= -log(eta)/d1 - log 2.
-    Every index of a block is still checked against the bound, and the
-    clamp and retirement rules are the exact step's.  Draws with d1 == d2
-    never switch.
+    min(0, log_b1 - n log(eta)/d1) < 0 gives D_n <= -log(eta)/d1 - log 2,
+    and its affine step lands log 2 below bound_{n+1} (2K b1^d1 = eta^-1/d1).
+    Every draw enters a block at or below its bound, so the block's check of
+    each index guards only the rounding of the closed form, whose clamp and
+    retirement rules are the exact step's.  Draws with d1 == d2 never switch.
     """
     logK, logeta = np.log(K), np.log(eta)
-    log_b1 = -np.log(2.0 * K) / d1 - logeta / d1**2
-    if alternative == "a":
-        target = np.minimum(0.0, log_b1)
-    else:
-        log_b2 = -np.log(2.0 * K) / d2 - logeta * (1.0 / (d1 * d2)
-                                                   + (d2 - d1) / d2**2)
-        target = np.minimum(log_b1, log_b2)
-    L = math.log(margin) + target
+    log_b1, thr_a, thr_b = _thresholds(K, eta, d1, d2)
+    L = math.log(margin) + (thr_a if alternative == "a" else thr_b)
     n0 = np.where(L <= 0.0, 0, -1)
-    first_bad = np.full(K.size, -1)
+    first_bad = np.where((n0 == 0) & (L > _log_bound(log_b1, 0, logeta, d1) + _SLACK), 0, -1)
+    L[first_bad == 0] = _LOG_CLAMP  # its answer is final: park it at the clamp
     live = np.arange(K.size)  # draw indices still advancing
     m0 = n0.copy()  # n0 of the live draws
     e1, e2 = 1.0 + d1, 1.0 + d2
@@ -244,12 +251,8 @@ def _advance(K, eta, d1, d2, alternative, n_max, margin):
                 k = min(max(_BLOCK_CELLS // live.size, 1), _BLOCK, n_max - n)
                 block = _affine_block(L, n, k, logK, logeta, e1)
                 np.maximum(block, _LOG_CLAMP, out=block)
-                bound = np.multiply(np.arange(n + 1, n + k + 1), logeta[:, None])
-                bound /= d1[:, None]
-                np.subtract(log_b1[:, None], bound, out=bound)
-                np.minimum(bound, 0.0, out=bound)
-                bound += _SLACK
-                viol = block > bound
+                viol = block > _log_bound(log_b1[:, None], np.arange(n + 1, n + k + 1),
+                                          logeta[:, None], d1[:, None]) + _SLACK
                 bad = viol.any(axis=1)
                 first_bad[live[bad]] = n + 1 + viol[bad].argmax(axis=1)
                 L = block[:, -1].copy()
@@ -258,7 +261,7 @@ def _advance(K, eta, d1, d2, alternative, n_max, margin):
                 n += 1
                 L = logK + (n - 1) * logeta + np.logaddexp(e1 * L, e2 * L)
                 L = np.maximum(L, _LOG_CLAMP)
-                bad = L > np.minimum(0.0, log_b1 - n * logeta / d1) + _SLACK
+                bad = L > _log_bound(log_b1, n, logeta, d1) + _SLACK
                 if not found:
                     m0 = np.where((m0 < 0) & (L <= 0.0), n, m0)
                     bad &= m0 >= 0
@@ -276,25 +279,26 @@ def _advance(K, eta, d1, d2, alternative, n_max, margin):
 
 
 def sweep(n_draws=1000, seed=0, alternative="a", n_max=10_000, margin=0.99,
-          workers=1, chunk=250):
+          workers=1):
     """Randomized verification sweep at J0 = margin * threshold.
 
     K log-uniform in [1e-2, 1e3], eta uniform in (1, 10], 0 < d1 <= d2 <= 3.
-    The samples are drawn in chunks of ``chunk`` seeded by (seed, index),
+    The samples are drawn in chunks of ``_CHUNK`` seeded by (seed, index),
     then all draws advance together in log space (the thresholds underflow
     any float for small d1).  A draw is retired once its answer is final:
     once its log J sits at the -1e290 deep-decay clamp (<= 0, so its n0 is
     found), or at its first violation (its n0 is found by then; it is
-    parked at the clamp).  The clamp is a fixpoint: the next step gives
-    -(1+d1) 1e290 plus at most logK + n log(eta), far below it, and since
-    every bound is >= -3e12 a draw there can violate nothing later.
+    parked at the clamp); as in :func:`verify_bound`, a J0 above the bound
+    at n0 = 0 violates at index 0.  The clamp is a fixpoint: the next step
+    gives -(1+d1) 1e290 plus at most logK + n log(eta), far below it, and
+    since every bound is >= -3e12 a draw there can violate nothing later.
     All draws run in one pass; ``workers`` accepts only 1 and goes with the
     benchmark's next change, which drops the one caller that passes it.
     Returns the counterexample count (expected 0) plus the largest n0 seen.
     """
     if workers != 1:
         raise ValueError("sweep runs its draws in one pass: workers must be 1")
-    sizes = [min(chunk, n_draws - s) for s in range(0, n_draws, chunk)]
+    sizes = [min(_CHUNK, n_draws - s) for s in range(0, n_draws, _CHUNK)]
     chunks = [_draws(sz, [seed, idx]) for idx, sz in enumerate(sizes)]
     draws = [np.concatenate(cols) for cols in zip(*chunks or [_draws(0, seed)])]
     n0, first_bad = _advance(*draws, alternative, n_max, margin)

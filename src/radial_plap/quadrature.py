@@ -76,21 +76,21 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+#: points one call of :func:`integrate` may evaluate
+_BUDGET = 10**6
+
+
 class _Counted:
-    """Wrap an array integrand, counting points against a budget.
+    """Wrap an array integrand, counting points against ``_BUDGET``: checked
+    before a batch is evaluated, so a batch that would overrun it is never
+    computed."""
 
-    The budget is checked before a batch is evaluated, so a batch that
-    would overrun it is never computed.
-    """
-
-    def __init__(self, f, budget):
-        self.f = f
-        self.budget = budget
-        self.n = 0
+    def __init__(self, f):
+        self.f, self.n = f, 0
 
     def __call__(self, x):
         self.n += x.size
-        if self.n > self.budget:
+        if self.n > _BUDGET:
             raise BudgetExceeded
         return self.f(x)
 
@@ -202,6 +202,11 @@ _ABS_FLOOR = 1e-280
 _DIVERGE_CAP = 1e12
 
 
+def _settles(x, noise):
+    """Whether the last change of ``x`` is at most 0.75 of the one before, or noise."""
+    return abs(x[-1] - x[-2]) <= max(0.75 * abs(x[-2] - x[-3]), noise)
+
+
 def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
     """Sum shell integrals with geometric tail extrapolation.
 
@@ -209,16 +214,16 @@ def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
     endpoint (or out along the tail).  Shell sums of a power endpoint are
     exactly geometric, so the ratio-extrapolated tail is exact there; the
     ratio drift bounds the extrapolation error for everything nearby while
-    its changes shrink.  On a log tail they do not, and the latest
-    extrapolation stands with an infinite error.  A drift like 2^-k (a
-    smooth factor, or octaves of offsets about R1 on a tail that is a power
-    of r) is removed by one more Δ² step over the extrapolations.  A shell
-    a few ulps of its edges wide (toward a nonzero endpoint; never toward 0)
-    ends the march with the best candidate seen, not a silently truncated
-    sum.  Returns (value, err, verdict).
+    its changes shrink (:func:`_settles`).  On a log tail they do not, and
+    the latest extrapolation stands with an infinite error.  A drift like
+    2^-k (a smooth factor, or octaves of offsets about R1 on a tail that is
+    a power of r) is removed by one more Δ² step over the extrapolations.
+    A shell a few ulps of its edges wide (toward a nonzero endpoint; never
+    toward 0) ends the march: inconclusive, with the best candidate seen,
+    not a silently truncated sum.  Returns (value, err, verdict).
     """
     total = err = 0.0
-    shells, cands, accs = [], [], []
+    shells, cands, qs, accs = [], [], [], []
     best = None  # (value, err): the most trusted extrapolation, or the latest unbounded one
     for k, (x0, x1) in enumerate(shell_iter):
         if x1 - x0 <= 64.0 * _EPMACH * max(abs(x0), abs(x1)):
@@ -248,15 +253,18 @@ def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
         tail_err = abs(s) * (max(recent) - min(recent)) / (1.0 - rbar) ** 2 + floor
         # no bound unless the ratio changes shrink (or sit at the shells'
         # rounding); on a log tail the ratios creep to 1 like 1 - m/k
-        if abs(recent[2] - recent[1]) > max(0.75 * abs(recent[1] - recent[0]), 4.0 * e / abs(s)):
+        if not _settles(recent, 4.0 * e / abs(s)):
             tail_err = INF
-        # the Δ² step over the last three extrapolations, whose changes must
-        # shrink by a steady q (logarithmic tails, q -> 1, are left alone),
-        # trusted once two in a row agree better than the drift bound
+        # the Δ² step over the last three extrapolations, whose changes
+        # shrink by a q < 0.75 that settles where no drift bound holds (on a
+        # log tail q creeps to 1), trusted once two in a row beat that bound
         cands = cands[-2:] + [value]
         d1, d2 = (cands[1] - cands[0], cands[2] - cands[1]) if len(cands) == 3 else (0.0, 0.0)
         q = d2 / d1 if d1 != 0.0 else 0.0
-        accs = accs[-1:] + [value + d2 * q / (1.0 - q) if 0.0 < q < 0.75 else None]
+        qs = qs[-2:] + [q] if len(cands) == 3 else []
+        trusted = 0.0 < q < 0.75 and (tail_err < INF or len(qs) == 3
+                                      and _settles(qs, 4.0 * floor / abs(d1)))
+        accs = accs[-1:] + [value + d2 * q / (1.0 - q) if trusted else None]
         if len(accs) == 2 and None not in accs:
             acc_err = abs(accs[1] - accs[0]) + floor
             if acc_err < tail_err:
@@ -265,11 +273,9 @@ def _analyze_shells(shell_iter, f, rtol, scale, tol_goal, points):
             best = (value, err + tail_err)
         if tail_err <= 0.25 * tol_goal * (scale + abs(value)):
             return value, err + tail_err, CONVERGED
-    if best is None:  # no trusted extrapolation bounds the missing tail
-        return total, INF, INCONCLUSIVE
-    value, tail_err = best
-    ok = tail_err <= 0.5 * tol_goal * (1.0 + abs(value))
-    return value, tail_err, CONVERGED if ok else INCONCLUSIVE
+    # short of the rule above; with no extrapolation, nothing bounds the tail
+    value, err = best or (total, INF)
+    return value, err, INCONCLUSIVE
 
 
 def _shells(end, d):
@@ -280,7 +286,7 @@ def _shells(end, d):
         yield (near, far) if d > 0.0 else (far, near)
 
 
-def integrate(f, a, b, tol=1e-10, budget=10**6, points=()):
+def integrate(f, a, b, tol=1e-10, points=()):
     """Integrate ``f`` over (a, b) with endpoint singularities allowed.
 
     ``f`` maps a 1-D array of abscissae to the array of its values; it is
@@ -293,7 +299,7 @@ def integrate(f, a, b, tol=1e-10, budget=10**6, points=()):
     end.  The result's verdict is ``converged`` only if the combined error
     estimate meets ``tol * (1 + |value|)``; divergence is
     reported when shell sums exceed ``_DIVERGE_CAP`` or endpoint shells
-    persistently fail to decay.  ``budget`` caps the points evaluated; a
+    persistently fail to decay.  ``_BUDGET`` caps the points evaluated; a
     batch that would exceed it is not evaluated, and the result is
     ``inconclusive``, never a silently truncated value.  ValueError unless
     a < b and ``tol`` is finite and positive.
@@ -302,7 +308,7 @@ def integrate(f, a, b, tol=1e-10, budget=10**6, points=()):
         raise ValueError(f"need a < b, got ({a}, {b})")
     if not 0.0 < tol < INF:
         raise ValueError(f"tol must be finite and positive, not {tol}")
-    cf = _Counted(f, budget)
+    cf = _Counted(f)
     try:
         value, err, verdict = _driver(cf, a, b, tol, sorted({float(x) for x in points}))
     except BudgetExceeded:

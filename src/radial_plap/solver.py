@@ -320,12 +320,9 @@ def _margin(lam, plan, matcher=None):
 
 def _coarse_lambda_estimate(ps):
     mesh = make_mesh(ps, n_core=200, per_decade=6)
-    phi = ps.phi_rho_conj(mesh.nodes)
-    hat = np.minimum(phi, phi[-1] - phi + phi[0] * 1e-6)
-    hat = np.maximum(hat, 1e-12 * np.max(hat))
     # an envelope near the float range overflows the quotient's p-th powers
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = rayleigh_quotient(ps, mesh, hat)
+        lam = rayleigh_quotient(ps, mesh, envelope_hat(ps, mesh))
     if not 0.0 < lam < math.inf:
         raise SolverError(f"no starting estimate for lam_1: the Rayleigh quotient "
                           f"of the envelope hat is {lam}")
@@ -602,11 +599,11 @@ def _quotient(p, kappa, dmass, u):
 
 
 def envelope_hat(ps: ProblemSpec, mesh: Mesh):
-    """Positive initial guess shaped like min(left, right) envelope."""
+    """Positive hat min(Φ, Φ_last − Φ + 1e-6 Φ_first) on the nodes, Φ the left
+    envelope, floored at 1e-12 of its max: where Rayleigh and shooting start."""
     phi = ps.phi_rho_conj(mesh.nodes)
-    total = ps.phi_rho_conj(mesh.r_end)
-    hat = np.minimum(phi, total - phi)
-    return np.maximum(hat, 1e-10 * np.max(hat))
+    hat = np.minimum(phi, phi[-1] - phi + phi[0] * 1e-6)
+    return np.maximum(hat, 1e-12 * np.max(hat))
 
 
 def _inverse_step(p, kappa, dmass, u):

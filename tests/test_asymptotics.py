@@ -54,22 +54,28 @@ class TestFitExponent:
         assert slope == pytest.approx(0.75, abs=1e-10)
         assert resid < 1e-10
 
+    def test_left_fit_needs_its_anchor(self):
+        """A left fit against no anchor is refused: it would fit log r, not log(r - R1)."""
+        r = 1.0 + np.geomspace(1e-4, 1e-2, 20)
+        with pytest.raises(ValueError, match="anchor"):
+            A.fit_exponent(r, (r - 1.0) ** 0.75, boundary="left", anchor=None)
+
     def test_exact_power_right(self):
         r = np.geomspace(10.0, 1e3, 25)
         u = r**-1.5
-        slope, resid = A.fit_exponent(r, u, boundary="right")
+        slope, resid = A.fit_exponent(r, u, boundary="right", anchor=None)
         assert slope == pytest.approx(-1.5, abs=1e-10)
         assert resid < 1e-10
 
     def test_rejects_nonpositive(self):
         r = np.linspace(2.0, 3.0, 10)
         with pytest.raises(ValueError):
-            A.fit_exponent(r, np.linspace(-1, 1, 10), boundary="right")
+            A.fit_exponent(r, np.linspace(-1, 1, 10), boundary="right", anchor=None)
 
     def test_needs_eight_samples(self):
         r = np.linspace(2.0, 3.0, 5)
         with pytest.raises(A.WindowError):
-            A.fit_exponent(r, r, boundary="right")
+            A.fit_exponent(r, r, boundary="right", anchor=None)
 
 
 class TestSandwich:

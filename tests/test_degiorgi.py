@@ -112,16 +112,17 @@ class TestVerifyBound:
         assert ok, (logK, eta, d1, d2, bad)
 
 
-def _stepwise(K, eta, d1, d2, alternative, n_max, margin, slack=1e-9):
+def _stepwise(K, eta, d1, d2, alternative, n_max, margin, slack=1e-9, check_j0=True):
     """The sweep's recursion one index at a time over every draw, with no
-    draw retired early and no closed-form block; returns (n0, first_bad)."""
+    draw retired early and no closed-form block; returns (n0, first_bad).
+    ``check_j0=False`` leaves J_0 unchecked against the bound."""
     logK, logeta = np.log(K), np.log(eta)
     log_b1 = -np.log(2.0 * K) / d1 - logeta / d1**2
     log_b2 = -np.log(2.0 * K) / d2 - logeta * (1.0 / (d1 * d2) + (d2 - d1) / d2**2)
     target = np.minimum(0.0, log_b1) if alternative == "a" else np.minimum(log_b1, log_b2)
     L = math.log(margin) + target
     n0 = np.where(L <= 0.0, 0, -1)
-    first_bad = np.full(K.size, -1)
+    first_bad = np.where(check_j0 & (n0 == 0) & (L > np.minimum(0.0, log_b1) + slack), 0, -1)
     with np.errstate(over="ignore"):
         for n in range(1, n_max + 1):
             L = logK + (n - 1) * logeta + np.logaddexp((1.0 + d1) * L, (1.0 + d2) * L)
@@ -161,9 +162,9 @@ class TestAffineBlocks:
     must give the stepwise oracle's n0 and first_bad arrays exactly."""
 
     @staticmethod
-    def assert_matches(draws, alternative, margin, n_max=10_000):
+    def assert_matches(draws, alternative, margin, n_max=10_000, check_j0=True):
         got = D._advance(*draws, alternative, n_max, margin)
-        want = _stepwise(*draws, alternative, n_max, margin)
+        want = _stepwise(*draws, alternative, n_max, margin, check_j0=check_j0)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
         return want
@@ -173,19 +174,40 @@ class TestAffineBlocks:
     def test_sweep_draws(self, seed, alternative):
         self.assert_matches(D._draws(250, [seed, 0]), alternative, 0.99)
 
-    @pytest.mark.parametrize("margin", [1.5, 3.0])
-    def test_violations_inside_the_first_block(self, margin):
-        """Small d1 and a wide gap switch to blocks at n = 0.  At margin 3
-        every draw violates at n = 1, inside the first block; at 1.5 the
-        gap to the bound grows from the first step (log 2 > (1+d1) log 1.5),
-        so none does."""
+    @staticmethod
+    def _gap_draws():
+        """Small d1 and a wide gap: every draw switches to blocks at n = 0."""
         rng = np.random.default_rng(17)
         size = 64
         d1 = rng.uniform(1e-3, 1e-2, size)
-        draws = (10.0 ** rng.uniform(0.0, 2.0, size), rng.uniform(1.5, 5.0, size),
-                 d1, d1 + rng.uniform(0.1, 2.0, size))
+        return (10.0 ** rng.uniform(0.0, 2.0, size), rng.uniform(1.5, 5.0, size),
+                d1, d1 + rng.uniform(0.1, 2.0, size))
+
+    @pytest.mark.parametrize("margin", [1.5, 3.0])
+    def test_j0_above_the_bound_violates_at_index_0(self, margin):
+        """b1 is the smaller threshold here, so J_0 = margin b1 exceeds the
+        bound at n = 0 and every draw is parked there, before any block."""
         for alternative in "ab":
-            n0, first_bad = self.assert_matches(draws, alternative, margin, n_max=300)
+            n0, first_bad = self.assert_matches(self._gap_draws(), alternative, margin,
+                                                n_max=300)
+            assert np.all(n0 == 0)
+            assert np.all(first_bad == 0)
+
+    @pytest.mark.parametrize("margin", [1.5, 3.0])
+    def test_violations_inside_the_first_block(self, margin, monkeypatch):
+        """With J_0 left unchecked (no bound at n = 0) the same draws enter a
+        block at n = 0 from above their bound.  At margin 3 every draw
+        violates at n = 1, inside the first block; at 1.5 the gap to the
+        bound grows from the first step (log 2 > (1+d1) log 1.5), so none
+        does.  A draw that enters a block at or below its bound cannot
+        violate there (see :func:`radial_plap.degiorgi._advance`), so only
+        this route reaches the block's violation check."""
+        log_bound = D._log_bound
+        monkeypatch.setattr(D, "_log_bound", lambda log_b1, n, logeta, d1: np.where(
+            np.equal(n, 0), np.inf, log_bound(log_b1, n, logeta, d1)))
+        for alternative in "ab":
+            n0, first_bad = self.assert_matches(self._gap_draws(), alternative, margin,
+                                                n_max=300, check_j0=False)
             assert np.all(n0 == 0)
             assert np.all(first_bad == (1 if margin == 3.0 else -1))
 
@@ -198,13 +220,14 @@ class TestAffineBlocks:
 class TestSweep:
     @pytest.mark.parametrize("alternative", ["a", "b"])
     @pytest.mark.parametrize("margin, count", [(0.99, 0), (2.0, 176)])
-    def test_matches_reference_loop(self, alternative, margin, count):
+    def test_matches_reference_loop(self, alternative, margin, count, monkeypatch):
         kw = dict(n_draws=200, seed=3, alternative=alternative, n_max=2000, margin=margin)
         ref = _reference_sweep(**kw)
         assert ref["counterexamples"] == count
         assert D.sweep(**kw) == ref
         # chunks of 64 draw other samples and leave a short last chunk
-        assert D.sweep(**kw, chunk=64) == _reference_sweep(**kw, chunk=64)
+        monkeypatch.setattr(D, "_CHUNK", 64)
+        assert D.sweep(**kw) == _reference_sweep(**kw, chunk=64)
 
     def test_runs_in_one_pass(self):
         kw = dict(n_draws=50, seed=4, n_max=500)
@@ -222,6 +245,32 @@ class TestSweep:
         a = D.sweep(100, seed=9, alternative="a")
         b = D.sweep(100, seed=9, alternative="a")
         assert a == b
+
+
+class TestSingleDrawAgainstTheSweep:
+    """verify_bound, one draw at a time, against the sweep engine: on every
+    draw the same n0 and the same first violation (-1 for none)."""
+
+    @pytest.mark.parametrize("alternative", ["a", "b"])
+    @pytest.mark.parametrize("margin", [0.99, 2.0, 1.0 + 1e-7])
+    def test_same_n0_and_first_violation(self, alternative, margin, monkeypatch):
+        n_max = 1000
+        draws = D._draws(1000, [11, 0])
+        n0, first_bad = D._advance(*draws, alternative, n_max, margin)
+        _, thr_a, thr_b = D._thresholds(*draws)
+        starts = math.log(margin) + (thr_a if alternative == "a" else thr_b)
+        if margin > 1.0:  # past its threshold verify_bound refuses: lift that check alone
+            thresholds = D._thresholds
+            monkeypatch.setattr(D, "_thresholds",
+                                lambda *a: (thresholds(*a)[0], math.inf, math.inf))
+        for i, (K, eta, d1, d2) in enumerate(zip(*(x.tolist() for x in draws))):
+            p = D.RecursionParams(K=K, eta=eta, delta1=d1, delta2=d2, J0=1.0,
+                                  log_J0=float(starts[i]), n_max=n_max)
+            ok, bad, trace = D.verify_bound(p)
+            want = (-1, -1) if trace.n0 is None else (trace.n0, -1 if ok else bad)
+            assert (n0[i], first_bad[i]) == want, (i, K, eta, d1, d2)
+        if margin == 2.0:
+            assert np.count_nonzero(first_bad >= 0) > 500
 
 
 class TestDominance:

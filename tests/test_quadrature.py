@@ -42,25 +42,28 @@ class TestIntegrate:
         assert res.value == pytest.approx(exact, rel=1e-9)
         assert res.evaluations < 800
 
-    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
-    @pytest.mark.parametrize("m, a, b", [(3, 2.0, INF), (4, 2.0, INF), (6, 2.0, INF),
-                                         (3, 0.0, 0.5), (4, 0.0, 0.5)])
-    def test_log_tail_is_never_certified_beyond_tol(self, m, a, b, tol):
-        """1/(x |log x|^m) toward infinity or 0, whose shell ratios creep to 1
-        like 1 - m/k, so the ratio drift bounds nothing: a result is
-        converged only within tol of the closed form 1/((m - 1) log(2)^(m - 1)),
-        and an inconclusive one keeps its extrapolated tail, with an error
-        estimate that covers its error (a drift bound trusted here read m = 3
-        on (2, inf) converged at tol 1e-8, 6.2e-7 off, estimating 4.7e-9)."""
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("m", range(2, 11))
+    @pytest.mark.parametrize("a, b", [(2.0, INF), (0.0, 0.5)])
+    def test_log_tail_is_never_certified_beyond_tol(self, a, b, m, tol):
+        """1/(r log^m r) on (2, inf) and 1/(t |log t|^m) on (0, 1/2), whose
+        shell ratios creep to 1 like 1 - m/k, so the ratio drift bounds
+        nothing: a result is converged only within tol of the closed form
+        1/((m - 1) log(2)^(m - 1)) and within its own error estimate, and an
+        inconclusive one keeps its extrapolated tail, with an error estimate
+        that covers its error (a drift bound trusted here read m = 3 on
+        (2, inf) converged at tol 1e-8, 6.2e-7 off, estimating 4.7e-9; a Δ²
+        step trusted while its ratio crept to 1 read m = 5 converged at tol
+        1e-6, 7.1e-7 off, estimating 3.3e-7)."""
         exact = 1.0 / ((m - 1) * math.log(2.0) ** (m - 1))
         res = integrate(lambda x: 1.0 / (x * np.abs(np.log(x)) ** m), a, b, tol=tol)
         err = abs(res.value - exact)
+        assert err <= res.abs_error_estimate
         if res.converged:
             assert err <= tol * (1.0 + exact)
         else:
             assert res.verdict == INCONCLUSIVE
-            assert err <= res.abs_error_estimate
-            assert err <= 1e-5 * exact
+            assert err <= (2e-3 if m == 2 else 1e-5) * exact
 
     def test_log_endpoint_diverges(self):
         res = integrate(lambda r: (r - 1.0) ** -1, 1.0, 2.0)
@@ -72,8 +75,9 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             integrate(lambda r: r, 1.0, 2.0, tol=tol)
 
-    def test_budget_reported(self):
-        res = integrate(lambda r: (r - 1.0) ** -0.5, 1.0, 2.0, budget=30)
+    def test_budget_reported(self, monkeypatch):
+        monkeypatch.setattr(quad, "_BUDGET", 30)
+        res = integrate(lambda r: (r - 1.0) ** -0.5, 1.0, 2.0)
         assert res.verdict == "inconclusive"
 
     def test_evaluation_count(self):
@@ -95,14 +99,15 @@ class TestIntegrate:
         assert res.evaluations == sum(sizes)
         assert len(sizes) * 10 < res.evaluations  # whole GK21 panels per call
 
-    def test_budget_counts_points_before_evaluating(self):
+    def test_budget_counts_points_before_evaluating(self, monkeypatch):
+        monkeypatch.setattr(quad, "_BUDGET", 50)
         seen = []
 
         def f(r):
             seen.append(r.size)
             return np.cos(r)
 
-        res = integrate(f, 0.0, 1.0, budget=50)
+        res = integrate(f, 0.0, 1.0)
         assert res.verdict == "inconclusive"
         assert sum(seen) <= 50 < res.evaluations
 
