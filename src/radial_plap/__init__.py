@@ -30,7 +30,6 @@ from .quadrature import (  # noqa: F401
     LeftCumulative,
     RightCumulative,
     integrate,
-    integrate_exact_powerlog,
 )
 from .conditions import (  # noqa: F401
     ConditionReport,
@@ -59,8 +58,6 @@ from .asymptotics import (  # noqa: F401
     AsymptoticVerdict,
     WindowError,
     default_window,
-    envelope_left,
-    envelope_right,
     fit_exponent,
     sandwich_check,
     theoretical_exponent,

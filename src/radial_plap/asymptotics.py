@@ -66,20 +66,6 @@ class AsymptoticVerdict:
         }
 
 
-def envelope_left(ps: ProblemSpec, r):
-    """∫_{R1}^{r} rho^{1-p'}; errors if that integral diverges."""
-    if ps.phi_rho_conj.divergent:
-        raise ValueError("rho^(1-p') not integrable near R1: left envelope undefined")
-    return ps.phi_rho_conj(r)
-
-
-def envelope_right(ps: ProblemSpec, r):
-    """∫_{r}^{R2} rho^{1-p'}; errors if that integral diverges."""
-    if ps.psi_rho_conj.divergent:
-        raise ValueError("rho^(1-p') not integrable near R2: right envelope undefined")
-    return ps.psi_rho_conj(r)
-
-
 def theoretical_exponent(ps: ProblemSpec, boundary):
     """Envelope's own decay power: (r-R1)-power a+1 on the left, r-power e+1
     at infinity, 1 at a finite right end; None at log-critical exponents."""
@@ -134,7 +120,7 @@ def default_window(ps: ProblemSpec, eig: Eigenpair, boundary):
 
     At a finite end: (eta, 10 eta) away from it, with the envelope at
     distance eta equal to ``_WINDOW_LEVEL`` * max u.  Right at infinity:
-    one envelope decade between the radii where envelope_right equals 1e-2
+    one envelope decade between the radii where ∫_r^∞ rho^{1-p'} equals 1e-2
     and 1e-3 of max u (the literal 1e-4 rule would need truncation radii far
     beyond what polynomial-tail contamination allows; the achieved window is
     reported either way); WindowError, naming the truncation radius needed,
@@ -173,7 +159,8 @@ def sandwich_check(eig: Eigenpair, ps: ProblemSpec, boundary,
     is theoretically forced, |fitted - theoretical| <= ``_EXPONENT_TOL``.  The
     derivative sandwich (flux between positive constants, equivalently
     |u'| between multiples of rho^{1-p'}) is reported in ``extras``.
-    A zero of u inside the window contradicts nonoscillation and errors.
+    A zero of u inside the window contradicts nonoscillation and errors, as
+    does an envelope that diverges at its end.
     """
     if window is None:
         window = default_window(ps, eig, boundary)
@@ -191,7 +178,10 @@ def sandwich_check(eig: Eigenpair, ps: ProblemSpec, boundary,
             "u has a zero inside the verification window (contradicts "
             "nonoscillation; window too wide or problem invalid)"
         )
-    env = envelope_left(ps, rs) if boundary == LEFT else envelope_right(ps, rs)
+    side, cumulative = ("R1", ps.phi_rho_conj) if boundary == LEFT else ("R2", ps.psi_rho_conj)
+    if cumulative.divergent:
+        raise ValueError(f"rho^(1-p') not integrable near {side}: {boundary} envelope undefined")
+    env = cumulative(rs)
     ratio = us / env
     ratio_min, ratio_max = float(np.min(ratio)), float(np.max(ratio))
     # drop the 2 samples nearest the analyzed boundary: integrator startup

@@ -424,7 +424,7 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
             f"v^(-1/(p-1)) not integrable near R (v exponent {a_v} >= p-1)",
         )
     phi_vinv = quad.LeftCumulative(vinv.restricted(R, xi))
-    witnesses["int_vinv_R_xi"] = phi_vinv(xi * (1.0 - 1e-12))
+    witnesses["int_vinv_R_xi"] = phi_vinv.at(xi - R)
     # (∫_R^r v^(-1/(p-1)))^(p-1) ~ (r-R)^(p-1-a_v), formed without rounding
     # -1/(p-1) into the exponent
     inner = mul(magnitude(w, LEFT_R1), (p - 1.0 - a_v, 0.0, 0.0))
@@ -444,9 +444,9 @@ def check_W1(ps: ProblemSpec) -> ConditionReport:
     else:
         tail_model = w.restricted(xi, INF).times(b=N - 1.0, l=N - 1.0)
         label = "∫_ξ^∞ [r log r]^(N-1) w dr"
-    res2 = quad.integrate_exact_powerlog(tail_model, a=xi)
-    witnesses["I2"] = res2.value
-    if res2.diverges:
+    tail = quad.RightCumulative(tail_model)
+    witnesses["I2"] = tail.at(xi - R)
+    if tail.divergent:
         return ConditionReport("W1", FAILS, witnesses, _failed_probes(f"{label} diverges", failed))
     notes = ""
     if all(pc.a == 0 and pc.b == 0 and pc.l == 0 for pc in v.pieces) and \
@@ -477,9 +477,9 @@ def check_W2(ps: ProblemSpec) -> ConditionReport:
         )
     witnesses["int_rho_conj_xi_inf"] = ps.psi_rho_conj(xi)
     m1 = w.restricted(R, xi).times(a=p - 1.0)
-    res1 = quad.integrate_exact_powerlog(m1)
-    witnesses["I1"] = res1.value
-    if res1.diverges:
+    phi1 = quad.LeftCumulative(m1)
+    witnesses["I1"] = phi1.at(xi - R)
+    if phi1.divergent:
         return ConditionReport(
             "W2", FAILS, witnesses, "∫_R^ξ (r-R)^(p-1) w dr diverges"
         )

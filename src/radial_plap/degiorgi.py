@@ -46,6 +46,11 @@ class RecursionParams:
     log_J0: float | None = None  # overrides J0 when the value underflows
 
     def __post_init__(self):
+        # Python floats, so plain-track overflow raises OverflowError rather
+        # than the RuntimeWarning of a numpy scalar
+        for name in ("K", "eta", "delta1", "delta2", "J0", "log_J0"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.K < math.inf:
             raise ValueError("K must be finite and positive")
         if not 1.0 < self.eta < math.inf:

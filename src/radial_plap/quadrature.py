@@ -20,23 +20,26 @@ digit of the distance to R1.  They are kept deliberately independent:
   numerics cannot certify divergence of arbitrary integrands at exponent
   boundaries.
 
-* :func:`integrate_exact_powerlog` takes a piecewise power-log model, decides
-  convergence from exponents alone (left endpoint needs power > -1; a tail
-  needs power < -1, or == -1 with log power < -1), and evaluates by closed
-  form where the antiderivative is elementary, else numerically.  Finite
-  spans go through one panel kernel over offset cells, which evaluates the
-  pieces with :meth:`~radial_plap.weights.PowerLogPiece.value`: each cell
-  is split geometrically until a panel spans a ratio of at most 2 in the
-  distance to its nearest singular factor, and fixed 32-point
-  Gauss-Legendre panels then sit at rounding level.  At the singular origin
-  either ``t = y**m`` makes the integrand smooth or two Taylor terms
-  integrate exactly against ``t**A`` on a tiny first stretch; tails use
-  ``r = e**s``, which turns them into exponentially decaying integrands.
+* :class:`LeftCumulative` / :class:`RightCumulative` are the exact route
+  for a piecewise power-log model: its one-sided integrals from R1 or to
+  R2, as fast callables (``at`` offsets, or radii), two orientations of
+  one body (:class:`_Cumulative`).  Convergence at the end an integral
+  starts from is decided from exponents alone (``divergent``: R1 needs
+  power > -1; a tail needs power < -1, or == -1 with log power < -1), and
+  a divergent integral reads inf.  Values come by closed form where the
+  antiderivative is elementary, else numerically: finite spans go through
+  one panel kernel over offset cells, which evaluates the pieces with
+  :meth:`~radial_plap.weights.PowerLogPiece.value`; each cell is split
+  geometrically until a panel spans a ratio of at most 2 in the distance
+  to its nearest singular factor, and fixed 32-point Gauss-Legendre panels
+  then sit at rounding level.  At the singular origin either ``t = y**m``
+  makes the integrand smooth or two Taylor terms integrate exactly against
+  ``t**A`` on a tiny first stretch; tails use ``r = e**s``, which turns
+  them into exponentially decaying integrands.  :func:`interval_integrals`
+  gives the integrals over cells, and an integral over a sub-interval is a
+  cumulative of a ``restricted`` model.
 
-:class:`LeftCumulative` / :class:`RightCumulative` expose the one-sided
-integrals of a model as fast callables (``at`` offsets, or radii), two
-orientations of one body (:class:`_Cumulative`); :func:`level_bracket`
-finds where one reaches a level.
+:func:`level_bracket` finds where a cumulative reaches a level.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from functools import partialmethod
 
 import numpy as np
 
-from .weights import INFINITY, LEFT_R1, WeightModel, integrable, right_end
+from .weights import LEFT_R1, WeightModel, integrable, right_end
 
 INF = math.inf
 
@@ -66,10 +69,6 @@ class IntegralResult:
     @property
     def converged(self):
         return self.verdict == CONVERGED
-
-    @property
-    def diverges(self):
-        return self.verdict == DIVERGES
 
 
 class BudgetExceeded(RuntimeError):
@@ -614,47 +613,6 @@ def _tail_gl(c, A, B, L, r1, x0):
 
     segments = max(8, int(2 * (s_end - s0)))
     return _gl_adaptive(fvec, s0, s_end, _EXACT_RTOL, segments=segments, cap=4096)
-
-
-# ---------------------------------------------------------------------------
-# the exact power-log route
-# ---------------------------------------------------------------------------
-
-
-def integrate_exact_powerlog(model: WeightModel, a=None, b=None):
-    """Integral of a power-log model with exponent-certified verdicts.
-
-    Convergence/divergence at the endpoints is decided analytically; the value
-    comes from closed forms where elementary, else from the offset-coordinate
-    panels, the singular start and the tail route of :func:`_piece_partial`.
-    ``a``/``b`` default to the model's full domain.
-    """
-    a = model.lo_domain if a is None else a
-    b = model.r2 if b is None else b
-    if not (model.lo_domain <= a < b <= model.r2 or math.isclose(a, model.lo_domain)):
-        raise ValueError(f"({a}, {b}) not inside the model domain")
-    touches_left = model.left_singular and (
-        a <= model.r1 or math.isclose(a, model.r1, rel_tol=1e-12)
-    )
-    if touches_left and not integrable(model, LEFT_R1):
-        return IntegralResult(INF, INF, DIVERGES, 0)
-    if not math.isfinite(b) and not integrable(model, INFINITY):
-        return IntegralResult(INF, INF, DIVERGES, 0)
-
-    total = 0.0
-    err = 0.0
-    nev = 0
-    for piece in model.pieces:
-        lo, hi = max(piece.lo, a), min(piece.hi, b)
-        if not lo < hi:
-            continue
-        t0 = 0.0 if (touches_left and lo <= model.r1) else lo - model.r1
-        v, e, n = _piece_partial(piece, model.r1, t0, hi - model.r1)
-        total += v
-        err += e
-        nev += n
-    # an INF error is a piece whose value is past the float range
-    return IntegralResult(total, err, CONVERGED if err < INF else INCONCLUSIVE, nev)
 
 
 # ---------------------------------------------------------------------------

@@ -13,37 +13,39 @@ from radial_plap.weights import INF, PowerLogPiece, ProblemSpec, WeightModel
 class TestEnvelopes:
     def test_unit_weights_linear(self, trivial_annulus):
         for r in (1.2, 1.7):
-            assert A.envelope_left(trivial_annulus, r) == pytest.approx(r - 1.0)
-            assert A.envelope_right(trivial_annulus, r) == pytest.approx(2.0 - r)
+            assert trivial_annulus.phi_rho_conj(r) == pytest.approx(r - 1.0)
+            assert trivial_annulus.psi_rho_conj(r) == pytest.approx(2.0 - r)
 
     def test_degenerate_left_power(self, ex61):
         # envelope ~ const (r-1)^{(p-1-alpha)/(p-1)} = const (r-1)^{1/2}
         ratios = [
-            A.envelope_left(ex61, 1.0 + d) / d**0.5 for d in (1e-6, 1e-8, 1e-10)
+            ex61.phi_rho_conj(1.0 + d) / d**0.5 for d in (1e-6, 1e-8, 1e-10)
         ]
         assert ratios[0] == pytest.approx(ratios[2], rel=1e-3)
 
     def test_degenerate_right_power(self, ex61):
         # envelope ~ const r^{-(N-p+alpha)/(p-1)} = const r^{-3/2}
-        ratios = [A.envelope_right(ex61, r) * r**1.5 for r in (1e3, 1e5)]
+        ratios = [ex61.psi_rho_conj(r) * r**1.5 for r in (1e3, 1e5)]
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-2)
 
     def test_monotone_and_vanishing(self, ex61):
         rs = 1.0 + np.geomspace(1e-9, 10.0, 40)
-        left = A.envelope_left(ex61, rs)
-        right = A.envelope_right(ex61, rs)
+        left = ex61.phi_rho_conj(rs)
+        right = ex61.psi_rho_conj(rs)
         assert np.all(np.diff(left) > 0)
         assert np.all(np.diff(right) < 0)
         assert left[0] < 1e-4 * left[-1]
 
-    def test_divergent_envelope_errors(self):
+    def test_divergent_envelope_errors(self, trivial_eigenpair):
+        # the unit annulus's eigenfunction stands in on (1.2, 1.8): the
+        # sandwich is refused for the envelope alone
         ps = ProblemSpec(
             N=3, p=2.0, R1=1.0, R2=INF,
             v=WeightModel((PowerLogPiece(1.0, INF, 1.0, 1.5),), 1.0),
             w=WeightModel.constant(1.0, 1.0, INF),
         )
-        with pytest.raises(ValueError):
-            A.envelope_left(ps, 1.5)
+        with pytest.raises(ValueError, match="not integrable near R1"):
+            A.sandwich_check(trivial_eigenpair, ps, A.LEFT, window=(1.2, 1.8))
 
 
 class TestFitExponent:

@@ -612,6 +612,19 @@ class TestW1W2:
         note = f"numeric witness {name} {TestFailedWitnessProbes.FAILED}"
         assert rep.notes == (f"{ref.notes}; {note}" if ref.notes else note)
 
+    @pytest.mark.parametrize("preset, check, name, value", [
+        # ∫_1^2 (r-1)^(-1/2) dr, and ∫_2^∞ r 16 r^-4 dr
+        ("ex61", C.check_W1, "int_vinv_R_xi", 2.0),
+        ("ex61", C.check_W1, "I2", 2.0),
+        # ∫_1^2 dr, and ∫_0^1 t^(-1/2) dt
+        ("rmk22", C.check_W1, "int_vinv_R_xi", 1.0),
+        ("rmk22", C.check_W2, "I1", 2.0),
+        # ∫_0^1 t^(3/4) dt
+        ("ex62", C.check_W2, "I1", 4.0 / 7.0),
+    ])
+    def test_exact_witness_matches_closed_form(self, preset, check, name, value):
+        assert check(get_preset(preset).problem).witnesses[name] == value
+
     def test_requires_exterior_domain(self):
         with pytest.raises(ValueError):
             C.check_W1(const_problem())

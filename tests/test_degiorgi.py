@@ -327,6 +327,18 @@ class TestRecursionParams:
         with pytest.raises(ValueError, match="delta1 <= delta2"):
             D.RecursionParams(**{**self.GOOD, "delta1": 2.0})
 
+    def test_numpy_scalars_give_the_float_trace(self):
+        """np.float64 fields run the plain track on Python floats: its
+        overflow ends the trace instead of raising a RuntimeWarning."""
+        kwargs = dict(K=1e3, eta=9.0, delta1=2.5, delta2=3.0, J0=2.0)
+        ref = D.simulate(D.RecursionParams(**kwargs, n_max=50))
+        got = D.simulate(D.RecursionParams(
+            **{k: np.float64(v) for k, v in kwargs.items()}, n_max=50))
+        assert ref.overflowed and len(ref.log_J) == 5
+        assert (got.n0, got.overflowed) == (ref.n0, ref.overflowed)
+        assert got.log_J.tobytes() == ref.log_J.tobytes()
+        assert got.J.tobytes() == ref.J.tobytes()
+
     def test_log_J0_overrides_an_underflowed_J0(self):
         p = D.RecursionParams(**{**self.GOOD, "J0": 0.0, "log_J0": -800.0})
         assert p.start_log == -800.0

@@ -15,7 +15,6 @@ from radial_plap.quadrature import (
     LeftCumulative,
     RightCumulative,
     integrate,
-    integrate_exact_powerlog,
     interval_integrals,
 )
 from radial_plap.weights import INF, PowerLogPiece, WeightModel
@@ -180,26 +179,25 @@ class TestDivergenceSweep:
 class TestExactPowerlog:
     def test_boundary_exponent_diverges(self):
         m = WeightModel((PowerLogPiece(1.0, 2.0, 1.0, -1.0),), 1.0)
-        res = integrate_exact_powerlog(m)
-        assert res.verdict == DIVERGES
+        phi = LeftCumulative(m)
+        assert phi.divergent and phi(2.0) == INF
 
     def test_log_tail_closed_form(self):
         m = WeightModel((PowerLogPiece(3.0, INF, 1.0, 0.0, -1.0, -2.0),), 3.0)
-        res = integrate_exact_powerlog(m)
-        assert res.verdict == CONVERGED
-        assert res.value == pytest.approx(1.0 / math.log(3.0), rel=1e-12)
+        psi = RightCumulative(m)
+        assert not psi.divergent
+        assert psi(3.0) == pytest.approx(1.0 / math.log(3.0), rel=1e-12)
 
     def test_mild_singularity_converges(self):
         m = WeightModel((PowerLogPiece(1.0, 2.0, 1.0, -0.5),), 1.0)
-        res = integrate_exact_powerlog(m)
-        assert res.verdict == CONVERGED
-        assert res.value == pytest.approx(2.0, rel=1e-12)
+        phi = LeftCumulative(m)
+        assert not phi.divergent
+        assert phi(2.0) == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("gamma", GAMMA_SWEEP)
     def test_gamma_sweep_exact(self, gamma):
         m = WeightModel((PowerLogPiece(1.0, 2.0, 1.0, gamma),), 1.0)
-        res = integrate_exact_powerlog(m)
-        assert (res.verdict == DIVERGES) == (gamma <= -1.0)
+        assert LeftCumulative(m).divergent == (gamma <= -1.0)
 
     def test_tail_one_rounding_from_critical_matches_closed_form(self):
         """A tail exponent one ulp below -1 decays at the rate 2^-52: its
@@ -215,10 +213,10 @@ class TestExactPowerlog:
         with mp.workdps(40):
             full = float(mp.beta(kappa, 0.75))
             half = float(mp.betainc(kappa, 0.75, 0, 0.5))
-        res = integrate_exact_powerlog(m)
-        assert res.verdict == CONVERGED
-        assert res.value == pytest.approx(full, rel=1e-15)
-        assert RightCumulative(m)(2.0) == pytest.approx(half, rel=1e-15)
+        psi = RightCumulative(m)
+        assert not psi.divergent
+        assert psi(1.0) == pytest.approx(full, rel=1e-15)
+        assert psi(2.0) == pytest.approx(half, rel=1e-15)
 
     @pytest.mark.parametrize("kappa", [1e-2, 1e-3, 1e-4])
     def test_slow_tail_matches_incomplete_beta(self, kappa):
@@ -229,10 +227,9 @@ class TestExactPowerlog:
         m = WeightModel((PowerLogPiece(1.0, INF, 1.0, -0.5, -0.5 - kappa),), 1.0)
         with mp.workdps(30):
             ref = float(mp.betainc(kappa, 0.5, 0, 0.5))
-        res = integrate_exact_powerlog(m, a=2.0)
-        assert res.verdict == CONVERGED
-        assert res.value == pytest.approx(ref, rel=1e-10)
         psi = RightCumulative(m)
+        assert not psi.divergent
+        assert psi.at(1.0) == pytest.approx(ref, rel=1e-10)
         assert psi(2.0) == pytest.approx(ref, rel=1e-10)
         assert psi(np.array([2.0, 3.0]))[0] == pytest.approx(ref, rel=1e-10)
 
@@ -248,9 +245,8 @@ class TestExactPowerlog:
             with mp.workdps(30):
                 ref = float(mp.quad(lambda s: (1 - mp.exp(-s)) ** a * s**l,
                                     [mp.log(r), mp.inf]))
-            res = integrate_exact_powerlog(m, a=r)
-            assert res.verdict == CONVERGED
-            assert res.value == pytest.approx(ref, rel=1e-13)
+            assert not psi.divergent
+            assert psi.at(r - 1.0) == pytest.approx(ref, rel=1e-13)
             assert psi(r) == pytest.approx(ref, rel=1e-13)
 
 
@@ -278,13 +274,14 @@ class TestAgreement:
         rng = np.random.default_rng(2024)
         for _ in range(50):
             m = _random_powerlog(rng)
-            exact = integrate_exact_powerlog(m)
-            assert exact.verdict == CONVERGED
-            scale = abs(exact.value)
+            psi = RightCumulative(m)
+            assert not psi.divergent
+            exact = psi(m.lo_domain)
+            scale = abs(exact)
             generic = integrate(lambda r: m(r) / scale, m.lo_domain,
                                 m.r2, tol=4e-9)
             assert generic.verdict == CONVERGED, (m.pieces, generic)
-            assert generic.value * scale == pytest.approx(exact.value, rel=1e-8)
+            assert generic.value * scale == pytest.approx(exact, rel=1e-8)
 
 
 class TestMonotonicity:
@@ -332,8 +329,8 @@ class TestCumulatives:
         )
         edges = np.concatenate([[1.0], np.geomspace(1.0 + 1e-8, 6.0, 200)])
         parts = interval_integrals(m, edges)
-        total = integrate_exact_powerlog(m, a=1.0, b=6.0)
-        assert np.sum(parts) == pytest.approx(total.value, rel=1e-10)
+        total = LeftCumulative(m)(6.0)
+        assert np.sum(parts) == pytest.approx(total, rel=1e-10)
 
 
 class TestLevelBracket:
